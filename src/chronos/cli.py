@@ -27,7 +27,6 @@ from .path_sum import (PathSumConfig, U_lambda, monte_carlo_U, sample_bubbles,
 from .propagators import product_integral, taylor_partial_sum, dyson_terms
 from .quadrature import loglog_slope
 from .smatrix import SMatrixConfig, S_lambda, oracle_S
-from .families import SIGMA_X, SIGMA_Z
 
 EXPERIMENTS = ("dyson-convergence", "asymptotic", "yosida", "lambda-sweep",
                "film-verify", "smatrix-sweep", "monte-carlo")
@@ -57,6 +56,15 @@ def parse_config(text: str) -> dict:
 
 def _floats(value: str):
     return [float(x) for x in value.split(",") if x.strip()]
+
+
+def _number(cfg: dict, key: str, default: str, kind=float):
+    """cfg[key] (or default) parsed by kind; a malformed value is a ConfigError."""
+    text = cfg.get(key, default)
+    try:
+        return kind(text)
+    except ValueError:
+        raise ConfigError(f"{key}: cannot parse {text!r}") from None
 
 
 def _get_family(cfg: dict):
@@ -229,13 +237,14 @@ def _experiment_film_verify(cfg, digest):
 
 
 def _experiment_smatrix_sweep(cfg, digest):
-    H0 = np.diag(np.array(_floats(cfg.get("h0.diag", "1, -1")), dtype=complex))
-    coupling = float(cfg.get("coupling", "0.3"))
-    V = coupling * SIGMA_X if H0.shape[0] == 2 else coupling * np.eye(H0.shape[0])
-    T = float(cfg.get("half_window", "2"))
-    lambdas = _floats(cfg.get("sweep.lambdas", "10, 100, 1000"))
-    tail_tol = float(cfg.get("tail_tol", "1e-10"))
-    n = int(cfg.get("order", "0"))
+    H0 = np.diag(np.array(_number(cfg, "h0.diag", "1, -1", _floats), dtype=complex))
+    # Hopping J + J^T (J: superdiagonal of ones) is sigma_x at d = 2.
+    J = np.eye(H0.shape[0], k=1)
+    V = _number(cfg, "coupling", "0.3") * (J + J.T)
+    T = _number(cfg, "half_window", "2")
+    lambdas = _number(cfg, "sweep.lambdas", "10, 100, 1000", _floats)
+    tail_tol = _number(cfg, "tail_tol", "1e-10")
+    n = _number(cfg, "order", "0", int)
     timing = _timing(cfg)
     base = SMatrixConfig(H0=H0, V=V, T=T)
     S_ref = oracle_S(base).U
@@ -321,11 +330,11 @@ def run(config_path: str) -> int:
 
 def _validate(cfg: dict):
     for key, value in cfg.items():
-        if key.endswith("tol") and float(value) <= 0:
+        if ((key.endswith("tol") or key == "lambda")
+                and _number(cfg, key, value) <= 0):
             raise ConfigError(f"{key} must be > 0")
-        if key in ("lambda",) and float(value) <= 0:
-            raise ConfigError(f"{key} must be > 0")
-        if key == "sweep.lambdas" and any(v <= 0 for v in _floats(value)):
+        if key == "sweep.lambdas" and any(
+                v <= 0 for v in _number(cfg, key, value, _floats)):
             raise ConfigError("sweep.lambdas entries must be > 0")
         if key == "family.csv" and not os.path.exists(value):
             raise ConfigError(f"family csv {value!r} does not exist")

@@ -39,6 +39,8 @@ class GeneratorFamily:
     def __post_init__(self):
         if not self.a < self.b:
             raise ConfigError(f"need a < b, got [{self.a}, {self.b}]")
+        if self.dim < 1:
+            raise DimensionError(f"need dim >= 1, got {self.dim}")
         if self.commutativity_class not in ("constant", "commuting", "general"):
             raise ConfigError(
                 f"unknown commutativity class {self.commutativity_class!r}")

@@ -51,41 +51,9 @@ def hermitian_part(H) -> np.ndarray:
     return 0.5 * (A + A.conj().T)
 
 
-def operator_norm(M, rtol: float = 1e-10, max_iter: int = 10000) -> float:
-    """Spectral norm (largest singular value) of a square matrix.
-
-    Power iteration on M^H M with a deterministic start vector; falls back to
-    a full Hermitian eigendecomposition if the iteration stagnates.
-    """
-    A = as_matrix(M)
-    d = A.shape[0]
-    B = A.conj().T @ A
-    scale = np.max(np.abs(B))
-    if scale == 0.0:
-        return 0.0
-    # Ramp start breaks symmetry deterministically (no RNG involved).
-    v = 1.0 + 0.25 * np.arange(d) / max(d - 1, 1)
-    v = v.astype(complex)
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    stagnant = 0
-    for _ in range(max_iter):
-        w = B @ v
-        lam = float(np.real(np.vdot(v, w)))
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            break
-        v = w / nw
-        if lam > 0 and abs(lam - prev) <= 0.1 * rtol * lam:
-            stagnant += 1
-            if stagnant >= 3:
-                return float(np.sqrt(lam))
-        else:
-            stagnant = 0
-        prev = lam
-    # Stagnation or slow convergence (clustered singular values): exact path.
-    ev = np.linalg.eigvalsh(B)
-    return float(np.sqrt(max(ev[-1], 0.0)))
+def operator_norm(M) -> float:
+    """Spectral norm (largest singular value) of a square matrix."""
+    return float(np.linalg.norm(as_matrix(M), 2))
 
 
 @dataclass(frozen=True)

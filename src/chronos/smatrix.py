@@ -7,7 +7,7 @@ minimal-time-step regularization and the exact-order expansion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -59,24 +59,37 @@ class SMatrixConfig:
         return self.H0.shape[0]
 
 
-def interaction_generator(cfg: SMatrixConfig) -> GeneratorFamily:
-    """G(t) = (-i/hbar) envelope(t) e^{i H0 t/hbar} V e^{-i H0 t/hbar} on [-T, T]."""
+def _eigen_frame(cfg: SMatrixConfig) -> tuple[GeneratorFamily, Callable]:
+    """Interaction generator in the H0 eigenbasis, and M -> W M W^H.
+
+    With H0 = W diag(E) W^H the generator is elementwise,
+    G_eig(t)_ab = (-i/hbar) envelope(t) e^{i(E_a - E_b)t/hbar} (W^H V W)_ab,
+    and W G_eig(t) W^H = G(t).  Since exp(W X W^H) = W exp(X) W^H, any
+    product of cell exponentials built from G_eig rotates back once.
+    """
     evals, W = np.linalg.eigh(cfg.H0)
-    Vr = W.conj().T @ cfg.V @ W
+    Vr = (-1j / cfg.hbar) * (W.conj().T @ cfg.V @ W)
 
     def batch(ts):
         ts = np.atleast_1d(ts)
         phase = np.exp(1j * np.outer(ts / cfg.hbar, evals))
-        inner = phase[:, :, None] * Vr[None] * phase.conj()[:, None, :]
-        HI = np.einsum("ab,mbc,dc->mad", W, inner, W.conj())
-        return (-1j / cfg.hbar) * cfg.envelope_values(ts)[:, None, None] * HI
+        left = cfg.envelope_values(ts)[:, None] * phase
+        return left[:, :, None] * Vr * phase.conj()[:, None, :]
 
     a, b = -cfg.T, cfg.T
-    return GeneratorFamily(
+    fam = GeneratorFamily(
         a=a, b=b, dim=cfg.dim, evaluate_batch=batch,
         commutativity_class=classify_evaluator(batch, a, b),
         dissipative=bool(np.linalg.norm(cfg.V - cfg.V.conj().T, 2) <= 1e-12),
-        name="interaction")
+        name="interaction_eigen")
+    return fam, lambda M: W @ M @ W.conj().T
+
+
+def interaction_generator(cfg: SMatrixConfig) -> GeneratorFamily:
+    """G(t) = (-i/hbar) envelope(t) e^{i H0 t/hbar} V e^{-i H0 t/hbar} on [-T, T]."""
+    fam, rotate = _eigen_frame(cfg)
+    return replace(fam, name="interaction",
+                   evaluate_batch=lambda ts: rotate(fam.evaluate_batch(ts)))
 
 
 def _window_partition(cfg: SMatrixConfig, n: int) -> PartitionScheme:
@@ -86,8 +99,11 @@ def _window_partition(cfg: SMatrixConfig, n: int) -> PartitionScheme:
 
 
 def oracle_S(cfg: SMatrixConfig, tol: float = 1e-10) -> PropagatorResult:
-    """Ground-truth scattering operator from the product-integral oracle."""
-    return product_integral(interaction_generator(cfg), -cfg.T, cfg.T, tol)
+    """Ground-truth scattering operator from the product-integral oracle,
+    run in the H0 eigenbasis and rotated back once."""
+    fam, rotate = _eigen_frame(cfg)
+    res = product_integral(fam, -cfg.T, cfg.T, tol)
+    return replace(res, U=rotate(res.U))
 
 
 def S_n_experimental(cfg: SMatrixConfig, n: int) -> np.ndarray:
@@ -96,11 +112,13 @@ def S_n_experimental(cfg: SMatrixConfig, n: int) -> np.ndarray:
         raise DomainError(f"need n >= 0, got {n}")
     if n == 0:
         return np.eye(cfg.dim, dtype=complex)
-    return U_n(interaction_generator(cfg), _window_partition(cfg, n)).U
+    fam, rotate = _eigen_frame(cfg)
+    return rotate(U_n(fam, _window_partition(cfg, n)).U)
 
 
 def S_lambda(cfg: SMatrixConfig, tail_tol: float = 1e-10) -> PropagatorResult:
-    """Poisson(2 lambda T)-weighted sum of the S_n operators."""
+    """Poisson(2 lambda T)-weighted sum of the S_n operators, formed in the
+    H0 eigenbasis and rotated back once."""
     if not 0 < tail_tol < 1:
         raise ConfigError(f"tail_tol must be in (0, 1), got {tail_tol}")
     mean = 2.0 * cfg.lam * cfg.T
@@ -108,7 +126,7 @@ def S_lambda(cfg: SMatrixConfig, tail_tol: float = 1e-10) -> PropagatorResult:
     counts = np.arange(n_max + 1)
     weights = stats.poisson.pmf(counts, mean)
     cutoff = tail_tol / (n_max + 1)
-    fam = interaction_generator(cfg)
+    fam, rotate = _eigen_frame(cfg)
     raw = np.zeros((cfg.dim, cfg.dim), dtype=complex)
     captured = 0.0
     for n, w in zip(counts, weights):
@@ -123,6 +141,7 @@ def S_lambda(cfg: SMatrixConfig, tail_tol: float = 1e-10) -> PropagatorResult:
             Sn = U_n(fam, _window_partition(cfg, int(n))).U
         raw += w * Sn
         captured += w
+    raw = rotate(raw)
     normalized = raw / captured
     return PropagatorResult(
         U=normalized, w=1.0, step_count=int(n_max),
@@ -146,7 +165,7 @@ def energy_shift_identity(cfg: SMatrixConfig, n: int) -> float:
     if n == 0:
         shifted = matrix_exp(-cfg.lam * 2.0 * cfg.T * eye)
         return float(np.linalg.norm(np.exp(-two_lam_T) * eye - shifted, 2))
-    fam = interaction_generator(cfg)
+    fam, _ = _eigen_frame(cfg)  # the residual's 2-norm is basis-independent
     p = _window_partition(cfg, n)
     A = _cell_generators(fam, p.edges)
     plain = ordered_product(expm_stack(A))
@@ -167,10 +186,10 @@ def fixed_dt_S(cfg: SMatrixConfig) -> np.ndarray:
     if m < 1 or abs(m_float - m) > 1e-9:
         raise ConfigError(
             f"2*T*lambda = {m_float} must be a positive integer for fixed-step cells")
-    fam = interaction_generator(cfg)
+    fam, rotate = _eigen_frame(cfg)
     edges = np.linspace(-cfg.T, cfg.T, m + 1)
     A = _cell_generators(fam, edges)
-    return ordered_product(expm_stack(A))
+    return rotate(ordered_product(expm_stack(A)))
 
 
 def dyson_S_expansion(cfg: SMatrixConfig, n: int, grid: int = 1024,

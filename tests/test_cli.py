@@ -111,6 +111,32 @@ def test_run_timing_off_by_default(tmp_path):
         assert line.split(",")[-1] == "0.0"
 
 
+def test_run_smatrix_sweep_three_level(tmp_path):
+    # d = 3 uses the same hopping interaction as d = 2, which does not
+    # commute with H0, so the error falls with the bubble rate.
+    out = tmp_path / "s3.csv"
+    cfg = write(tmp_path / "s3.cfg",
+                f"experiment = smatrix-sweep\nh0.diag = 1, 0, -1\n"
+                f"sweep.lambdas = 5, 20, 80\noutput = {out}\n")
+    assert run(cfg) == 0
+    errs = [float(line.split(",")[3]) for line in out.read_text().splitlines()[2:]]
+    assert errs[2] < errs[1] < errs[0]
+
+
+@pytest.mark.parametrize("experiment, line", [
+    ("smatrix-sweep", "order = abc"),
+    ("smatrix-sweep", "half_window = x"),
+    ("smatrix-sweep", "coupling = x"),
+    ("asymptotic", "oracle_tol = x"),
+])
+def test_run_malformed_number_is_config_error(tmp_path, capsys, experiment, line):
+    cfg = write(tmp_path / "bad.cfg",
+                f"experiment = {experiment}\n{line}\n"
+                f"output = {tmp_path / 'bad.csv'}\n")
+    assert run(cfg) == 2
+    assert line.split(" = ")[0] in capsys.readouterr().err
+
+
 def test_run_dyson_convergence(tmp_path):
     out = tmp_path / "d.csv"
     cfg = write(tmp_path / "d.cfg",

@@ -57,6 +57,11 @@ def test_family_interval_validation():
                         evaluate_batch=lambda ts: np.zeros((len(ts), 2, 2)))
 
 
+def test_zero_dimensional_family_rejected():
+    with pytest.raises(DimensionError):
+        builtin_family("random_smooth", [0, 0])
+
+
 def test_family_from_matrix_constant_integral():
     H = -1j * SIGMA_Z
     fam = family_from_matrix(H)

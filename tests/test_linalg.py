@@ -33,7 +33,7 @@ def test_operator_norm_matches_svd_on_random_matrices():
 
 
 def test_operator_norm_degenerate_singular_values():
-    # Repeated top singular value exercises the eigvalsh fallback path.
+    # Repeated top singular value.
     U = np.eye(4, dtype=complex)
     A = 3.0 * U
     assert operator_norm(A) == pytest.approx(3.0, rel=1e-10)

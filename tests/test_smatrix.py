@@ -3,18 +3,86 @@ import math
 import numpy as np
 import pytest
 
+from scipy import stats
+
 from chronos.errors import ConfigError, DomainError
-from chronos.families import SIGMA_X, SIGMA_Z, integrate_family
-from chronos.linalg import matrix_exp
-from chronos.propagators import product_integral
+from chronos.families import (SIGMA_X, SIGMA_Z, GeneratorFamily,
+                              integrate_family)
+from chronos.linalg import expm_stack, matrix_exp
+from chronos.path_sum import U_n, _cell_generators, poisson_truncation
+from chronos.propagators import ordered_product, product_integral
 from chronos.quadrature import loglog_slope
 from chronos.smatrix import (SMatrixConfig, S_lambda, S_n_experimental,
-                             dyson_S_expansion, energy_shift_identity,
-                             fixed_dt_S, interaction_generator, oracle_S)
+                             _window_partition, dyson_S_expansion,
+                             energy_shift_identity, fixed_dt_S,
+                             interaction_generator, oracle_S)
 
 
 def toy(coupling=0.3, T=2.0, lam=1.0):
     return SMatrixConfig(H0=SIGMA_Z, V=coupling * SIGMA_X, T=T, lam=lam)
+
+
+def random_three_level(lam=3.0, T=1.0):
+    """Random Hermitian H0 (eigenvectors not a permutation) and V, [H0, V] != 0."""
+    rng = np.random.default_rng(2004)
+    X, Y = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
+    return SMatrixConfig(H0=X + X.conj().T, V=0.3 * (Y + Y.conj().T), T=T,
+                         lam=lam)
+
+
+def reference_generator(cfg):
+    """Interaction generator rotated out of the H0 eigenbasis at every node."""
+    evals, W = np.linalg.eigh(cfg.H0)
+    Vr = W.conj().T @ cfg.V @ W
+
+    def batch(ts):
+        ts = np.atleast_1d(ts)
+        phase = np.exp(1j * np.outer(ts / cfg.hbar, evals))
+        inner = phase[:, :, None] * Vr[None] * phase.conj()[:, None, :]
+        HI = np.einsum("ab,mbc,dc->mad", W, inner, W.conj())
+        return (-1j / cfg.hbar) * cfg.envelope_values(ts)[:, None, None] * HI
+
+    return GeneratorFamily(a=-cfg.T, b=cfg.T, dim=cfg.dim, evaluate_batch=batch)
+
+
+def test_interaction_generator_matches_reference():
+    cfg = random_three_level()
+    _, W = np.linalg.eigh(cfg.H0)
+    assert np.min(np.abs(W)) > 1e-3
+    assert np.linalg.norm(cfg.H0 @ cfg.V - cfg.V @ cfg.H0, 2) > 0.1
+    ts = np.linspace(-cfg.T, cfg.T, 101)
+    got = interaction_generator(cfg).evaluate_batch(ts)
+    assert np.max(np.abs(got - reference_generator(cfg).evaluate_batch(ts))) <= 1e-14
+
+
+def test_eigen_frame_products_match_reference():
+    cfg = random_three_level()
+    ref = reference_generator(cfg)
+    for n in (1, 2, 7, 30):
+        expected = U_n(ref, _window_partition(cfg, n)).U
+        assert np.max(np.abs(S_n_experimental(cfg, n) - expected)) <= 1e-12
+    fixed = SMatrixConfig(H0=cfg.H0, V=cfg.V, T=cfg.T, lam=8.0)
+    A = _cell_generators(ref, np.linspace(-cfg.T, cfg.T, 17))
+    expected = ordered_product(expm_stack(A))
+    assert np.max(np.abs(fixed_dt_S(fixed) - expected)) <= 1e-12
+    expected = product_integral(ref, -cfg.T, cfg.T).U
+    assert np.max(np.abs(oracle_S(cfg).U - expected)) <= 1e-10
+
+
+def test_S_lambda_matches_reference_window_sum():
+    cfg = random_three_level()
+    ref = reference_generator(cfg)
+    mean = 2.0 * cfg.lam * cfg.T
+    n_max = poisson_truncation(mean, 1e-10)
+    raw = np.zeros((3, 3), dtype=complex)
+    for n, w in enumerate(stats.poisson.pmf(np.arange(n_max + 1), mean)):
+        if w < 1e-10 / (n_max + 1):
+            continue
+        raw += w * (matrix_exp(integrate_family(ref, -cfg.T, cfg.T)) if n == 0
+                    else U_n(ref, _window_partition(cfg, n)).U)
+    res = S_lambda(cfg)
+    assert np.max(np.abs(res.extras["raw"] - raw)) <= 1e-12
+    assert np.max(np.abs(res.U - raw / res.extras["captured_mass"])) <= 1e-12
 
 
 def test_config_validation():
