@@ -67,12 +67,16 @@ def _number(cfg: dict, key: str, default: str, kind=float):
         raise ConfigError(f"{key}: cannot parse {text!r}") from None
 
 
+def _seed(cfg: dict) -> int:
+    return _number(cfg, "seed", "0", int)
+
+
 def _get_family(cfg: dict):
     if "family.csv" in cfg:
         return family_from_csv(cfg["family.csv"])
     name = cfg.get("family.name", "two_level_driven")
-    params = _floats(cfg.get("family.params", ""))
-    interval = _floats(cfg.get("interval", "0, 1"))
+    params = _number(cfg, "family.params", "", _floats)
+    interval = _number(cfg, "interval", "0, 1", _floats)
     return builtin_family(name, params, interval=tuple(interval))
 
 
@@ -110,14 +114,13 @@ class Report:
 
 def _experiment_asymptotic(cfg, report_cols):
     if "q.diag" in cfg:
-        Q = np.diag(np.array(_floats(cfg["q.diag"]), dtype=complex))
+        Q = np.diag(np.array(_number(cfg, "q.diag", "", _floats), dtype=complex))
     else:
         fam = _get_family(cfg)
         Q = integrate_family(fam, fam.a, fam.b)
-    n = int(cfg.get("order", "1"))
-    w_list = _floats(cfg.get("sweep.w", "0.1, 0.05, 0.025, 0.0125, 0.00625"))
-    report = Report(["w", "residual_norm", "ratio"], cfg.get("seed", "0"),
-                    report_cols)
+    n = _number(cfg, "order", "1", int)
+    w_list = _number(cfg, "sweep.w", "0.1, 0.05, 0.025, 0.0125, 0.00625", _floats)
+    report = Report(["w", "residual_norm", "ratio"], _seed(cfg), report_cols)
     norms = []
     for w in w_list:
         r = float(np.linalg.norm(
@@ -132,15 +135,14 @@ def _experiment_asymptotic(cfg, report_cols):
 
 def _experiment_dyson(cfg, digest):
     fam = _get_family(cfg)
-    n = int(cfg.get("order", "5"))
+    n = _number(cfg, "order", "5", int)
     oracle = product_integral(fam, fam.a, fam.b,
-                              float(cfg.get("oracle_tol", "1e-10"))).U
-    expn = dyson_terms(fam, fam.a, fam.b, n, int(cfg.get("grid", "1024")))
+                              _number(cfg, "oracle_tol", "1e-10")).U
+    expn = dyson_terms(fam, fam.a, fam.b, n, _number(cfg, "grid", "1024", int))
     ts = np.linspace(fam.a, fam.b, 65)
     M = max(np.linalg.norm(H, 2) for H in fam.evaluate_batch(ts))
     span = fam.b - fam.a
-    report = Report(["order", "tail_norm", "classical_bound"],
-                    cfg.get("seed", "0"), digest)
+    report = Report(["order", "tail_norm", "classical_bound"], _seed(cfg), digest)
     ok = True
     partial = np.zeros_like(oracle)
     import math
@@ -156,11 +158,11 @@ def _experiment_dyson(cfg, digest):
 
 def _experiment_yosida(cfg, digest):
     fam = _get_family(cfg)
-    z_list = _floats(cfg.get("sweep.z", "10, 100, 1000, 10000"))
+    z_list = _number(cfg, "sweep.z", "10, 100, 1000, 10000", _floats)
     from .families import yosida_family
     Q = integrate_family(fam, fam.a, fam.b)
     expQ = matrix_exp(Q)
-    report = Report(["z", "q_gap", "exp_gap"], cfg.get("seed", "0"), digest)
+    report = Report(["z", "q_gap", "exp_gap"], _seed(cfg), digest)
     gaps = []
     for z in z_list:
         Qz = integrate_family(yosida_family(fam, z), fam.a, fam.b)
@@ -174,11 +176,11 @@ def _experiment_yosida(cfg, digest):
 
 def _experiment_lambda_sweep(cfg, digest):
     fam = _get_family(cfg)
-    t = float(cfg.get("horizon", str(fam.b)))
-    lambdas = _floats(cfg.get("sweep.lambdas", "10, 100, 1000"))
-    tail_tol = float(cfg.get("tail_tol", "1e-10"))
-    seed = int(cfg.get("seed", "0"))
-    oracle = product_integral(fam, 0.0, t, float(cfg.get("oracle_tol", "1e-10"))).U
+    t = _number(cfg, "horizon", str(fam.b))
+    lambdas = _number(cfg, "sweep.lambdas", "10, 100, 1000", _floats)
+    tail_tol = _number(cfg, "tail_tol", "1e-10")
+    seed = _seed(cfg)
+    oracle = product_integral(fam, 0.0, t, _number(cfg, "oracle_tol", "1e-10")).U
     timing = _timing(cfg)
 
     def one(lam):
@@ -204,12 +206,12 @@ def _experiment_lambda_sweep(cfg, digest):
 
 
 def _experiment_film_verify(cfg, digest):
-    d = int(cfg.get("base_dim", "2"))
-    N = int(cfg.get("slots", "4"))
+    d = _number(cfg, "base_dim", "2", int)
+    N = _number(cfg, "slots", "4", int)
     fam = _get_family(cfg)
     film = FilmSpace(d, tuple(np.linspace(fam.a + 0.05 * (fam.b - fam.a),
                                           fam.b - 0.05 * (fam.b - fam.a), N)))
-    report = Report(["check", "detail", "residual"], cfg.get("seed", "0"), digest)
+    report = Report(["check", "detail", "residual"], _seed(cfg), digest)
     ok = True
     H = fam((fam.a + fam.b) / 2)
     for j in range(1, N + 1):
@@ -230,7 +232,7 @@ def _experiment_film_verify(cfg, digest):
     iso = abs(slot_operator_norm(embed(H, 1, film)) - operator_norm(H))
     ok = ok and iso <= 1e-9
     report.add("embedding_isometry", "slot1", float(iso))
-    r38 = verify_eq38(fam, film, float(cfg.get("z", "10")), 0)
+    r38 = verify_eq38(fam, film, _number(cfg, "z", "10"), 0)
     ok = ok and r38 <= 1e-10
     report.add("norm_identity", "generating_vector", float(r38))
     return report, ok, f"film identities all within tolerance: {ok}"
@@ -249,7 +251,7 @@ def _experiment_smatrix_sweep(cfg, digest):
     base = SMatrixConfig(H0=H0, V=V, T=T)
     S_ref = oracle_S(base).U
     report = Report(["lambda", "T", "n", "err_vs_oracle", "unitarity_defect",
-                     "seconds"], cfg.get("seed", "0"), digest)
+                     "seconds"], _seed(cfg), digest)
     errs = []
     for lam in lambdas:
         t0 = time.perf_counter()
@@ -266,18 +268,18 @@ def _experiment_smatrix_sweep(cfg, digest):
 
 def _experiment_monte_carlo(cfg, digest):
     fam = _get_family(cfg)
-    t = float(cfg.get("horizon", str(fam.b)))
-    lam = float(cfg.get("lambda", "20"))
-    trials = int(cfg.get("trials", "500"))
-    seed = int(cfg.get("seed", "0"))
+    t = _number(cfg, "horizon", str(fam.b))
+    lam = _number(cfg, "lambda", "20")
+    trials = _number(cfg, "trials", "500", int)
+    seed = _seed(cfg)
     ps = PathSumConfig(lam=lam, t=t, trials=trials, seed=seed)
-    draws = int(cfg.get("count_draws", "100000"))
+    draws = _number(cfg, "count_draws", "100000", int)
     counts = np.array([len(sample_bubbles(ps, trial_rng(seed, k)))
                        for k in range(draws)])
     mean = float(counts.mean())
     sigma = float(np.sqrt(lam * t / draws))
     res = monte_carlo_U(fam, ps)
-    oracle = product_integral(fam, 0.0, t, float(cfg.get("oracle_tol", "1e-9"))).U
+    oracle = product_integral(fam, 0.0, t, _number(cfg, "oracle_tol", "1e-9")).U
     dist = float(np.linalg.norm(res.U - oracle, 2))
     report = Report(["stat", "value"], seed, digest)
     report.add("count_mean", mean)
@@ -333,9 +335,12 @@ def _validate(cfg: dict):
         if ((key.endswith("tol") or key == "lambda")
                 and _number(cfg, key, value) <= 0):
             raise ConfigError(f"{key} must be > 0")
-        if key == "sweep.lambdas" and any(
-                v <= 0 for v in _number(cfg, key, value, _floats)):
-            raise ConfigError("sweep.lambdas entries must be > 0")
+        if key == "sweep.lambdas":
+            lambdas = _number(cfg, key, value, _floats)
+            if not lambdas:
+                raise ConfigError("sweep.lambdas must list at least one value")
+            if any(v <= 0 for v in lambdas):
+                raise ConfigError("sweep.lambdas entries must be > 0")
         if key == "family.csv" and not os.path.exists(value):
             raise ConfigError(f"family csv {value!r} does not exist")
 

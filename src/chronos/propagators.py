@@ -1,7 +1,7 @@
 """Evolution operators and series machinery.
 
 Product-integral oracle, exp{wQ} propagators, time-ordered iterated
-integrals, exact Taylor remainders and asymptotic-order probes.
+integrals, exact Taylor and series remainders and asymptotic-order probes.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .errors import ConsistencyError, ConvergenceError, DomainError
-from .families import (GeneratorFamily, builtin_family, integrate_family,
-                       integrate_family_with_estimate, yosida_family)
+from .families import GeneratorFamily, integrate_family, yosida_family
 from .linalg import as_matrix, expm_stack, matrix_exp, operator_norm
 from .quadrature import (QuadratureSpec, cumulative_simpson_uniform,
                          loglog_slope, panel_nodes)
@@ -43,7 +42,6 @@ class DysonExpansion:
     terms: List[np.ndarray]
     order: int
     remainder: Optional[np.ndarray] = None
-    calibration: Optional[dict] = None
 
     def partial_sum(self, w: float = 1.0) -> np.ndarray:
         return sum((w ** k) * T for k, T in enumerate(self.terms))
@@ -73,19 +71,24 @@ def product_integral(f: GeneratorFamily, s: float, t: float,
                      tol: float = 1e-10) -> PropagatorResult:
     """Ground-truth time-ordered propagator U[t, s].
 
-    Limit of ordered products of midpoint-step exponentials under step
-    halving, stopped when successive levels differ by <= tol.
+    Limit of ordered products of fourth-order Magnus steps under step
+    doubling, stopped when successive levels differ by <= tol.
     """
     if s > t:
         raise DomainError(f"need s <= t, got s={s}, t={t}")
     if s == t:
         return _result(np.eye(f.dim, dtype=complex), w=1.0)
+
+    def level(steps):
+        h = (t - s) / steps
+        return ordered_product(_magnus_steps(f, s + h * np.arange(steps), h))
+
     steps = 16
-    U_prev = _oracle_level(f, s, t, steps)
+    U_prev = level(steps)
     prev_diff = np.inf
     for _ in range(MAX_HALVINGS):
         steps *= 2
-        U = _oracle_level(f, s, t, steps)
+        U = level(steps)
         diff = np.linalg.norm(U - U_prev, 2)
         U_prev = U
         if diff <= tol:
@@ -101,29 +104,26 @@ def product_integral(f: GeneratorFamily, s: float, t: float,
         f"product integral did not reach tol={tol:g} within {MAX_HALVINGS} halvings")
 
 
-def _oracle_level(f: GeneratorFamily, s: float, t: float, steps: int) -> np.ndarray:
-    h = (t - s) / steps
-    mids = s + h * (np.arange(steps) + 0.5)
-    E = expm_stack(h * f.evaluate_batch(mids))
-    return ordered_product(E)
+def _magnus_steps(f: GeneratorFamily, left: np.ndarray, h: float,
+                  w: float = 1.0) -> np.ndarray:
+    """Fourth-order Magnus exponentials of w H over [left_j, left_j + h].
+
+    Two-node Gauss commutator exponent; see Blanes, Casas, Oteo & Ros,
+    Phys. Rep. 470 (2009).
+    """
+    c = np.sqrt(3.0) / 6.0
+    A1 = w * f.evaluate_batch(left + h * (0.5 - c))
+    A2 = w * f.evaluate_batch(left + h * (0.5 + c))
+    omega = 0.5 * h * (A1 + A2) + (h * h * np.sqrt(3.0) / 12.0) * (A2 @ A1 - A1 @ A2)
+    return expm_stack(omega)
 
 
 def propagator_on_grid(f: GeneratorFamily, a: float, ts: np.ndarray,
                        w: float = 1.0) -> np.ndarray:
-    """U_w[ts_j, a] along a uniform grid, fourth order per step.
-
-    Each cell uses a two-node Gauss commutator (Magnus-style) exponential,
-    so the grid itself controls the accuracy.
-    """
+    """U_w[ts_j, a] along a uniform grid, one fourth-order Magnus step per cell,
+    so the grid itself controls the accuracy."""
     m = len(ts) - 1
-    h = ts[1] - ts[0]
-    c = np.sqrt(3.0) / 6.0
-    n1 = ts[:-1] + h * (0.5 - c)
-    n2 = ts[:-1] + h * (0.5 + c)
-    A1 = w * f.evaluate_batch(n1)
-    A2 = w * f.evaluate_batch(n2)
-    omega = 0.5 * h * (A1 + A2) + (h * h * np.sqrt(3.0) / 12.0) * (A2 @ A1 - A1 @ A2)
-    E = expm_stack(omega)
+    E = _magnus_steps(f, ts[:-1], ts[1] - ts[0], w)
     out = np.empty((m + 1, f.dim, f.dim), dtype=complex)
     out[0] = np.eye(f.dim)
     for j in range(m):
@@ -190,31 +190,21 @@ def remainder_310(Q, n: int, w: float, xi_panels: int = 32) -> np.ndarray:
     return np.tensordot(weight, Qp[None] @ E, axes=(0, 0))
 
 
-_CALIBRATION_CACHE: dict = {}
+def remainder_42(f: GeneratorFamily, a: float, t: float, n: int, w: float,
+                 grid: int = 1024) -> np.ndarray:
+    """Exact remainder of the time-ordered series after order n.
 
-
-def _iterated_remainder_xi(f, a, t, n, w, grid, xi_panels):
-    """Remainder candidate with exp(xi Q[s,a]) inside the nested integral."""
-    ts = np.linspace(a, t, grid + 1)
-    h = (t - a) / grid
-    Hs = f.evaluate_batch(ts)
-    Qs = cumulative_simpson_uniform(Hs, h)
-    xi, wts = panel_nodes(0.0, w, xi_panels, "gauss5")
-    total = np.zeros((f.dim, f.dim), dtype=complex)
-    for x, wt in zip(xi, wts):
-        V = expm_stack(x * Qs)
-        for _ in range(n + 1):
-            V = cumulative_simpson_uniform(Hs @ V, h)
-        total += wt * (w - x) ** n * V[-1]
-    return total
-
-
-def _iterated_remainder_ie(f, a, t, n, w, grid, xi_panels):
-    """Remainder from the iterated integral equation.
-
-    R = w^{n+1} K^{n+1}[U_w](t) with (K g)(s) = int_a^s H(u) g(u) du and
-    U_w the propagator of w H(t); closes the series for any family.
+    Returns R such that sum_{k<=n} w^k T_k + R reproduces the propagator
+    of w H(t) (equal to exp(wQ) for commuting families), from the iterated
+    integral equation R = w^{n+1} K^{n+1}[U_w](t) with
+    (K g)(s) = int_a^s H(u) g(u) du and U_w the propagator of w H(t).
     """
+    if n < 0:
+        raise DomainError(f"order must be >= 0, got {n}")
+    if w < 0:
+        raise DomainError(f"need w >= 0, got {w}")
+    if w == 0:
+        return np.zeros((f.dim, f.dim), dtype=complex)
     ts = np.linspace(a, t, grid + 1)
     h = (t - a) / grid
     Hs = f.evaluate_batch(ts)
@@ -224,66 +214,12 @@ def _iterated_remainder_ie(f, a, t, n, w, grid, xi_panels):
     return (w ** (n + 1)) * V[-1]
 
 
-_REMAINDER_STRUCTURES = {
-    "taylor_xi": _iterated_remainder_xi,
-    "integral_equation": _iterated_remainder_ie,
-}
-
-
-def _calibrate_remainder(n: int, tol: float = 1e-8):
-    """Pick the remainder structure and prefactor that close the series.
-
-    Candidates are checked on a commuting probe family, where the target
-    exp(wQ) equals the physical propagator; the first (structure, c) pair
-    whose partial sum + c * remainder matches to `tol` wins.
-    """
-    if n in _CALIBRATION_CACHE:
-        return _CALIBRATION_CACHE[n]
-    probe = builtin_family("scalar_commuting", (0.3, 1.0))
-    a, t, w, grid, xi_panels = probe.a, probe.b, 0.7, 512, 16
-    Q = integrate_family(probe, a, t)
-    target = matrix_exp(w * Q)
-    partial = dyson_terms(probe, a, t, n, grid).partial_sum(w)
-    constants = (1.0, float(n + 1), float(n + 1) / math.factorial(n))
-    for structure, builder in _REMAINDER_STRUCTURES.items():
-        raw = builder(probe, a, t, n, w, grid, xi_panels)
-        for c in constants:
-            residual = np.linalg.norm(partial + c * raw - target, 2)
-            if residual <= tol:
-                choice = {"structure": structure, "constant": c,
-                          "probe_residual": float(residual)}
-                _CALIBRATION_CACHE[n] = choice
-                return choice
-    raise ConsistencyError(
-        f"no remainder structure/constant closes the order-{n} series on the probe")
-
-
-def remainder_42(f: GeneratorFamily, a: float, t: float, n: int, w: float,
-                 grid: int = 1024, xi_panels: int = 32) -> np.ndarray:
-    """Calibrated remainder of the time-ordered series after order n.
-
-    Returns R such that sum_{k<=n} w^k T_k + R reproduces the propagator
-    of w H(t) (equal to exp(wQ) for commuting families).  The prefactor
-    and inner structure are fixed once per order by `_calibrate_remainder`.
-    """
-    if n < 0:
-        raise DomainError(f"order must be >= 0, got {n}")
-    if w < 0:
-        raise DomainError(f"need w >= 0, got {w}")
-    if w == 0:
-        return np.zeros((f.dim, f.dim), dtype=complex)
-    choice = _calibrate_remainder(n)
-    raw = _REMAINDER_STRUCTURES[choice["structure"]](f, a, t, n, w, grid, xi_panels)
-    return choice["constant"] * raw
-
-
 def dyson_expansion(f: GeneratorFamily, a: float, t: float, n: int, w: float = 1.0,
-                    grid: int = 1024, xi_panels: int = 32) -> DysonExpansion:
-    """Terms plus calibrated remainder in one structure."""
+                    grid: int = 1024) -> DysonExpansion:
+    """Terms plus exact remainder in one structure."""
     exp_terms = dyson_terms(f, a, t, n, grid)
-    R = remainder_42(f, a, t, n, w, grid, xi_panels)
-    return DysonExpansion(terms=exp_terms.terms, order=n, remainder=R,
-                          calibration=dict(_calibrate_remainder(n)))
+    R = remainder_42(f, a, t, n, w, grid)
+    return DysonExpansion(terms=exp_terms.terms, order=n, remainder=R)
 
 
 def asymptotic_probe(Q, n: int, w_list: Sequence[float]):

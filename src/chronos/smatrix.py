@@ -19,8 +19,7 @@ from .film import midpoint_edges
 from .linalg import as_matrix, expm_stack, matrix_exp, operator_norm
 from .path_sum import PartitionScheme, U_n, poisson_truncation, _cell_generators
 from .propagators import (DysonExpansion, PropagatorResult, dyson_terms,
-                          ordered_product, product_integral, remainder_42,
-                          _calibrate_remainder)
+                          ordered_product, product_integral, remainder_42)
 
 
 @dataclass(frozen=True)
@@ -192,15 +191,14 @@ def fixed_dt_S(cfg: SMatrixConfig) -> np.ndarray:
     return rotate(ordered_product(expm_stack(A)))
 
 
-def dyson_S_expansion(cfg: SMatrixConfig, n: int, grid: int = 1024,
-                      xi_panels: int = 32) -> DysonExpansion:
-    """Order-n expansion of S with the calibrated exact remainder.
+def dyson_S_expansion(cfg: SMatrixConfig, n: int,
+                      grid: int = 1024) -> DysonExpansion:
+    """Order-n expansion of S with the exact remainder.
 
     The interaction generator already carries (-i/hbar)^k into the k-th
     term; partial sum plus remainder reproduces the oracle S.
     """
     fam = interaction_generator(cfg)
     terms = dyson_terms(fam, -cfg.T, cfg.T, n, grid).terms
-    R = remainder_42(fam, -cfg.T, cfg.T, n, 1.0, grid, xi_panels)
-    return DysonExpansion(terms=terms, order=n, remainder=R,
-                          calibration=dict(_calibrate_remainder(n)))
+    R = remainder_42(fam, -cfg.T, cfg.T, n, 1.0, grid)
+    return DysonExpansion(terms=terms, order=n, remainder=R)

@@ -128,6 +128,22 @@ def test_run_smatrix_sweep_three_level(tmp_path):
     ("smatrix-sweep", "half_window = x"),
     ("smatrix-sweep", "coupling = x"),
     ("asymptotic", "oracle_tol = x"),
+    ("asymptotic", "order = abc"),
+    ("asymptotic", "q.diag = -1, y"),
+    ("asymptotic", "sweep.w = 0.1, w"),
+    ("asymptotic", "seed = s"),
+    ("dyson-convergence", "interval = 0, x"),
+    ("dyson-convergence", "grid = 1e3"),
+    ("dyson-convergence", "family.params = p"),
+    ("yosida", "sweep.z = 10, z"),
+    ("lambda-sweep", "horizon = h"),
+    ("lambda-sweep", "tail_tol = t"),
+    ("film-verify", "base_dim = 2.5"),
+    ("film-verify", "slots = n"),
+    ("film-verify", "z = z"),
+    ("monte-carlo", "trials = 1e3"),
+    ("monte-carlo", "count_draws = many"),
+    ("monte-carlo", "lambda = l"),
 ])
 def test_run_malformed_number_is_config_error(tmp_path, capsys, experiment, line):
     cfg = write(tmp_path / "bad.cfg",
@@ -135,6 +151,16 @@ def test_run_malformed_number_is_config_error(tmp_path, capsys, experiment, line
                 f"output = {tmp_path / 'bad.csv'}\n")
     assert run(cfg) == 2
     assert line.split(" = ")[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment", ["lambda-sweep", "smatrix-sweep"])
+def test_run_rejects_empty_lambda_sweep(tmp_path, capsys, experiment):
+    out = tmp_path / "empty.csv"
+    cfg = write(tmp_path / "empty.cfg",
+                f"experiment = {experiment}\nsweep.lambdas =\noutput = {out}\n")
+    assert run(cfg) == 2
+    assert "sweep.lambdas" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_dyson_convergence(tmp_path):
