@@ -13,7 +13,6 @@ import hashlib
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -22,22 +21,13 @@ from .errors import ChronosError, ConfigError
 from .families import builtin_family, family_from_csv, integrate_family
 from .film import FilmSpace, commutation_check, embed, exchange, slot_operator_norm, verify_eq38
 from .linalg import matrix_exp, operator_norm
-from .path_sum import (PathSumConfig, U_lambda, monte_carlo_U, sample_bubbles,
-                       trial_rng)
+from .path_sum import PathSumConfig, U_lambda, monte_carlo_U, trial_arrivals
 from .propagators import product_integral, taylor_partial_sum, dyson_terms
 from .quadrature import loglog_slope
 from .smatrix import SMatrixConfig, S_lambda, oracle_S
 
 EXPERIMENTS = ("dyson-convergence", "asymptotic", "yosida", "lambda-sweep",
                "film-verify", "smatrix-sweep", "monte-carlo")
-
-
-def worker_count() -> int:
-    """Parallelism cap from CHRONOS_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("CHRONOS_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def parse_config(text: str) -> dict:
@@ -182,25 +172,19 @@ def _experiment_lambda_sweep(cfg, digest):
     seed = _seed(cfg)
     oracle = product_integral(fam, 0.0, t, _number(cfg, "oracle_tol", "1e-10")).U
     timing = _timing(cfg)
-
-    def one(lam):
+    report = Report(["lambda", "n_max", "captured_mass", "err_raw",
+                     "err_normalized", "seconds"], seed, digest)
+    errs = []
+    for lam in lambdas:
         t0 = time.perf_counter()
         res = U_lambda(fam, PathSumConfig(lam=lam, t=t, tail_tol=tail_tol,
                                           seed=seed))
-        raw = res.extras["raw"]
-        return (float(lam), res.extras["n_max"],
-                float(res.extras["captured_mass"]),
-                float(np.linalg.norm(raw - oracle, 2)),
-                float(np.linalg.norm(res.U - oracle, 2)),
-                time.perf_counter() - t0 if timing else 0.0)
-
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        rows = list(pool.map(one, lambdas))
-    report = Report(["lambda", "n_max", "captured_mass", "err_raw",
-                     "err_normalized", "seconds"], seed, digest)
-    for row in rows:
-        report.add(*row)
-    errs = [row[4] for row in rows]
+        err = float(np.linalg.norm(res.U - oracle, 2))
+        errs.append(err)
+        report.add(float(lam), res.extras["n_max"],
+                   float(res.extras["captured_mass"]),
+                   float(np.linalg.norm(res.extras["raw"] - oracle, 2)), err,
+                   time.perf_counter() - t0 if timing else 0.0)
     ok = all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
     return report, ok, f"normalized error strictly decreasing: {ok}"
 
@@ -274,8 +258,9 @@ def _experiment_monte_carlo(cfg, digest):
     seed = _seed(cfg)
     ps = PathSumConfig(lam=lam, t=t, trials=trials, seed=seed)
     draws = _number(cfg, "count_draws", "100000", int)
-    counts = np.array([len(sample_bubbles(ps, trial_rng(seed, k)))
-                       for k in range(draws)])
+    if draws < 1:
+        raise ConfigError(f"count_draws must be >= 1, got {draws}")
+    counts = np.array([len(arrivals) for arrivals in trial_arrivals(ps, draws)])
     mean = float(counts.mean())
     sigma = float(np.sqrt(lam * t / draws))
     res = monte_carlo_U(fam, ps)
@@ -337,8 +322,8 @@ def _validate(cfg: dict):
             raise ConfigError(f"{key} must be > 0")
         if key == "sweep.lambdas":
             lambdas = _number(cfg, key, value, _floats)
-            if not lambdas:
-                raise ConfigError("sweep.lambdas must list at least one value")
+            if len(lambdas) < 2:
+                raise ConfigError("sweep.lambdas must list at least two values")
             if any(v <= 0 for v in lambdas):
                 raise ConfigError("sweep.lambdas entries must be > 0")
         if key == "family.csv" and not os.path.exists(value):

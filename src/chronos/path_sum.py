@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 from scipy import stats
 
-from .errors import ConfigError, DomainError, ResourceError
-from .families import GeneratorFamily, integrate_family
+from .errors import ConfigError, ConsistencyError, DomainError, ResourceError
+from .families import GeneratorFamily, _check_interval, integrate_family
 from .film import midpoint_edges
 from .linalg import expm_stack, matrix_exp, operator_norm
 from .propagators import PropagatorResult, ordered_product
@@ -41,6 +41,8 @@ class PathSumConfig:
             raise ConfigError(f"horizon must be > 0, got {self.t}")
         if not 0 < self.tail_tol < 1:
             raise ConfigError(f"tail_tol must be in (0, 1), got {self.tail_tol}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -147,6 +149,7 @@ def U_lambda(f: GeneratorFamily, cfg: PathSumConfig) -> PropagatorResult:
     probability); the raw truncated sum and bookkeeping are in extras.
     Terms whose weight cannot move the sum beyond tail_tol are skipped.
     """
+    _check_interval(f, 0.0, cfg.t)
     lam_t = cfg.lam * cfg.t
     n_max = poisson_truncation(lam_t, cfg.tail_tol)
     counts = np.arange(n_max + 1)
@@ -212,16 +215,113 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
         np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(trial,))))
 
 
-def sample_bubbles(cfg: PathSumConfig, rng: np.random.Generator) -> np.ndarray:
-    """Arrival times on [0, t]: cumulative i.i.d. exponential(lambda) gaps."""
-    arrivals = []
-    s = 0.0
-    mean_gap = 1.0 / cfg.lam
+# SeedSequence's hash constants (numpy.random.bit_generator).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _trial_keys(seed: int, trials: int) -> np.ndarray:
+    """Philox keys of trial_rng(seed, k) for k < trials, shape (trials, 2).
+
+    SeedSequence(entropy=seed, spawn_key=(k,)).generate_state(2, uint64)
+    for all k at once: the same hash mixing over the entropy words [seed
+    words zero-padded to 4, k], one uint32 lane per trial.
+    """
+    seed, words = int(seed), []
     while True:
-        s += rng.exponential(mean_gap)
-        if s > cfg.t:
-            return np.array(arrivals)
-        arrivals.append(s)
+        words.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            break
+    words += [0] * (4 - len(words))
+    entropy = [np.full(trials, w, dtype=np.uint32) for w in words]
+    entropy.append(np.arange(trials, dtype=np.uint32))
+    hash_a = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_a
+        value = value ^ np.uint32(hash_a)
+        hash_a = hash_a * _MULT_A & _MASK32
+        value = value * np.uint32(hash_a)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        r = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return r ^ (r >> np.uint32(16))
+
+    pool = [hashmix(w) for w in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_b, state = _INIT_B, []
+    for word in pool:
+        word = word ^ np.uint32(hash_b)
+        hash_b = hash_b * _MULT_B & _MASK32
+        word = word * np.uint32(hash_b)
+        state.append((word ^ (word >> np.uint32(16))).astype(np.uint64))
+    shift = np.uint64(32)
+    return np.stack([state[0] | state[1] << shift,
+                     state[2] | state[3] << shift], axis=1)
+
+
+def _gap_chunk(lam_t: float) -> int:
+    """Gaps drawn per chunk: six standard deviations above the mean count,
+    so a chunk that ends before t, and with it a refill, is rare."""
+    return int(lam_t + 6.0 * math.sqrt(lam_t)) + 8
+
+
+def sample_bubbles(cfg: PathSumConfig, rng: np.random.Generator) -> np.ndarray:
+    """Arrival times on [0, t]: cumulative i.i.d. exponential(lambda) gaps.
+
+    Gaps are drawn in chunks and summed left to right, so the arrivals equal
+    drawing and adding one gap at a time; rng advances by whole chunks.
+    """
+    mean_gap = 1.0 / cfg.lam
+    m = _gap_chunk(cfg.lam * cfg.t)
+    chunks = [np.cumsum(rng.exponential(mean_gap, size=m))]
+    while chunks[-1][-1] <= cfg.t:
+        more = rng.exponential(mean_gap, size=m)
+        chunks.append(np.cumsum(np.concatenate((chunks[-1][-1:], more)))[1:])
+    s = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    return s[:np.searchsorted(s, cfg.t, side="right")]
+
+
+def trial_arrivals(cfg: PathSumConfig, trials: int) -> Iterator[np.ndarray]:
+    """sample_bubbles(cfg, trial_rng(cfg.seed, k)) for k = 0 .. trials - 1.
+
+    The same arrays, bit for bit, from one re-keyed Philox: all trial keys
+    are derived at once, and the first and last are checked against
+    SeedSequence itself so a change in numpy's seeding cannot go unnoticed.
+    """
+    if trials < 0:
+        raise DomainError(f"need trials >= 0, got {trials}")
+    keys = _trial_keys(cfg.seed, trials)
+    for k in ({0, trials - 1} if trials else ()):
+        expected = np.random.SeedSequence(
+            entropy=cfg.seed, spawn_key=(k,)).generate_state(2, np.uint64)
+        if not np.array_equal(keys[k], expected):
+            raise ConsistencyError(
+                f"derived Philox key of trial {k} differs from SeedSequence")
+    bitgen = np.random.Philox(key=0)
+    rng = np.random.Generator(bitgen)
+    zeros = np.zeros(4, dtype=np.uint64)
+    for key in keys:
+        bitgen.state = {"bit_generator": "Philox",
+                        "state": {"counter": zeros, "key": key},
+                        "buffer": zeros, "buffer_pos": 4,
+                        "has_uint32": 0, "uinteger": 0}
+        yield sample_bubbles(cfg, rng)
+
+
+def _check_trials(cfg: PathSumConfig):
+    if cfg.trials < 100:
+        raise ConfigError(f"need trials >= 100, got {cfg.trials}")
 
 
 def monte_carlo_U(f: GeneratorFamily, cfg: PathSumConfig) -> PropagatorResult:
@@ -231,14 +331,11 @@ def monte_carlo_U(f: GeneratorFamily, cfg: PathSumConfig) -> PropagatorResult:
     use independent counter-based streams so results are reproducible and
     order-independent.
     """
-    if cfg.trials < 100:
-        raise ConfigError(f"need trials >= 100, got {cfg.trials}")
+    _check_trials(cfg)
     d = f.dim
     samples = np.empty((cfg.trials, d, d), dtype=complex)
     counts = np.empty(cfg.trials, dtype=int)
-    for trial in range(cfg.trials):
-        rng = trial_rng(cfg.seed, trial)
-        arrivals = sample_bubbles(cfg, rng)
+    for trial, arrivals in enumerate(trial_arrivals(cfg, cfg.trials)):
         counts[trial] = len(arrivals)
         if len(arrivals) == 0:
             samples[trial] = _U_for_count(f, cfg.t, 0)
@@ -262,17 +359,12 @@ def conditional_single_bubble_check(f: GeneratorFamily, cfg: PathSumConfig):
     propagator, so the quadrature average over the bubble position equals
     exp(Q[t,0]); returns (mc_mean, quadrature_mean, stderr, n_used).
     """
-    mc = monte_carlo_U(f, cfg)
-    mask = mc.extras["counts"] == 1
-    if mask.sum() == 0:
+    _check_trials(cfg)
+    sel = np.array([U_n(f, partition_from_centers(cfg.t, arrivals)).U
+                    for arrivals in trial_arrivals(cfg, cfg.trials)
+                    if len(arrivals) == 1])
+    if len(sel) == 0:
         raise ConfigError("no trials with exactly one bubble; raise trials")
-    # Recompute the conditional subset from the same streams.
-    sel = []
-    for trial in np.nonzero(mask)[0]:
-        rng = trial_rng(cfg.seed, int(trial))
-        arrivals = sample_bubbles(cfg, rng)
-        sel.append(U_n(f, partition_from_centers(cfg.t, arrivals)).U)
-    sel = np.array(sel)
     cond_mean = sel.mean(axis=0)
     stderr = np.sqrt(
         (np.var(sel.real, axis=0) + np.var(sel.imag, axis=0))
@@ -282,4 +374,4 @@ def conditional_single_bubble_check(f: GeneratorFamily, cfg: PathSumConfig):
     quad = np.zeros((f.dim, f.dim), dtype=complex)
     for tau, w in zip(taus, wts):
         quad += (0.5 * w) * U_n(f, partition_from_centers(cfg.t, [tau])).U
-    return cond_mean, quad, stderr, int(mask.sum())
+    return cond_mean, quad, stderr, len(sel)

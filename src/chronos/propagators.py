@@ -14,7 +14,8 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .errors import ConsistencyError, ConvergenceError, DomainError
-from .families import GeneratorFamily, integrate_family, yosida_family
+from .families import (GeneratorFamily, _check_interval, integrate_family,
+                       yosida_family)
 from .linalg import as_matrix, expm_stack, matrix_exp, operator_norm
 from .quadrature import (QuadratureSpec, cumulative_simpson_uniform,
                          loglog_slope, panel_nodes)
@@ -74,8 +75,7 @@ def product_integral(f: GeneratorFamily, s: float, t: float,
     Limit of ordered products of fourth-order Magnus steps under step
     doubling, stopped when successive levels differ by <= tol.
     """
-    if s > t:
-        raise DomainError(f"need s <= t, got s={s}, t={t}")
+    _check_interval(f, s, t)
     if s == t:
         return _result(np.eye(f.dim, dtype=complex), w=1.0)
 

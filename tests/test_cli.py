@@ -3,8 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from chronos.cli import (emit_plot_script, main, parse_config, run, selftest,
-                         worker_count)
+from chronos.cli import emit_plot_script, main, parse_config, run, selftest
 from chronos.errors import ConfigError
 
 
@@ -27,15 +26,6 @@ def test_parse_config_inline_comments_and_blanks():
 def test_parse_config_rejects_bare_lines():
     with pytest.raises(ConfigError):
         parse_config("not a key value pair\n")
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("CHRONOS_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("CHRONOS_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("CHRONOS_THREADS", "junk")
-    assert worker_count() == 1
 
 
 def test_run_asymptotic_experiment(tmp_path):
@@ -144,6 +134,8 @@ def test_run_smatrix_sweep_three_level(tmp_path):
     ("monte-carlo", "trials = 1e3"),
     ("monte-carlo", "count_draws = many"),
     ("monte-carlo", "lambda = l"),
+    ("monte-carlo", "seed = -1"),
+    ("monte-carlo", "count_draws = 0"),
 ])
 def test_run_malformed_number_is_config_error(tmp_path, capsys, experiment, line):
     cfg = write(tmp_path / "bad.cfg",
@@ -158,6 +150,17 @@ def test_run_rejects_empty_lambda_sweep(tmp_path, capsys, experiment):
     out = tmp_path / "empty.csv"
     cfg = write(tmp_path / "empty.cfg",
                 f"experiment = {experiment}\nsweep.lambdas =\noutput = {out}\n")
+    assert run(cfg) == 2
+    assert "sweep.lambdas" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment", ["lambda-sweep", "smatrix-sweep"])
+def test_run_rejects_single_lambda_sweep(tmp_path, capsys, experiment):
+    # "Error strictly decreasing" over one value would check nothing.
+    out = tmp_path / "single.csv"
+    cfg = write(tmp_path / "single.cfg",
+                f"experiment = {experiment}\nsweep.lambdas = 10\noutput = {out}\n")
     assert run(cfg) == 2
     assert "sweep.lambdas" in capsys.readouterr().err
     assert not out.exists()

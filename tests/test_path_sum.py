@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from chronos.errors import ConfigError, DomainError
+from chronos import path_sum
+from chronos.errors import ConfigError, ConsistencyError, DomainError
 from chronos.families import (SIGMA_X, SIGMA_Z, builtin_family,
                               family_from_evaluator, family_from_matrix,
                               integrate_family)
@@ -12,7 +13,8 @@ from chronos.path_sum import (PartitionScheme, PathSumConfig, U_lambda, U_n,
                               conditional_single_bubble_check, make_partition,
                               monte_carlo_U, partition_from_centers,
                               poisson_truncation, poisson_weight,
-                              sample_bubbles, stieltjes_form, trial_rng)
+                              sample_bubbles, stieltjes_form, trial_arrivals,
+                              trial_rng)
 from chronos.propagators import product_integral
 from chronos.quadrature import loglog_slope
 
@@ -24,6 +26,8 @@ def test_config_validation():
         PathSumConfig(lam=1.0, t=0.0)
     with pytest.raises(ConfigError):
         PathSumConfig(lam=1.0, t=1.0, tail_tol=0.0)
+    with pytest.raises(ConfigError):
+        PathSumConfig(lam=1.0, t=1.0, seed=-1)
 
 
 def test_single_cell_partition():
@@ -181,6 +185,15 @@ def test_U_lambda_bookkeeping():
     assert np.allclose(res.extras["raw"] / res.extras["captured_mass"], res.U)
 
 
+def test_U_lambda_rejects_horizon_outside_family():
+    with pytest.raises(DomainError):
+        U_lambda(builtin_family("two_level_driven", interval=(1.0, 2.0)),
+                 PathSumConfig(lam=100.0, t=1.0))
+    with pytest.raises(DomainError):
+        U_lambda(builtin_family("two_level_driven"),
+                 PathSumConfig(lam=100.0, t=2.0))
+
+
 def test_U_lambda_contraction():
     fam = builtin_family("damped_two_level")
     res = U_lambda(fam, PathSumConfig(lam=15.0, t=1.0))
@@ -234,6 +247,88 @@ def test_trial_rng_streams_are_independent_and_stable():
     b = trial_rng(7, 1).standard_normal(4)
     assert np.array_equal(a1, a2)
     assert not np.allclose(a1, b)
+
+
+def one_gap_at_a_time(cfg, rng):
+    """The defining sampler: draw one exponential gap, add it, stop past t."""
+    arrivals, s = [], 0.0
+    while True:
+        s += rng.exponential(1.0 / cfg.lam)
+        if s > cfg.t:
+            return np.array(arrivals)
+        arrivals.append(s)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2 ** 31 - 1, 2 ** 32 - 1,
+                                  2 ** 32, 2 ** 70 + 3, 2 ** 130 + 5])
+def test_trial_keys_match_seed_sequence(seed):
+    keys = path_sum._trial_keys(seed, 1001)
+    assert keys.shape == (1001, 2) and keys.dtype == np.uint64
+    for k in (0, 1, 2, 77, 500, 1000):
+        expected = np.random.SeedSequence(
+            entropy=seed, spawn_key=(k,)).generate_state(2, np.uint64)
+        assert np.array_equal(keys[k], expected)
+
+
+def assert_arrivals_match_reference(cfg, trials):
+    got = list(trial_arrivals(cfg, trials))
+    assert len(got) == trials
+    for k, arrivals in enumerate(got):
+        expected = one_gap_at_a_time(cfg, trial_rng(cfg.seed, k))
+        assert arrivals.shape == expected.shape
+        assert arrivals.dtype == expected.dtype
+        assert np.array_equal(arrivals, expected)
+        assert np.array_equal(sample_bubbles(cfg, trial_rng(cfg.seed, k)),
+                              expected)
+    return got
+
+
+@pytest.mark.parametrize("lam", [0.05, 1.0, 20.0, 40.0, 600.0])
+def test_trial_arrivals_match_per_trial_streams(lam):
+    got = assert_arrivals_match_reference(
+        PathSumConfig(lam=lam, t=1.0, seed=2 ** 32 + 5), 500)
+    if lam <= 1.0:
+        assert any(len(a) == 0 for a in got)
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_trial_arrivals_refill_matches(monkeypatch, chunk):
+    monkeypatch.setattr(path_sum, "_gap_chunk", lambda lam_t: chunk)
+    assert_arrivals_match_reference(PathSumConfig(lam=20.0, t=1.0, seed=9), 500)
+
+
+def test_trial_arrivals_rejects_wrong_derived_key(monkeypatch):
+    derive = path_sum._trial_keys
+
+    def off_by_one_bit(seed, trials):
+        keys = derive(seed, trials)
+        keys[-1, 1] ^= np.uint64(1)
+        return keys
+
+    monkeypatch.setattr(path_sum, "_trial_keys", off_by_one_bit)
+    with pytest.raises(ConsistencyError):
+        list(trial_arrivals(PathSumConfig(lam=5.0, t=1.0, seed=3), 200))
+
+
+def test_monte_carlo_matches_per_trial_reference():
+    fam = builtin_family("two_level_driven")
+    cfg = PathSumConfig(lam=3.0, t=1.0, trials=120, seed=2026)
+    res = monte_carlo_U(fam, cfg)
+    samples, counts = [], []
+    for k in range(cfg.trials):
+        arrivals = one_gap_at_a_time(cfg, trial_rng(cfg.seed, k))
+        counts.append(len(arrivals))
+        if len(arrivals) == 0:
+            samples.append(matrix_exp(integrate_family(fam, 0.0, cfg.t)))
+        else:
+            samples.append(U_n(fam, partition_from_centers(cfg.t, arrivals)).U)
+    samples = np.array(samples)
+    se = np.sqrt((np.var(samples.real, axis=0) + np.var(samples.imag, axis=0))
+                 / (cfg.trials - 1))
+    assert 0 in counts
+    assert np.array_equal(res.extras["counts"], counts)
+    assert np.array_equal(res.U, samples.mean(axis=0))
+    assert np.array_equal(res.extras["stderr"], se)
 
 
 def test_sample_bubbles_bounds_and_order():

@@ -56,6 +56,13 @@ def test_product_integral_degenerate_interval():
         product_integral(fam, 0.9, 0.1)
 
 
+@pytest.mark.parametrize("s, t", [(0.0, 2.0), (1.0, 2.5), (0.5, 0.9)])
+def test_product_integral_rejects_times_outside_family(s, t):
+    fam = builtin_family("two_level_driven", interval=(1.0, 2.0))
+    with pytest.raises(DomainError):
+        product_integral(fam, s, t)
+
+
 def test_product_integral_composition():
     fam = builtin_family("two_level_driven")
     whole = product_integral(fam, 0.0, 1.0, 1e-11).U
