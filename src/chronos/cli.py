@@ -70,6 +70,18 @@ def _get_family(cfg: dict):
     return builtin_family(name, params, interval=tuple(interval))
 
 
+def _path_sum_horizon(cfg: dict, fam) -> float:
+    """The horizon t of a path sum, which runs on [0, t] inside the family."""
+    if fam.a != 0.0:
+        key = "family.csv" if "family.csv" in cfg else "interval"
+        raise ConfigError(
+            f"{key}: the path sum starts at time 0, the family at {fam.a}")
+    t = _number(cfg, "horizon", str(fam.b))
+    if not 0.0 < t <= fam.b:
+        raise ConfigError(f"horizon must be in (0, {fam.b}], got {t}")
+    return t
+
+
 def _timing(cfg: dict) -> bool:
     return cfg.get("timing", "off") == "on"
 
@@ -166,7 +178,7 @@ def _experiment_yosida(cfg, digest):
 
 def _experiment_lambda_sweep(cfg, digest):
     fam = _get_family(cfg)
-    t = _number(cfg, "horizon", str(fam.b))
+    t = _path_sum_horizon(cfg, fam)
     lambdas = _number(cfg, "sweep.lambdas", "10, 100, 1000", _floats)
     tail_tol = _number(cfg, "tail_tol", "1e-10")
     seed = _seed(cfg)
@@ -252,7 +264,7 @@ def _experiment_smatrix_sweep(cfg, digest):
 
 def _experiment_monte_carlo(cfg, digest):
     fam = _get_family(cfg)
-    t = _number(cfg, "horizon", str(fam.b))
+    t = _path_sum_horizon(cfg, fam)
     lam = _number(cfg, "lambda", "20")
     trials = _number(cfg, "trials", "500", int)
     seed = _seed(cfg)

@@ -183,10 +183,23 @@ def family_from_csv(path, name: str = "tabulated") -> GeneratorFamily:
     row required.
     """
     with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, r) for r in reader
+                if r and not r[0].startswith("#")]
     if len(rows) < 3:
         raise ConfigError(f"{path}: need a header and at least two data rows")
-    data = np.array([[float(x) for x in r] for r in rows[1:]])
+    width = len(rows[1][1])
+    values = []
+    for lineno, r in rows[1:]:
+        if len(r) != width:
+            raise ConfigError(
+                f"{path}, line {lineno}: {len(r)} columns, expected {width}")
+        try:
+            values.append([float(x) for x in r])
+        except ValueError:
+            raise ConfigError(
+                f"{path}, line {lineno}: non-numeric cell in {r}") from None
+    data = np.array(values)
     ncols = data.shape[1] - 1
     dim = int(round(np.sqrt(ncols / 2)))
     if 2 * dim * dim != ncols:

@@ -99,6 +99,36 @@ def yosida(H, z: float) -> np.ndarray:
     return z * (A @ resolvent(A, z))
 
 
+_ADJ_SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
+def _matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B over stacks of square matrices.
+
+    numpy hands a stack to one BLAS call per matrix; at d = 2 two broadcast
+    outer products are faster from about 16 matrices up.
+    """
+    if A.shape[-1] != 2:
+        return A @ B
+    C = A[..., :, 0:1] * B[..., 0:1, :]
+    C += A[..., :, 1:2] * B[..., 1:2, :]
+    return C
+
+
+def _solve(M: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """M^{-1} R over stacks of square matrices.
+
+    At d = 2 by the adjugate [[d, -b], [-c, a]] over the determinant, taken
+    straight from the entries; LAPACK, one call per matrix, otherwise.
+    Only for well-conditioned M, such as a Pade denominator.
+    """
+    if M.shape[-1] != 2:
+        return np.linalg.solve(M, R)
+    adj = M[..., ::-1, ::-1].swapaxes(-1, -2) * _ADJ_SIGN
+    det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+    return _matmul(adj, R) / det[..., None, None]
+
+
 def matrix_exp(M) -> np.ndarray:
     """Matrix exponential of a single square matrix."""
     A = as_matrix(M)
@@ -132,24 +162,24 @@ def expm_stack(A: np.ndarray) -> np.ndarray:
         A = A * (0.5 ** s)
 
     b = _PADE_COEFFS[degree]
-    A2 = A @ A
+    A2 = _matmul(A, A)
     if degree == 13:
-        A4 = A2 @ A2
-        A6 = A2 @ A4
-        U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
-                 + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
-        V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+        A4 = _matmul(A2, A2)
+        A6 = _matmul(A2, A4)
+        U = _matmul(A, _matmul(A6, b[13] * A6 + b[11] * A4 + b[9] * A2)
+                    + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
+        V = (_matmul(A6, b[12] * A6 + b[10] * A4 + b[8] * A2)
              + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye)
     else:
         powers = [eye, A2]
         for _ in range((degree - 1) // 2 - 1):
-            powers.append(powers[-1] @ A2)
+            powers.append(_matmul(powers[-1], A2))
         U = sum(b[2 * k + 1] * powers[k] for k in range(len(powers)))
-        U = A @ U
+        U = _matmul(A, U)
         V = sum(b[2 * k] * powers[k] for k in range(len(powers)))
-    E = np.linalg.solve(V - U, V + U)
+    E = _solve(V - U, V + U)
     for _ in range(s):
-        E = E @ E
+        E = _matmul(E, E)
     if not (np.all(np.isfinite(E.real)) and np.all(np.isfinite(E.imag))):
         raise RangeError("matrix exponential overflowed")
     return E

@@ -17,7 +17,7 @@ from scipy import stats
 from .errors import ConfigError, ConsistencyError, DomainError, ResourceError
 from .families import GeneratorFamily, _check_interval, integrate_family
 from .film import midpoint_edges
-from .linalg import expm_stack, matrix_exp, operator_norm
+from .linalg import expm_stack, matrix_exp
 from .propagators import PropagatorResult, ordered_product
 from .quadrature import QuadratureSpec, _GAUSS5_NODES, _GAUSS5_WEIGHTS
 
@@ -103,8 +103,7 @@ def U_n(f: GeneratorFamily, p: PartitionScheme) -> PropagatorResult:
     """Ordered product of per-cell exponentials exp(A_n) ... exp(A_1)."""
     A = _cell_generators(f, p.edges)
     U = ordered_product(expm_stack(A))
-    return PropagatorResult(U=U, w=1.0, step_count=p.n,
-                            contraction_margin=operator_norm(U) - 1.0)
+    return PropagatorResult(U=U, w=1.0, step_count=p.n)
 
 
 def _U_for_count(f: GeneratorFamily, t: float, n: int) -> np.ndarray:
@@ -168,7 +167,6 @@ def U_lambda(f: GeneratorFamily, cfg: PathSumConfig) -> PropagatorResult:
     return PropagatorResult(
         U=normalized, w=1.0, step_count=used,
         error_estimate=float(stats.poisson.sf(n_max, lam_t)),
-        contraction_margin=operator_norm(normalized) - 1.0,
         extras={"raw": raw, "captured_mass": captured, "n_max": int(n_max)})
 
 
@@ -178,10 +176,12 @@ def stieltjes_form(f: GeneratorFamily, cfg: PathSumConfig,
 
     Each jump carries mass e^{-lam t}(lam t)^k / k! and the propagator
     U_k[k / lambda, 0]; diagnostics report the distance to the
-    Poisson-weighted form (and to an oracle, when given).
+    Poisson-weighted form (and to an oracle, when given).  The jumps reach
+    past t, to n_max / lambda, and the family must cover them.
     """
     lam_t = cfg.lam * cfg.t
     n_max = poisson_truncation(lam_t, cfg.tail_tol)
+    _check_interval(f, 0.0, n_max / cfg.lam)
     counts = np.arange(n_max + 1)
     weights = stats.poisson.pmf(counts, lam_t)
     cutoff = cfg.tail_tol / (n_max + 1)
@@ -204,9 +204,8 @@ def stieltjes_form(f: GeneratorFamily, cfg: PathSumConfig,
     if oracle_U is not None:
         extras["distance_to_oracle"] = float(np.linalg.norm(
             normalized - oracle_U, 2))
-    return PropagatorResult(
-        U=normalized, w=1.0, step_count=int(n_max),
-        contraction_margin=operator_norm(normalized) - 1.0, extras=extras)
+    return PropagatorResult(U=normalized, w=1.0, step_count=int(n_max),
+                            extras=extras)
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -348,7 +347,6 @@ def monte_carlo_U(f: GeneratorFamily, cfg: PathSumConfig) -> PropagatorResult:
     return PropagatorResult(
         U=mean, w=1.0, step_count=cfg.trials,
         error_estimate=float(np.max(se)),
-        contraction_margin=operator_norm(mean) - 1.0,
         extras={"stderr": se, "counts": counts, "seed": cfg.seed})
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ConsistencyError, ConvergenceError, DomainError
 from .families import (GeneratorFamily, _check_interval, integrate_family,
                        yosida_family)
-from .linalg import as_matrix, expm_stack, matrix_exp, operator_norm
+from .linalg import _matmul, as_matrix, expm_stack, matrix_exp, operator_norm
 from .quadrature import (QuadratureSpec, cumulative_simpson_uniform,
                          loglog_slope, panel_nodes)
 
@@ -32,8 +32,12 @@ class PropagatorResult:
     w: float = 1.0
     step_count: int = 0
     error_estimate: float = 0.0
-    contraction_margin: float = 0.0
     extras: dict = field(default_factory=dict)
+
+    @property
+    def contraction_margin(self) -> float:
+        """||U|| - 1: at most 0 for a contraction."""
+        return operator_norm(self.U) - 1.0
 
 
 @dataclass(frozen=True)
@@ -55,7 +59,7 @@ def ordered_product(mats: np.ndarray) -> np.ndarray:
         return np.eye(P.shape[-1], dtype=complex)
     while P.shape[0] > 1:
         k = P.shape[0] // 2
-        Q = P[1:2 * k:2] @ P[0:2 * k:2]
+        Q = _matmul(P[1:2 * k:2], P[0:2 * k:2])
         if P.shape[0] % 2:
             Q = np.concatenate([Q, P[-1:]])
         P = Q
@@ -64,7 +68,6 @@ def ordered_product(mats: np.ndarray) -> np.ndarray:
 
 def _result(U, Q=None, w=1.0, steps=0, err=0.0, **extras) -> PropagatorResult:
     return PropagatorResult(U=U, Q=Q, w=w, step_count=steps, error_estimate=err,
-                            contraction_margin=operator_norm(U) - 1.0,
                             extras=extras)
 
 
@@ -114,7 +117,8 @@ def _magnus_steps(f: GeneratorFamily, left: np.ndarray, h: float,
     c = np.sqrt(3.0) / 6.0
     A1 = w * f.evaluate_batch(left + h * (0.5 - c))
     A2 = w * f.evaluate_batch(left + h * (0.5 + c))
-    omega = 0.5 * h * (A1 + A2) + (h * h * np.sqrt(3.0) / 12.0) * (A2 @ A1 - A1 @ A2)
+    omega = (0.5 * h * (A1 + A2)
+             + (h * h * np.sqrt(3.0) / 12.0) * (_matmul(A2, A1) - _matmul(A1, A2)))
     return expm_stack(omega)
 
 

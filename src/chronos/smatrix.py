@@ -16,7 +16,7 @@ from scipy import stats
 from .errors import ConfigError, DomainError
 from .families import GeneratorFamily, classify_evaluator, integrate_family
 from .film import midpoint_edges
-from .linalg import as_matrix, expm_stack, matrix_exp, operator_norm
+from .linalg import as_matrix, expm_stack, matrix_exp
 from .path_sum import PartitionScheme, U_n, poisson_truncation, _cell_generators
 from .propagators import (DysonExpansion, PropagatorResult, dyson_terms,
                           ordered_product, product_integral, remainder_42)
@@ -145,7 +145,6 @@ def S_lambda(cfg: SMatrixConfig, tail_tol: float = 1e-10) -> PropagatorResult:
     return PropagatorResult(
         U=normalized, w=1.0, step_count=int(n_max),
         error_estimate=float(stats.poisson.sf(n_max, mean)),
-        contraction_margin=operator_norm(normalized) - 1.0,
         extras={"raw": raw, "captured_mass": captured, "n_max": int(n_max)})
 
 

@@ -72,6 +72,15 @@ def test_run_rejects_missing_family_csv(tmp_path):
     assert run(cfg) == 2
 
 
+def test_run_malformed_family_csv_is_config_error(tmp_path, capsys):
+    table = write(tmp_path / "family.csv", "t,re,im\n0,1,0\n1,x,0\n")
+    cfg = write(tmp_path / "bad.cfg",
+                f"experiment = lambda-sweep\nfamily.csv = {table}\n"
+                f"output = {tmp_path / 'bad.csv'}\n")
+    assert run(cfg) == 2
+    assert "line 3" in capsys.readouterr().err
+
+
 def test_run_missing_config_file():
     assert run("/does/not/exist.cfg") == 2
 
@@ -136,6 +145,11 @@ def test_run_smatrix_sweep_three_level(tmp_path):
     ("monte-carlo", "lambda = l"),
     ("monte-carlo", "seed = -1"),
     ("monte-carlo", "count_draws = 0"),
+    # The path sum runs on [0, horizon] inside the family's interval.
+    ("lambda-sweep", "interval = 1, 2"),
+    ("lambda-sweep", "horizon = 2"),
+    ("monte-carlo", "interval = 1, 2"),
+    ("monte-carlo", "horizon = 2"),
 ])
 def test_run_malformed_number_is_config_error(tmp_path, capsys, experiment, line):
     cfg = write(tmp_path / "bad.cfg",

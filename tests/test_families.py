@@ -178,6 +178,16 @@ def test_family_csv_rejects_bad_column_count(tmp_path):
         family_from_csv(path)
 
 
+@pytest.mark.parametrize("row, why", [("1,0,0,0,x,0,0,0,0", "non-numeric"),
+                                      ("1,0,0,0,0,0,0,0", "8 columns")])
+def test_family_csv_bad_row_names_the_line(tmp_path, row, why):
+    path = tmp_path / "bad.csv"
+    header = "t," + ",".join(f"c{k}" for k in range(8))
+    path.write_text(f"{header}\n# note\n0,0,0,0,0,0,0,0,0\n{row}\n")
+    with pytest.raises(ConfigError, match=f"line 4: {why}"):
+        family_from_csv(path)
+
+
 def test_family_csv_rejects_unsorted_times(tmp_path):
     path = tmp_path / "bad.csv"
     header = "t," + ",".join(f"c{k}" for k in range(8))

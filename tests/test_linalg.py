@@ -3,11 +3,21 @@ import pytest
 import scipy.linalg
 
 from chronos.errors import DimensionError, DomainError
-from chronos.linalg import (DissipativityReport, dissipativity, expm_stack,
-                            hermitian_part, matrix_exp, operator_norm,
-                            random_dissipative, resolvent, yosida)
+from chronos.linalg import (_PADE_THETA, DissipativityReport, _matmul, _solve,
+                            dissipativity, expm_stack, hermitian_part,
+                            matrix_exp, operator_norm, random_dissipative,
+                            resolvent, yosida)
 
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
+
+# Largest 1-norms that select each Pade degree, and one that needs squaring.
+PADE_NORMS = [0.9 * _PADE_THETA[m] for m in (3, 5, 7, 9, 13)] + [
+    4.0 * _PADE_THETA[13]]
+
+
+def scaled_to_norm(A, norm1):
+    """A rescaled so the largest column 1-norm in the stack is norm1."""
+    return A * (norm1 / np.max(np.sum(np.abs(A), axis=-2)))
 
 
 def test_operator_norm_identity():
@@ -150,6 +160,11 @@ def test_matrix_exp_matches_scipy():
                      + 1j * rng.standard_normal((5, 5)))
         ref = scipy.linalg.expm(A)
         assert np.linalg.norm(matrix_exp(A) - ref, 2) <= 1e-10 * np.linalg.norm(ref, 2)
+    for norm1 in PADE_NORMS:
+        A = scaled_to_norm(rng.standard_normal((2, 2))
+                           + 1j * rng.standard_normal((2, 2)), norm1)
+        ref = scipy.linalg.expm(A)
+        assert np.linalg.norm(matrix_exp(A) - ref, 2) <= 1e-10 * np.linalg.norm(ref, 2)
 
 
 def test_expm_stack_matches_per_matrix():
@@ -158,6 +173,32 @@ def test_expm_stack_matches_per_matrix():
     E = expm_stack(A)
     for k in range(6):
         assert np.allclose(E[k], scipy.linalg.expm(A[k]), atol=1e-12)
+    for norm1 in PADE_NORMS:
+        A = scaled_to_norm(rng.standard_normal((40, 2, 2))
+                           + 1j * rng.standard_normal((40, 2, 2)), norm1)
+        E = expm_stack(A)
+        for k in range(40):
+            ref = scipy.linalg.expm(A[k])
+            assert np.linalg.norm(E[k] - ref, 2) <= 1e-12 * np.linalg.norm(ref, 2)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+@pytest.mark.parametrize("n", [1, 5, 1000])
+def test_stack_kernels_match_numpy(d, n):
+    rng = np.random.default_rng(100 * d + n)
+
+    def stack():
+        return rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+
+    A, B = stack(), stack()
+    size = np.linalg.norm(A, axis=(1, 2)) * np.linalg.norm(B, axis=(1, 2))
+    assert np.all(np.linalg.norm(_matmul(A, B) - A @ B, axis=(1, 2))
+                  <= 1e-14 * size)
+    # Well-conditioned systems (cond <= 4), as a Pade denominator is.
+    M = np.eye(d) + (0.25 / np.sqrt(d)) * stack()
+    ref = np.linalg.solve(M, B)
+    assert np.all(np.linalg.norm(_solve(M, B) - ref, axis=(1, 2))
+                  <= 1e-14 * np.linalg.norm(ref, axis=(1, 2)))
 
 
 def test_expm_stack_semigroup_property():

@@ -231,6 +231,13 @@ def test_stieltjes_distance_to_oracle_decreases():
     assert dists[2] < dists[1] < dists[0]
 
 
+def test_stieltjes_rejects_jumps_past_the_family():
+    # The jumps k / lambda reach n_max / lambda = 4.995 > 1.
+    fam = builtin_family("two_level_driven")
+    with pytest.raises(DomainError):
+        stieltjes_form(fam, PathSumConfig(lam=5.0, t=1.0))
+
+
 def test_stieltjes_bookkeeping_matches_U_lambda():
     fam = builtin_family("two_level_driven", interval=(0.0, 4.0))
     cfg = PathSumConfig(lam=12.0, t=1.0)

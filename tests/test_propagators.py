@@ -23,6 +23,16 @@ def test_ordered_product_ordering():
     assert np.allclose(ordered_product(np.stack([A, B])), B @ A)
 
 
+def test_ordered_product_matches_loop_on_unitaries():
+    rng = np.random.default_rng(31)
+    Z = rng.standard_normal((1000, 2, 2)) + 1j * rng.standard_normal((1000, 2, 2))
+    mats = np.linalg.qr(Z)[0]
+    ref = np.eye(2, dtype=complex)
+    for M in mats:
+        ref = M @ ref
+    assert np.linalg.norm(ordered_product(mats) - ref, 2) <= 1e-12
+
+
 def test_ordered_product_empty_and_single():
     assert np.allclose(ordered_product(np.zeros((0, 3, 3))), np.eye(3))
     M = np.arange(4.0).reshape(1, 2, 2)
