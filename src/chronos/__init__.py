@@ -33,8 +33,8 @@ from .film import (ExchangeOperator, FilmIntegralOperator, FilmSpace,
 from .path_sum import (PartitionScheme, PathSumConfig, U_lambda, U_n,
                        conditional_single_bubble_check, make_partition,
                        monte_carlo_U, partition_from_centers, poisson_weight,
-                       poisson_truncation, sample_bubbles, stieltjes_form,
-                       trial_rng)
+                       poisson_mixture, poisson_truncation, sample_bubbles,
+                       stieltjes_form, trial_rng)
 from .smatrix import (SMatrixConfig, S_lambda, S_n_experimental,
                       dyson_S_expansion, energy_shift_identity, fixed_dt_S,
                       interaction_generator, oracle_S)

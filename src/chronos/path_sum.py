@@ -7,11 +7,13 @@ and Monte Carlo bubble sampling.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebvander
 from scipy import stats
 
 from .errors import ConfigError, ConsistencyError, DomainError, ResourceError
@@ -131,6 +133,8 @@ def poisson_weight(t: float, s: float, lam: float) -> float:
 
 def poisson_truncation(lam_t: float, tail_tol: float) -> int:
     """Smallest N with Poisson(lam_t) tail mass beyond N below tail_tol."""
+    if not (lam_t > 0 and 0 < tail_tol < 1):
+        raise ConfigError(f"need mean > 0, 0 < tail_tol < 1; got {lam_t}, {tail_tol}")
     n = int(stats.poisson.ppf(1.0 - tail_tol, lam_t))
     while stats.poisson.sf(n, lam_t) >= tail_tol:
         n += 1
@@ -141,33 +145,81 @@ def poisson_truncation(lam_t: float, tail_tol: float) -> int:
     return n
 
 
-def U_lambda(f: GeneratorFamily, cfg: PathSumConfig) -> PropagatorResult:
-    """Poisson-weighted sum of the discretized-path propagators.
+# Chebyshev node counts of the fit in x = 1/n, the held-out residual it must
+# meet, and the held-out points cos(j pi / 8): midway in angle between
+# neighbouring first-kind Chebyshev nodes at every node count in _FIT_NODES.
+_FIT_NODES = (8, 16, 32)
+_FIT_TOL = 1e-13
+_HELD_OUT = np.cos(np.array([1, 4, 7]) * np.pi / 8)
 
-    The returned U is the mass-normalized sum (divided by the captured
-    probability); the raw truncated sum and bookkeeping are in extras.
-    Terms whose weight cannot move the sum beyond tail_tol are skipped.
+
+def _fitted_sum(terms: Callable, ns: np.ndarray, ws: np.ndarray):
+    """(sum of ws * term(ns), worst held-out residual) from a Chebyshev fit
+    in 1/n, ns >= 1; None if no node count passes or the fit would need as
+    many exact terms as ns holds."""
+    x_lo, x_hi = 1.0 / ns[-1], 1.0 / ns[0]
+    to_u = lambda n: (2.0 / n - x_lo - x_hi) / (x_hi - x_lo)
+    to_n = lambda u: np.rint(2.0 / (x_lo + x_hi + u * (x_hi - x_lo))).astype(int)
+    needed = set()
+    for k in _FIT_NODES:
+        nodes = np.unique(to_n(np.cos((np.arange(k) + 0.5) * np.pi / k)))
+        held = np.setdiff1d(to_n(_HELD_OUT), nodes)
+        needed |= set(nodes.tolist() + held.tolist())
+        if len(held) < 2 or len(needed) >= len(ns):
+            return None
+        F = terms(nodes.tolist())
+        coef = np.linalg.solve(chebvander(to_u(nodes), len(nodes) - 1),
+                               F.reshape(len(nodes), -1))
+        worst = float(np.max(np.abs(chebvander(to_u(held), len(nodes) - 1) @ coef
+                                    - terms(held.tolist()).reshape(len(held), -1))))
+        if worst <= _FIT_TOL:
+            total = ws @ chebvander(to_u(ns), len(nodes) - 1) @ coef
+            return total.reshape(F.shape[1:]), worst
+    return None
+
+
+def poisson_mixture(term: Callable[[int], np.ndarray], mean: float,
+                    tail_tol: float) -> PropagatorResult:
+    """Poisson(mean)-weighted sum of term(n) over n = 0 .. n_max.
+
+    n_max = poisson_truncation(mean, tail_tol); terms weighing less than
+    tail_tol / (n_max + 1) are skipped.  The n = 0 term is exact; the rest
+    come from a Chebyshev interpolant in x = 1/n through 8, 16 or 32 exact
+    terms (nodes rounded to integer n), accepted once held-out exact terms
+    match it to 1e-13, else the window is summed exactly, left to right.
+    Each exact term is computed once.  U is the mass-normalized sum,
+    step_count the window's term count, error_estimate the tail beyond
+    n_max; extras hold raw, captured_mass, n_max, exact_terms and
+    fit_residual (None when summed exactly).
     """
-    _check_interval(f, 0.0, cfg.t)
-    lam_t = cfg.lam * cfg.t
-    n_max = poisson_truncation(lam_t, cfg.tail_tol)
-    counts = np.arange(n_max + 1)
-    weights = stats.poisson.pmf(counts, lam_t)
-    cutoff = cfg.tail_tol / (n_max + 1)
-    raw = np.zeros((f.dim, f.dim), dtype=complex)
-    captured = 0.0
-    used = 0
-    for n, w in zip(counts, weights):
-        if w < cutoff:
-            continue
-        raw += w * _U_for_count(f, cfg.t, int(n))
-        captured += w
-        used += 1
-    normalized = raw / captured
+    n_max = poisson_truncation(mean, tail_tol)
+    weights = stats.poisson.pmf(np.arange(n_max + 1), mean)
+    ns = np.flatnonzero(weights >= tail_tol / (n_max + 1))
+    if len(ns) == 0:
+        raise ConfigError(f"tail_tol {tail_tol} leaves no Poisson term")
+    ws, exact = weights[ns], functools.lru_cache(maxsize=None)(term)
+    terms = lambda ms: np.array([exact(m) for m in ms])
+    fit = ns >= 1
+    fitted = _fitted_sum(terms, ns[fit], ws[fit]) if fit.any() else None
+    if fitted is None:
+        raw = sum(w * T for w, T in zip(ws, terms(ns.tolist())))
+    else:
+        raw = fitted[0] if fit.all() else ws[0] * terms([0])[0] + fitted[0]
+    captured = float(np.cumsum(ws)[-1])  # the running sum, left to right
     return PropagatorResult(
-        U=normalized, w=1.0, step_count=used,
-        error_estimate=float(stats.poisson.sf(n_max, lam_t)),
-        extras={"raw": raw, "captured_mass": captured, "n_max": int(n_max)})
+        U=raw / captured, w=1.0, step_count=len(ns),
+        error_estimate=float(stats.poisson.sf(n_max, mean)),
+        extras={"raw": raw, "captured_mass": captured, "n_max": int(n_max),
+                "exact_terms": exact.cache_info().currsize,
+                "fit_residual": None if fitted is None else fitted[1]})
+
+
+def U_lambda(f: GeneratorFamily, cfg: PathSumConfig) -> PropagatorResult:
+    """Poisson(lambda t)-weighted sum of the discretized-path propagators,
+    summed by poisson_mixture (see there for U, step_count and extras)."""
+    _check_interval(f, 0.0, cfg.t)
+    return poisson_mixture(lambda n: _U_for_count(f, cfg.t, n),
+                           cfg.lam * cfg.t, cfg.tail_tol)
 
 
 def stieltjes_form(f: GeneratorFamily, cfg: PathSumConfig,
@@ -175,37 +227,19 @@ def stieltjes_form(f: GeneratorFamily, cfg: PathSumConfig,
     """Stieltjes sum over the jump set s = k / lambda.
 
     Each jump carries mass e^{-lam t}(lam t)^k / k! and the propagator
-    U_k[k / lambda, 0]; diagnostics report the distance to the
-    Poisson-weighted form (and to an oracle, when given).  The jumps reach
-    past t, to n_max / lambda, and the family must cover them.
+    U_k[k / lambda, 0]; extras report the distance to an oracle, when
+    given.  The jumps reach past t, to n_max / lambda, and the family must
+    cover them.  step_count is n_max.
     """
     lam_t = cfg.lam * cfg.t
-    n_max = poisson_truncation(lam_t, cfg.tail_tol)
-    _check_interval(f, 0.0, n_max / cfg.lam)
-    counts = np.arange(n_max + 1)
-    weights = stats.poisson.pmf(counts, lam_t)
-    cutoff = cfg.tail_tol / (n_max + 1)
-    raw = np.zeros((f.dim, f.dim), dtype=complex)
-    captured = 0.0
-    for k, w in zip(counts, weights):
-        if w < cutoff:
-            continue
-        if k == 0:
-            Uk = np.eye(f.dim, dtype=complex)
-        else:
-            Uk = U_n(f, make_partition(k / cfg.lam, int(k))).U
-        raw += w * Uk
-        captured += w
-    normalized = raw / captured
-    lam_form = U_lambda(f, cfg)
-    extras = {"raw": raw, "captured_mass": captured, "n_max": int(n_max),
-              "distance_to_U_lambda": float(np.linalg.norm(
-                  normalized - lam_form.U, 2))}
+    _check_interval(f, 0.0, poisson_truncation(lam_t, cfg.tail_tol) / cfg.lam)
+    res = poisson_mixture(
+        lambda k: (U_n(f, make_partition(k / cfg.lam, k)).U if k
+                   else np.eye(f.dim, dtype=complex)), lam_t, cfg.tail_tol)
     if oracle_U is not None:
-        extras["distance_to_oracle"] = float(np.linalg.norm(
-            normalized - oracle_U, 2))
-    return PropagatorResult(U=normalized, w=1.0, step_count=int(n_max),
-                            extras=extras)
+        res.extras["distance_to_oracle"] = float(np.linalg.norm(
+            res.U - oracle_U, 2))
+    return replace(res, step_count=res.extras["n_max"])
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -323,6 +357,13 @@ def _check_trials(cfg: PathSumConfig):
         raise ConfigError(f"need trials >= 100, got {cfg.trials}")
 
 
+def _mean_and_stderr(samples: np.ndarray):
+    """Sample mean and entrywise standard error of the mean."""
+    se = np.sqrt((np.var(samples.real, axis=0) + np.var(samples.imag, axis=0))
+                 / max(len(samples) - 1, 1))
+    return samples.mean(axis=0), se
+
+
 def monte_carlo_U(f: GeneratorFamily, cfg: PathSumConfig) -> PropagatorResult:
     """Sample mean of U over random bubble partitions.
 
@@ -331,6 +372,7 @@ def monte_carlo_U(f: GeneratorFamily, cfg: PathSumConfig) -> PropagatorResult:
     order-independent.
     """
     _check_trials(cfg)
+    _check_interval(f, 0.0, cfg.t)
     d = f.dim
     samples = np.empty((cfg.trials, d, d), dtype=complex)
     counts = np.empty(cfg.trials, dtype=int)
@@ -340,10 +382,7 @@ def monte_carlo_U(f: GeneratorFamily, cfg: PathSumConfig) -> PropagatorResult:
             samples[trial] = _U_for_count(f, cfg.t, 0)
         else:
             samples[trial] = U_n(f, partition_from_centers(cfg.t, arrivals)).U
-    mean = samples.mean(axis=0)
-    se = np.sqrt(
-        (np.var(samples.real, axis=0) + np.var(samples.imag, axis=0))
-        / max(cfg.trials - 1, 1))
+    mean, se = _mean_and_stderr(samples)
     return PropagatorResult(
         U=mean, w=1.0, step_count=cfg.trials,
         error_estimate=float(np.max(se)),
@@ -358,15 +397,13 @@ def conditional_single_bubble_check(f: GeneratorFamily, cfg: PathSumConfig):
     exp(Q[t,0]); returns (mc_mean, quadrature_mean, stderr, n_used).
     """
     _check_trials(cfg)
+    _check_interval(f, 0.0, cfg.t)
     sel = np.array([U_n(f, partition_from_centers(cfg.t, arrivals)).U
                     for arrivals in trial_arrivals(cfg, cfg.trials)
                     if len(arrivals) == 1])
     if len(sel) == 0:
         raise ConfigError("no trials with exactly one bubble; raise trials")
-    cond_mean = sel.mean(axis=0)
-    stderr = np.sqrt(
-        (np.var(sel.real, axis=0) + np.var(sel.imag, axis=0))
-        / max(len(sel) - 1, 1))
+    cond_mean, stderr = _mean_and_stderr(sel)
     nodes, wts = np.polynomial.legendre.leggauss(16)
     taus = 0.5 * cfg.t * (nodes + 1.0)
     quad = np.zeros((f.dim, f.dim), dtype=complex)

@@ -11,13 +11,12 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import stats
 
 from .errors import ConfigError, DomainError
 from .families import GeneratorFamily, classify_evaluator, integrate_family
 from .film import midpoint_edges
 from .linalg import as_matrix, expm_stack, matrix_exp
-from .path_sum import PartitionScheme, U_n, poisson_truncation, _cell_generators
+from .path_sum import PartitionScheme, U_n, _cell_generators, poisson_mixture
 from .propagators import (DysonExpansion, PropagatorResult, dyson_terms,
                           ordered_product, product_integral, remainder_42)
 
@@ -116,36 +115,17 @@ def S_n_experimental(cfg: SMatrixConfig, n: int) -> np.ndarray:
 
 
 def S_lambda(cfg: SMatrixConfig, tail_tol: float = 1e-10) -> PropagatorResult:
-    """Poisson(2 lambda T)-weighted sum of the S_n operators, formed in the
-    H0 eigenbasis and rotated back once."""
-    if not 0 < tail_tol < 1:
-        raise ConfigError(f"tail_tol must be in (0, 1), got {tail_tol}")
-    mean = 2.0 * cfg.lam * cfg.T
-    n_max = poisson_truncation(mean, tail_tol)
-    counts = np.arange(n_max + 1)
-    weights = stats.poisson.pmf(counts, mean)
-    cutoff = tail_tol / (n_max + 1)
+    """Poisson(2 lambda T)-weighted sum of the S_n operators by
+    poisson_mixture; each exact S_n is formed in the H0 eigenbasis and
+    rotated back once.  step_count is n_max."""
     fam, rotate = _eigen_frame(cfg)
-    raw = np.zeros((cfg.dim, cfg.dim), dtype=complex)
-    captured = 0.0
-    for n, w in zip(counts, weights):
-        if w < cutoff:
-            continue
-        if n == 0:
-            # Zero bubbles carry no time resolution: the whole window is a
-            # single unresolved exposure, so the commuting collapse stays
-            # exact at every rate.
-            Sn = matrix_exp(integrate_family(fam, -cfg.T, cfg.T))
-        else:
-            Sn = U_n(fam, _window_partition(cfg, int(n))).U
-        raw += w * Sn
-        captured += w
-    raw = rotate(raw)
-    normalized = raw / captured
-    return PropagatorResult(
-        U=normalized, w=1.0, step_count=int(n_max),
-        error_estimate=float(stats.poisson.sf(n_max, mean)),
-        extras={"raw": raw, "captured_mass": captured, "n_max": int(n_max)})
+    # Zero bubbles carry no time resolution: the whole window is a single
+    # unresolved exposure, so the commuting collapse stays exact at every rate.
+    res = poisson_mixture(lambda n: rotate(
+        U_n(fam, _window_partition(cfg, n)).U if n
+        else matrix_exp(integrate_family(fam, -cfg.T, cfg.T))),
+        2.0 * cfg.lam * cfg.T, tail_tol)
+    return replace(res, step_count=res.extras["n_max"])
 
 
 def energy_shift_identity(cfg: SMatrixConfig, n: int) -> float:

@@ -200,6 +200,71 @@ def test_U_lambda_contraction():
     assert operator_norm(res.U) <= 1.0 + 1e-9
 
 
+def exact_window_sum(term, mean, tail_tol=1e-10):
+    """The Poisson-window loop, term by term: (raw sum, captured mass)."""
+    n_max = poisson_truncation(mean, tail_tol)
+    raw, captured = 0.0, 0.0
+    for n, w in enumerate(scipy.stats.poisson.pmf(np.arange(n_max + 1), mean)):
+        if w < tail_tol / (n_max + 1):
+            continue
+        raw = raw + w * term(n)
+        captured += w
+    return raw, captured
+
+
+@pytest.mark.parametrize("lam", [100.0, 1000.0])
+def test_U_lambda_fit_matches_exact_window(lam):
+    fam = builtin_family("two_level_driven")
+    res = U_lambda(fam, PathSumConfig(lam=lam, t=1.0))
+    raw, captured = exact_window_sum(
+        lambda n: path_sum._U_for_count(fam, 1.0, n), lam)
+    assert res.extras["fit_residual"] <= 1e-13
+    assert res.extras["exact_terms"] < res.step_count / 10
+    assert np.max(np.abs(res.extras["raw"] - raw)) <= 1e-13
+    assert res.extras["captured_mass"] == captured
+
+
+def test_U_lambda_small_window_sums_exactly():
+    fam = builtin_family("two_level_driven")
+    res = U_lambda(fam, PathSumConfig(lam=5.0, t=1.0))
+    raw, captured = exact_window_sum(
+        lambda n: path_sum._U_for_count(fam, 1.0, n), 5.0)
+    assert res.extras["fit_residual"] is None
+    assert res.extras["exact_terms"] == res.step_count
+    assert np.array_equal(res.extras["raw"], raw)
+    assert res.extras["captured_mass"] == captured
+
+
+def test_poisson_mixture_jump_in_n_falls_back_exactly():
+    calls = []
+
+    def term(n):
+        calls.append(n)
+        return (1.0 if n < 100 else 1.5) * np.eye(2, dtype=complex)
+
+    res = path_sum.poisson_mixture(term, 100.0, 1e-10)
+    assert res.extras["fit_residual"] is None
+    # Every term of the window is computed, each exactly once.
+    assert sorted(calls) == sorted(set(calls))
+    assert len(calls) == res.extras["exact_terms"] == res.step_count
+    raw, captured = exact_window_sum(term, 100.0)
+    assert np.array_equal(res.extras["raw"], raw)
+    assert res.extras["captured_mass"] == captured
+
+
+def test_poisson_mixture_rejects_bad_windows():
+    # Poisson(1) mass 0.37 at n = 0 is below the cutoff tail_tol = 0.9.
+    with pytest.raises(ConfigError):
+        U_lambda(builtin_family("two_level_driven"),
+                 PathSumConfig(lam=1.0, t=1.0, tail_tol=0.9))
+    term = lambda n: np.eye(2, dtype=complex)
+    for mean, tail_tol in ((10.0, 0.0), (10.0, 1.0), (0.0, 1e-10), (-1.0, 1e-10)):
+        with pytest.raises(ConfigError):
+            poisson_truncation(mean, tail_tol)
+        with pytest.raises(ConfigError):
+            path_sum.poisson_mixture(term, mean, tail_tol)
+
+
 def test_stieltjes_constant_family_matches_series():
     H = -1j * SIGMA_Z - 0.2 * np.eye(2)
     fam = family_from_matrix(H, interval=(0.0, 4.0))
@@ -396,6 +461,18 @@ def test_monte_carlo_requires_enough_trials():
     fam = builtin_family("two_level_driven")
     with pytest.raises(ConfigError):
         monte_carlo_U(fam, PathSumConfig(lam=5.0, t=1.0, trials=10))
+
+
+def test_monte_carlo_rejects_horizon_outside_family():
+    with pytest.raises(DomainError):
+        monte_carlo_U(builtin_family("two_level_driven"),
+                      PathSumConfig(lam=5.0, t=3.0, trials=100))
+
+
+def test_conditional_single_bubble_rejects_horizon_outside_family():
+    with pytest.raises(DomainError):
+        conditional_single_bubble_check(builtin_family("two_level_driven"),
+                                        PathSumConfig(lam=5.0, t=3.0, trials=100))
 
 
 def test_monte_carlo_reproducible_with_fixed_seed():

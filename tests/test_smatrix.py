@@ -85,6 +85,45 @@ def test_S_lambda_matches_reference_window_sum():
     assert np.max(np.abs(res.U - raw / res.extras["captured_mass"])) <= 1e-12
 
 
+def exact_window_sum(cfg, tail_tol=1e-10):
+    """The Poisson-window loop of S_lambda, term by term: (raw, mass)."""
+    mean = 2.0 * cfg.lam * cfg.T
+    n_max = poisson_truncation(mean, tail_tol)
+    Q = integrate_family(interaction_generator(cfg), -cfg.T, cfg.T)
+    raw, captured = np.zeros((cfg.dim, cfg.dim), dtype=complex), 0.0
+    for n, w in enumerate(stats.poisson.pmf(np.arange(n_max + 1), mean)):
+        if w < tail_tol / (n_max + 1):
+            continue
+        raw += w * (S_n_experimental(cfg, n) if n else matrix_exp(Q))
+        captured += w
+    return raw, captured
+
+
+@pytest.mark.parametrize("lam", [30.0, 200.0, 1000.0])
+def test_S_lambda_fit_matches_exact_window(lam):
+    res = S_lambda(toy(lam=lam))
+    raw, captured = exact_window_sum(toy(lam=lam))
+    assert res.extras["fit_residual"] <= 1e-13
+    assert np.max(np.abs(res.extras["raw"] - raw)) <= 1e-13
+    assert res.extras["captured_mass"] == captured
+    assert res.step_count == res.extras["n_max"]
+
+
+def test_S_lambda_small_window_sums_exactly():
+    res = S_lambda(toy(lam=5.0))
+    raw, captured = exact_window_sum(toy(lam=5.0))
+    assert res.extras["fit_residual"] is None
+    assert np.max(np.abs(res.extras["raw"] - raw)) <= 1e-15
+    assert res.extras["captured_mass"] == captured
+
+
+def test_S_lambda_criterion_8_exact_term_count():
+    # The criterion-8 configuration: a window of 860 terms, n = 3550..4409.
+    res = S_lambda(toy(lam=1000.0))
+    assert res.extras["exact_terms"] <= 40
+    assert np.linalg.norm(res.U.conj().T @ res.U - np.eye(2), 2) <= 1e-9
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         SMatrixConfig(H0=np.array([[0, 1], [0, 0]]), V=SIGMA_X, T=1.0)
