@@ -14,9 +14,8 @@ from .errors import (ChronosError, ConfigError, ConsistencyError,
 from .linalg import (DissipativityReport, dissipativity, expm_stack,
                      hermitian_part, matrix_exp, operator_norm,
                      random_dissipative, resolvent, yosida)
-from .quadrature import (QuadratureSpec, adaptive_quadrature,
-                         cumulative_simpson_uniform, fixed_quadrature,
-                         loglog_slope)
+from .quadrature import (adaptive_quadrature, cumulative_simpson_uniform,
+                         fixed_quadrature, loglog_slope)
 from .families import (GeneratorFamily, builtin_family, family_from_csv,
                        family_from_evaluator, family_from_matrix,
                        integrate_family, variance_integral, yosida_family)

@@ -26,10 +26,6 @@ from .propagators import product_integral, taylor_partial_sum, dyson_terms
 from .quadrature import loglog_slope
 from .smatrix import SMatrixConfig, S_lambda, oracle_S
 
-EXPERIMENTS = ("dyson-convergence", "asymptotic", "yosida", "lambda-sweep",
-               "film-verify", "smatrix-sweep", "monte-carlo")
-
-
 def parse_config(text: str) -> dict:
     """Flat key = value lines; '#' starts a comment."""
     cfg = {}
@@ -205,6 +201,8 @@ def _experiment_film_verify(cfg, digest):
     d = _number(cfg, "base_dim", "2", int)
     N = _number(cfg, "slots", "4", int)
     fam = _get_family(cfg)
+    if d != fam.dim:
+        raise ConfigError(f"base_dim {d} differs from the family dimension {fam.dim}")
     film = FilmSpace(d, tuple(np.linspace(fam.a + 0.05 * (fam.b - fam.a),
                                           fam.b - 0.05 * (fam.b - fam.a), N)))
     report = Report(["check", "detail", "residual"], _seed(cfg), digest)
@@ -288,15 +286,28 @@ def _experiment_monte_carlo(cfg, digest):
     return report, ok, f"count mean {mean:.3f} vs {lam * t} (3 sigma {3 * sigma:.3f})"
 
 
+_FAMILY = ("family.csv", "family.name", "family.params", "interval")
+
+# Each experiment's runner and the keys it reads besides experiment, output
+# and seed; any other key is a config error.
 _RUNNERS = {
-    "asymptotic": _experiment_asymptotic,
-    "dyson-convergence": _experiment_dyson,
-    "yosida": _experiment_yosida,
-    "lambda-sweep": _experiment_lambda_sweep,
-    "film-verify": _experiment_film_verify,
-    "smatrix-sweep": _experiment_smatrix_sweep,
-    "monte-carlo": _experiment_monte_carlo,
+    "dyson-convergence": (_experiment_dyson,
+                          ("order", "oracle_tol", "grid") + _FAMILY),
+    "asymptotic": (_experiment_asymptotic, ("q.diag", "order", "sweep.w") + _FAMILY),
+    "yosida": (_experiment_yosida, ("sweep.z",) + _FAMILY),
+    "lambda-sweep": (_experiment_lambda_sweep, (
+        "horizon", "sweep.lambdas", "tail_tol", "oracle_tol", "timing") + _FAMILY),
+    "film-verify": (_experiment_film_verify, ("base_dim", "slots", "z") + _FAMILY),
+    "smatrix-sweep": (_experiment_smatrix_sweep, (
+        "h0.diag", "coupling", "half_window", "sweep.lambdas", "tail_tol",
+        "order", "timing")),
+    "monte-carlo": (_experiment_monte_carlo, (
+        "horizon", "lambda", "trials", "count_draws", "oracle_tol") + _FAMILY),
 }
+# Keys that replace others, which are then never read.
+_REPLACES = {"q.diag": _FAMILY, "family.csv": _FAMILY[1:]}
+# Least admissible value of each integer key.
+_AT_LEAST = {"order": 0, "grid": 64, "base_dim": 1, "slots": 1}
 
 
 def run(config_path: str) -> int:
@@ -312,9 +323,17 @@ def run(config_path: str) -> int:
         name = cfg.get("experiment")
         if name not in _RUNNERS:
             raise ConfigError(
-                f"experiment must be one of {', '.join(EXPERIMENTS)}; got {name!r}")
+                f"experiment must be one of {', '.join(_RUNNERS)}; got {name!r}")
+        runner, keys = _RUNNERS[name]
+        unknown = sorted(set(cfg) - set(keys) - {"experiment", "output", "seed"})
+        if unknown:
+            raise ConfigError(f"{name} reads no key {', '.join(unknown)}")
+        for key, replaced in _REPLACES.items():
+            clash = [k for k in replaced if key in cfg and k in cfg]
+            if clash:
+                raise ConfigError(f"{key} replaces {', '.join(clash)}")
         _validate(cfg)
-        report, ok, summary = _RUNNERS[name](cfg, digest)
+        report, ok, summary = runner(cfg, digest)
         out = cfg.get("output", f"{name}.csv")
         report.write(out)
     except (ConfigError, OSError) as exc:
@@ -329,15 +348,16 @@ def run(config_path: str) -> int:
 
 def _validate(cfg: dict):
     for key, value in cfg.items():
-        if ((key.endswith("tol") or key == "lambda")
+        if key in _AT_LEAST and _number(cfg, key, value, int) < _AT_LEAST[key]:
+            raise ConfigError(f"{key} must be >= {_AT_LEAST[key]}")
+        if ((key.endswith("tol") or key in ("lambda", "z"))
                 and _number(cfg, key, value) <= 0):
             raise ConfigError(f"{key} must be > 0")
-        if key == "sweep.lambdas":
-            lambdas = _number(cfg, key, value, _floats)
-            if len(lambdas) < 2:
-                raise ConfigError("sweep.lambdas must list at least two values")
-            if any(v <= 0 for v in lambdas):
-                raise ConfigError("sweep.lambdas entries must be > 0")
+        if (key in ("sweep.lambdas", "sweep.w", "sweep.z")
+                and any(v <= 0 for v in _number(cfg, key, value, _floats))):
+            raise ConfigError(f"{key} entries must be > 0")
+        if key == "sweep.lambdas" and len(_number(cfg, key, value, _floats)) < 2:
+            raise ConfigError("sweep.lambdas must list at least two values")
         if key == "family.csv" and not os.path.exists(value):
             raise ConfigError(f"family csv {value!r} does not exist")
 

@@ -34,7 +34,7 @@ class ConfigError(ChronosError, ValueError):
 
 
 class ConsistencyError(ChronosError, RuntimeError):
-    """An internal cross-check (calibration, oracle comparison) failed."""
+    """An internal cross-check (dissipativity, Philox key, contraction) failed."""
 
 
 class ResourceError(ChronosError, RuntimeError):

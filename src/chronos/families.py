@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, ConsistencyError, DimensionError, DomainError
-from .linalg import DEFAULT_DISSIPATIVITY_TOL, as_matrix, dissipativity, yosida
-from .quadrature import QuadratureSpec, adaptive_quadrature, loglog_slope
+from .linalg import as_matrix, dissipativity
+from .quadrature import adaptive_quadrature, loglog_slope
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -24,8 +24,8 @@ _COMMUTATOR_TOL = 1e-10
 class GeneratorFamily:
     """A map t -> H(t) on [a, b] with commutativity and dissipativity labels.
 
-    `evaluate_batch` takes a time array (m,) and returns a stack (m, d, d);
-    evaluators must be pure so concurrent sampling is safe.
+    `evaluate_batch` takes a time array (m,) and returns a stack (m, d, d)
+    that depends on the times alone.
     """
 
     a: float
@@ -72,10 +72,9 @@ def classify_evaluator(batch, a: float, b: float) -> str:
     return "general"
 
 
-def _sampled_dissipative(batch, a: float, b: float,
-                         tol: float = DEFAULT_DISSIPATIVITY_TOL) -> bool:
+def _sampled_dissipative(batch, a: float, b: float) -> bool:
     ts = np.linspace(a, b, _CLASSIFY_GRID)
-    return all(dissipativity(H, tol).is_dissipative for H in batch(ts))
+    return all(dissipativity(H).is_dissipative for H in batch(ts))
 
 
 def family_from_evaluator(evaluate, interval=(0.0, 1.0), name: str = "custom",
@@ -249,11 +248,10 @@ def _check_interval(f: GeneratorFamily, s: float, t: float):
             f"[{s}, {t}] not contained in the family interval [{f.a}, {f.b}]")
 
 
-def integrate_family_with_estimate(f: GeneratorFamily, s: float, t: float,
-                                   spec: QuadratureSpec = QuadratureSpec()):
+def integrate_family_with_estimate(f: GeneratorFamily, s: float, t: float):
     """Q[t, s] = int_s^t H(u) du with a panel-doubling error estimate."""
     _check_interval(f, s, t)
-    Q, est, panels = adaptive_quadrature(f.evaluate_batch, s, t, spec)
+    Q, est, panels = adaptive_quadrature(f.evaluate_batch, s, t)
     if f.dissipative:
         margin = dissipativity(Q).margin
         if margin > max(1e-9, 100 * est) * max(1.0, t - s):
@@ -262,13 +260,12 @@ def integrate_family_with_estimate(f: GeneratorFamily, s: float, t: float,
     return Q, est, panels
 
 
-def integrate_family(f: GeneratorFamily, s: float, t: float,
-                     spec: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
-    return integrate_family_with_estimate(f, s, t, spec)[0]
+def integrate_family(f: GeneratorFamily, s: float, t: float) -> np.ndarray:
+    return integrate_family_with_estimate(f, s, t)[0]
 
 
-def variance_integral(f: GeneratorFamily, z: float, e: np.ndarray, t: float,
-                      spec: QuadratureSpec = QuadratureSpec()) -> float:
+def variance_integral(f: GeneratorFamily, z: float, e: np.ndarray,
+                      t: float) -> float:
     """int_a^t ( ||H_z(s)e||^2 - |<H_z(s)e, e>|^2 ) ds for a unit vector e.
 
     The integrand is a variance, nonnegative by Cauchy-Schwarz; the
@@ -286,12 +283,12 @@ def variance_integral(f: GeneratorFamily, z: float, e: np.ndarray, t: float,
         return (np.sum(np.abs(v) ** 2, axis=-1)
                 - np.abs(np.einsum("mi,i->m", v, e.conj())) ** 2)
 
-    value, _, _ = adaptive_quadrature(integrand, f.a, t, spec)
+    value, _, _ = adaptive_quadrature(integrand, f.a, t)
     return float(value)
 
 
-def derivative_probe(f: GeneratorFamily, t: float, h_list: Sequence[float],
-                     spec: QuadratureSpec = QuadratureSpec()) -> float:
+def derivative_probe(f: GeneratorFamily, t: float,
+                     h_list: Sequence[float]) -> float:
     """Observed order of (Q[t+h,a] - Q[t,a])/h -> H(t).
 
     Returns the log-log slope of the residual versus h; +inf when the
@@ -302,11 +299,11 @@ def derivative_probe(f: GeneratorFamily, t: float, h_list: Sequence[float],
         raise DomainError("h_list entries must be positive")
     if not (f.a < t < f.b) or t + max(h_list) > f.b:
         raise DomainError(f"t={t} with max h={max(h_list)} leaves [{f.a}, {f.b}]")
-    Qt = integrate_family(f, f.a, t, spec)
+    Qt = integrate_family(f, f.a, t)
     Ht = f(t)
     residuals = []
     for h in h_list:
-        Qth = integrate_family(f, f.a, t + h, spec)
+        Qth = integrate_family(f, f.a, t + h)
         residuals.append(np.linalg.norm((Qth - Qt) / h - Ht, 2))
     if max(residuals) <= 1e-12:
         return float("inf")

@@ -13,8 +13,6 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, RangeError, SingularityError
 
-DEFAULT_DISSIPATIVITY_TOL = 1e-10
-
 # Diagonal Pade coefficients and backward-error thresholds (Higham 2005).
 _PADE_COEFFS = {
     3: (120.0, 60.0, 12.0, 1.0),
@@ -62,14 +60,12 @@ class DissipativityReport:
 
     margin: float
     is_dissipative: bool
-    tol: float
 
 
-def dissipativity(H, tol: float = DEFAULT_DISSIPATIVITY_TOL) -> DissipativityReport:
-    """Certify Re<Hx,x> <= tol for all unit x via the Hermitian part."""
-    S = hermitian_part(H)
-    margin = float(np.linalg.eigvalsh(S)[-1])
-    return DissipativityReport(margin=margin, is_dissipative=margin <= tol, tol=tol)
+def dissipativity(H) -> DissipativityReport:
+    """Certify Re<Hx,x> <= 1e-10 for all unit x via the Hermitian part."""
+    margin = float(np.linalg.eigvalsh(hermitian_part(H))[-1])
+    return DissipativityReport(margin=margin, is_dissipative=margin <= 1e-10)
 
 
 def resolvent(H, z: float) -> np.ndarray:

@@ -21,9 +21,10 @@ from .families import GeneratorFamily, _check_interval, integrate_family
 from .film import midpoint_edges
 from .linalg import expm_stack, matrix_exp
 from .propagators import PropagatorResult, ordered_product
-from .quadrature import QuadratureSpec, _GAUSS5_NODES, _GAUSS5_WEIGHTS
+from .quadrature import _GAUSS5_NODES, _GAUSS5_WEIGHTS
 
 MAX_POISSON_TERMS = 10 ** 6
+CELL_NODES = 80  # fewest Gauss nodes over all cells of one U_n product
 
 
 @dataclass(frozen=True)
@@ -78,19 +79,12 @@ def partition_from_centers(t: float, centers: Sequence[float]) -> PartitionSchem
     return PartitionScheme(centers=centers, edges=midpoint_edges(0.0, t, centers))
 
 
-def cell_generator(f: GeneratorFamily, p: PartitionScheme, j: int,
-                   spec: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
-    """A_j = integral of H over cell j, concentrated at its bubble time."""
-    if not 1 <= j <= p.n:
-        raise DomainError(f"cell index {j} outside 1..{p.n}")
-    return integrate_family(f, p.edges[j - 1], p.edges[j], spec)
-
-
-def _cell_generators(f: GeneratorFamily, edges: np.ndarray,
-                     min_nodes: int = 80) -> np.ndarray:
-    """All per-cell integrals at once, composite Gauss-5 per cell."""
+def _cell_generators(f: GeneratorFamily, edges: np.ndarray) -> np.ndarray:
+    """A_j = integral of H over cell j, concentrated at its bubble time, for
+    all cells at once: composite Gauss-5 per cell."""
+    _check_interval(f, edges[0], edges[-1])
     n = len(edges) - 1
-    panels = max(1, -(-min_nodes // (5 * n)))
+    panels = max(1, -(-CELL_NODES // (5 * n)))
     sub = np.linspace(0.0, 1.0, panels + 1)
     lo = edges[:-1, None] + np.diff(edges)[:, None] * sub[None, :-1]
     width = np.diff(edges)[:, None] * (1.0 / panels)
@@ -105,7 +99,7 @@ def U_n(f: GeneratorFamily, p: PartitionScheme) -> PropagatorResult:
     """Ordered product of per-cell exponentials exp(A_n) ... exp(A_1)."""
     A = _cell_generators(f, p.edges)
     U = ordered_product(expm_stack(A))
-    return PropagatorResult(U=U, w=1.0, step_count=p.n)
+    return PropagatorResult(U=U, step_count=p.n)
 
 
 def _U_for_count(f: GeneratorFamily, t: float, n: int) -> np.ndarray:
@@ -207,7 +201,7 @@ def poisson_mixture(term: Callable[[int], np.ndarray], mean: float,
         raw = fitted[0] if fit.all() else ws[0] * terms([0])[0] + fitted[0]
     captured = float(np.cumsum(ws)[-1])  # the running sum, left to right
     return PropagatorResult(
-        U=raw / captured, w=1.0, step_count=len(ns),
+        U=raw / captured, step_count=len(ns),
         error_estimate=float(stats.poisson.sf(n_max, mean)),
         extras={"raw": raw, "captured_mass": captured, "n_max": int(n_max),
                 "exact_terms": exact.cache_info().currsize,
@@ -357,13 +351,6 @@ def _check_trials(cfg: PathSumConfig):
         raise ConfigError(f"need trials >= 100, got {cfg.trials}")
 
 
-def _mean_and_stderr(samples: np.ndarray):
-    """Sample mean and entrywise standard error of the mean."""
-    se = np.sqrt((np.var(samples.real, axis=0) + np.var(samples.imag, axis=0))
-                 / max(len(samples) - 1, 1))
-    return samples.mean(axis=0), se
-
-
 def monte_carlo_U(f: GeneratorFamily, cfg: PathSumConfig) -> PropagatorResult:
     """Sample mean of U over random bubble partitions.
 
@@ -382,31 +369,29 @@ def monte_carlo_U(f: GeneratorFamily, cfg: PathSumConfig) -> PropagatorResult:
             samples[trial] = _U_for_count(f, cfg.t, 0)
         else:
             samples[trial] = U_n(f, partition_from_centers(cfg.t, arrivals)).U
-    mean, se = _mean_and_stderr(samples)
+    se = np.sqrt((np.var(samples.real, axis=0) + np.var(samples.imag, axis=0))
+                 / (cfg.trials - 1))
     return PropagatorResult(
-        U=mean, w=1.0, step_count=cfg.trials,
+        U=samples.mean(axis=0), step_count=cfg.trials,
         error_estimate=float(np.max(se)),
         extras={"stderr": se, "counts": counts, "seed": cfg.seed})
 
 
 def conditional_single_bubble_check(f: GeneratorFamily, cfg: PathSumConfig):
-    """Compare the count==1 conditional sample mean to its 1-D quadrature.
+    """Compare the count==1 conditional mean to the n = 0 term exp(Q[t,0]).
 
-    With midpoint cells a single bubble always yields the one-cell
-    propagator, so the quadrature average over the bubble position equals
-    exp(Q[t,0]); returns (mc_mean, quadrature_mean, stderr, n_used).
+    With midpoint cells a single bubble at any position yields the one cell
+    [0, t], so every one-bubble trial gives the same propagator: the
+    conditional mean is that matrix exactly and its stderr is zero.  It is
+    formed once by U_n and compared with exp(Q[t,0]) from the adaptive
+    integrator; returns (mc_mean, reference, stderr, n_used).
     """
     _check_trials(cfg)
     _check_interval(f, 0.0, cfg.t)
-    sel = np.array([U_n(f, partition_from_centers(cfg.t, arrivals)).U
-                    for arrivals in trial_arrivals(cfg, cfg.trials)
-                    if len(arrivals) == 1])
-    if len(sel) == 0:
+    n_used = sum(len(arrivals) == 1
+                 for arrivals in trial_arrivals(cfg, cfg.trials))
+    if n_used == 0:
         raise ConfigError("no trials with exactly one bubble; raise trials")
-    cond_mean, stderr = _mean_and_stderr(sel)
-    nodes, wts = np.polynomial.legendre.leggauss(16)
-    taus = 0.5 * cfg.t * (nodes + 1.0)
-    quad = np.zeros((f.dim, f.dim), dtype=complex)
-    for tau, w in zip(taus, wts):
-        quad += (0.5 * w) * U_n(f, partition_from_centers(cfg.t, [tau])).U
-    return cond_mean, quad, stderr, len(sel)
+    one_cell = U_n(f, make_partition(cfg.t, 1)).U
+    reference = matrix_exp(integrate_family(f, 0.0, cfg.t))
+    return one_cell, reference, np.zeros(one_cell.shape), n_used

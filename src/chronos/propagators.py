@@ -17,10 +17,10 @@ from .errors import ConsistencyError, ConvergenceError, DomainError
 from .families import (GeneratorFamily, _check_interval, integrate_family,
                        yosida_family)
 from .linalg import _matmul, as_matrix, expm_stack, matrix_exp, operator_norm
-from .quadrature import (QuadratureSpec, cumulative_simpson_uniform,
-                         loglog_slope, panel_nodes)
+from .quadrature import cumulative_simpson_uniform, loglog_slope, panel_nodes
 
 MAX_HALVINGS = 24
+XI_PANELS = 32  # Gauss-5 panels of the xi-integral in remainder_310
 
 
 @dataclass(frozen=True)
@@ -28,8 +28,6 @@ class PropagatorResult:
     """An evolution operator plus diagnostics."""
 
     U: np.ndarray
-    Q: Optional[np.ndarray] = None
-    w: float = 1.0
     step_count: int = 0
     error_estimate: float = 0.0
     extras: dict = field(default_factory=dict)
@@ -45,7 +43,6 @@ class DysonExpansion:
     """Time-ordered iterated integrals T_0..T_n, optionally with a remainder."""
 
     terms: List[np.ndarray]
-    order: int
     remainder: Optional[np.ndarray] = None
 
     def partial_sum(self, w: float = 1.0) -> np.ndarray:
@@ -66,11 +63,6 @@ def ordered_product(mats: np.ndarray) -> np.ndarray:
     return P[0]
 
 
-def _result(U, Q=None, w=1.0, steps=0, err=0.0, **extras) -> PropagatorResult:
-    return PropagatorResult(U=U, Q=Q, w=w, step_count=steps, error_estimate=err,
-                            extras=extras)
-
-
 def product_integral(f: GeneratorFamily, s: float, t: float,
                      tol: float = 1e-10) -> PropagatorResult:
     """Ground-truth time-ordered propagator U[t, s].
@@ -80,7 +72,7 @@ def product_integral(f: GeneratorFamily, s: float, t: float,
     """
     _check_interval(f, s, t)
     if s == t:
-        return _result(np.eye(f.dim, dtype=complex), w=1.0)
+        return PropagatorResult(U=np.eye(f.dim, dtype=complex))
 
     def level(steps):
         h = (t - s) / steps
@@ -95,7 +87,7 @@ def product_integral(f: GeneratorFamily, s: float, t: float,
         diff = np.linalg.norm(U - U_prev, 2)
         U_prev = U
         if diff <= tol:
-            return _result(U, w=1.0, steps=steps, err=diff)
+            return PropagatorResult(U=U, step_count=steps, error_estimate=diff)
         # Roundoff accumulates like steps * eps; once halving stops helping
         # the requested tolerance is unreachable at this precision.
         if diff >= prev_diff or steps >= 1 << 22:
@@ -138,7 +130,7 @@ def propagator_on_grid(f: GeneratorFamily, a: float, ts: np.ndarray,
 def exp_propagator(Q, w: float) -> PropagatorResult:
     """Second-exponential-formula propagator exp(w Q)."""
     Q = as_matrix(Q, "Q")
-    return _result(matrix_exp(w * Q), Q=Q, w=w)
+    return PropagatorResult(U=matrix_exp(w * Q))
 
 
 def dyson_terms(f: GeneratorFamily, a: float, t: float, n: int,
@@ -160,7 +152,7 @@ def dyson_terms(f: GeneratorFamily, a: float, t: float, n: int,
     for _ in range(n):
         Tk = cumulative_simpson_uniform(Hs @ Tk, h)
         terms.append(Tk[-1].copy())
-    return DysonExpansion(terms=terms, order=n)
+    return DysonExpansion(terms=terms)
 
 
 def taylor_partial_sum(Q: np.ndarray, n: int, w: float) -> np.ndarray:
@@ -174,7 +166,7 @@ def taylor_partial_sum(Q: np.ndarray, n: int, w: float) -> np.ndarray:
     return total
 
 
-def remainder_310(Q, n: int, w: float, xi_panels: int = 32) -> np.ndarray:
+def remainder_310(Q, n: int, w: float) -> np.ndarray:
     """Exact Taylor remainder of exp(wQ) after order n.
 
     R = (1/n!) int_0^w (w - xi)^n Q^{n+1} exp(xi Q) dxi, so that
@@ -187,7 +179,7 @@ def remainder_310(Q, n: int, w: float, xi_panels: int = 32) -> np.ndarray:
         raise DomainError(f"order must be >= 0, got {n}")
     if w == 0:
         return np.zeros_like(Q)
-    xi, wts = panel_nodes(0.0, w, xi_panels, "gauss5")
+    xi, wts = panel_nodes(0.0, w, XI_PANELS)
     E = expm_stack(xi[:, None, None] * Q)
     Qp = np.linalg.matrix_power(Q, n + 1)
     weight = wts * (w - xi) ** n / math.factorial(n)
@@ -223,7 +215,7 @@ def dyson_expansion(f: GeneratorFamily, a: float, t: float, n: int, w: float = 1
     """Terms plus exact remainder in one structure."""
     exp_terms = dyson_terms(f, a, t, n, grid)
     R = remainder_42(f, a, t, n, w, grid)
-    return DysonExpansion(terms=exp_terms.terms, order=n, remainder=R)
+    return DysonExpansion(terms=exp_terms.terms, remainder=R)
 
 
 def asymptotic_probe(Q, n: int, w_list: Sequence[float]):
@@ -276,8 +268,7 @@ def propagator_derivative_check(f: GeneratorFamily, a: float, t: float,
 
 
 def yosida_propagator_convergence(f: GeneratorFamily, a: float, t: float,
-                                  z_list: Sequence[float],
-                                  spec: QuadratureSpec = QuadratureSpec()) -> float:
+                                  z_list: Sequence[float]) -> float:
     """Convergence order of exp(Q_z[t,a]) -> exp(Q[t,a]) as z grows.
 
     For dissipative families each z is also checked against the bound
@@ -286,11 +277,11 @@ def yosida_propagator_convergence(f: GeneratorFamily, a: float, t: float,
     z_list = list(z_list)
     if any(np.diff(z_list) <= 0):
         raise DomainError("z_list must be increasing")
-    Q = integrate_family(f, a, t, spec)
+    Q = integrate_family(f, a, t)
     expQ = matrix_exp(Q)
     errs = []
     for z in z_list:
-        Qz = integrate_family(yosida_family(f, z), a, t, spec)
+        Qz = integrate_family(yosida_family(f, z), a, t)
         gap = np.linalg.norm(matrix_exp(Qz) - expQ, 2)
         if f.dissipative and gap > np.linalg.norm(Qz - Q, 2) + 1e-10:
             raise ConsistencyError(

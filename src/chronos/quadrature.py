@@ -6,88 +6,62 @@ entrywise composite quadrature with Richardson-style refinement control.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ConfigError, QuadratureError
+from .errors import QuadratureError
 
 _GAUSS5_NODES, _GAUSS5_WEIGHTS = np.polynomial.legendre.leggauss(5)
 
+# The one quadrature policy: composite Gauss-5 from 64 panels, doubled
+# until successive levels agree to 1e-12.
+PANELS = 64
+REFINEMENT_TOL = 1e-12
 MAX_DOUBLINGS = 20
 MAX_PANELS = 1 << 17
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Composite rule, initial panel count and refinement tolerance."""
-
-    panels: int = 64
-    rule: str = "gauss5"
-    refinement_tol: float = 1e-12
-
-    def __post_init__(self):
-        if self.panels < 1:
-            raise ConfigError(f"panels must be >= 1, got {self.panels}")
-        if self.rule not in ("midpoint", "simpson", "gauss5"):
-            raise ConfigError(f"unknown quadrature rule {self.rule!r}")
-        if not self.refinement_tol > 0:
-            raise ConfigError("refinement_tol must be > 0")
-
-
-def panel_nodes(a: float, b: float, panels: int, rule: str):
-    """Nodes and weights of a composite rule on [a, b] (flat arrays)."""
+def panel_nodes(a: float, b: float, panels: int):
+    """Nodes and weights of composite Gauss-5 on [a, b] (flat arrays)."""
     edges = np.linspace(a, b, panels + 1)
-    lo, hi = edges[:-1], edges[1:]
     h = (b - a) / panels
-    if rule == "midpoint":
-        nodes = 0.5 * (lo + hi)
-        weights = np.full(panels, h)
-    elif rule == "simpson":
-        nodes = np.concatenate([lo, 0.5 * (lo + hi), hi])
-        weights = np.concatenate([
-            np.full(panels, h / 6), np.full(panels, 4 * h / 6),
-            np.full(panels, h / 6)])
-    else:  # gauss5
-        mid = 0.5 * (lo + hi)
-        nodes = (mid[:, None] + 0.5 * h * _GAUSS5_NODES[None, :]).ravel()
-        weights = np.tile(0.5 * h * _GAUSS5_WEIGHTS, panels)
-    return nodes, weights
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    nodes = (mid[:, None] + 0.5 * h * _GAUSS5_NODES[None, :]).ravel()
+    return nodes, np.tile(0.5 * h * _GAUSS5_WEIGHTS, panels)
 
 
-def fixed_quadrature(f, a: float, b: float, panels: int, rule: str) -> np.ndarray:
+def fixed_quadrature(f, a: float, b: float, panels: int) -> np.ndarray:
     """Single composite pass; `f` maps a time array (m,) to values (m, ...)."""
     if b == a:
         probe = np.asarray(f(np.array([a])))
         return np.zeros_like(probe[0])
-    nodes, weights = panel_nodes(a, b, panels, rule)
+    nodes, weights = panel_nodes(a, b, panels)
     values = np.asarray(f(nodes))
     return np.tensordot(weights, values, axes=(0, 0))
 
 
-def adaptive_quadrature(f, a: float, b: float, spec: QuadratureSpec):
+def adaptive_quadrature(f, a: float, b: float):
     """Panel-doubling refinement; returns (integral, error_estimate, panels).
 
     The estimate is the norm of the difference between the last two
     refinement levels.
     """
-    panels = spec.panels
-    current = fixed_quadrature(f, a, b, panels, spec.rule)
+    panels = PANELS
+    current = fixed_quadrature(f, a, b, panels)
     if b == a:
         return current, 0.0, panels
     for _ in range(MAX_DOUBLINGS):
         panels *= 2
         if panels > MAX_PANELS:
             raise QuadratureError(
-                f"no convergence to {spec.refinement_tol:g} within "
+                f"no convergence to {REFINEMENT_TOL:g} within "
                 f"{MAX_PANELS} panels on [{a}, {b}]")
-        refined = fixed_quadrature(f, a, b, panels, spec.rule)
+        refined = fixed_quadrature(f, a, b, panels)
         estimate = float(np.max(np.abs(refined - current)))
         current = refined
-        if estimate <= spec.refinement_tol:
+        if estimate <= REFINEMENT_TOL:
             return current, estimate, panels
     raise QuadratureError(
-        f"no convergence to {spec.refinement_tol:g} after {MAX_DOUBLINGS} "
+        f"no convergence to {REFINEMENT_TOL:g} after {MAX_DOUBLINGS} "
         f"panel doublings on [{a}, {b}]")
 
 
@@ -113,11 +87,11 @@ def cumulative_simpson_uniform(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def loglog_slope(x, y, floor: float = 1e-300) -> float:
-    """Least-squares slope of log y versus log x, ignoring vanished entries."""
+def loglog_slope(x, y) -> float:
+    """Least-squares slope of log y versus log x, ignoring entries <= 1e-300."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    keep = (x > 0) & (y > floor)
+    keep = (x > 0) & (y > 1e-300)
     if keep.sum() < 2:
         return float("inf")
     return float(np.polyfit(np.log(x[keep]), np.log(y[keep]), 1)[0])

@@ -180,4 +180,4 @@ def dyson_S_expansion(cfg: SMatrixConfig, n: int,
     fam = interaction_generator(cfg)
     terms = dyson_terms(fam, -cfg.T, cfg.T, n, grid).terms
     R = remainder_42(fam, -cfg.T, cfg.T, n, 1.0, grid)
-    return DysonExpansion(terms=terms, order=n, remainder=R)
+    return DysonExpansion(terms=terms, remainder=R)

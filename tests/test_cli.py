@@ -2,6 +2,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chronos.cli import emit_plot_script, main, parse_config, run, selftest
 from chronos.errors import ConfigError
@@ -157,6 +159,67 @@ def test_run_malformed_number_is_config_error(tmp_path, capsys, experiment, line
                 f"output = {tmp_path / 'bad.csv'}\n")
     assert run(cfg) == 2
     assert line.split(" = ")[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment, line", [
+    ("film-verify", "base_dim = 0"),
+    ("film-verify", "base_dim = 3"),
+    ("film-verify", "slots = 0"),
+    ("film-verify", "z = -1"),
+    ("dyson-convergence", "order = -1"),
+    ("dyson-convergence", "grid = 10"),
+    ("yosida", "sweep.z = -5, 10"),
+    ("asymptotic", "sweep.w = -0.1, 0.05"),
+    ("asymptotic", "order = -2"),
+    ("smatrix-sweep", "sweep.lambdas = 5, -20"),
+])
+def test_run_out_of_range_value_is_config_error(tmp_path, capsys, experiment,
+                                                line):
+    out = tmp_path / "bad.csv"
+    cfg = write(tmp_path / "bad.cfg",
+                f"experiment = {experiment}\n{line}\noutput = {out}\n")
+    assert run(cfg) == 2
+    assert line.split(" = ")[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment", ["lambda-sweep", "smatrix-sweep"])
+def test_run_rejects_misspelled_key(tmp_path, capsys, experiment):
+    out = tmp_path / "typo.csv"
+    cfg = write(tmp_path / "typo.cfg",
+                f"experiment = {experiment}\nsweep.lambdas = 5, 20\n"
+                f"sweep.ww = 1\noutput = {out}\n")
+    assert run(cfg) == 2
+    assert "sweep.ww" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["family.name = constant", "interval = 0, 2"])
+def test_run_rejects_keys_a_family_csv_replaces(tmp_path, capsys, line):
+    csv = write(tmp_path / "h.csv", "t,re,im\n0,1,0\n1,1,0\n")
+    out = tmp_path / "y.csv"
+    cfg = write(tmp_path / "y.cfg", f"experiment = yosida\nfamily.csv = {csv}\n"
+                                    f"{line}\noutput = {out}\n")
+    assert run(cfg) == 2
+    assert "family.csv replaces" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# With q.diag given, asymptotic reads no family key.
+_ASYMPTOTIC_READS = {"experiment", "output", "seed", "q.diag", "order", "sweep.w"}
+
+
+@settings(max_examples=50, deadline=None)
+@given(key=st.from_regex(r"[a-z0-9._]{1,12}", fullmatch=True).filter(
+    lambda k: k not in _ASYMPTOTIC_READS))
+def test_run_rejects_every_key_the_experiment_does_not_read(tmp_path_factory,
+                                                            key):
+    where = tmp_path_factory.mktemp("key")
+    out = where / "asym.csv"
+    cfg = write(where / "a.cfg", f"experiment = asymptotic\nq.diag = -1, -2\n"
+                                 f"{key} = 1\noutput = {out}\n")
+    assert run(cfg) == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("experiment", ["lambda-sweep", "smatrix-sweep"])

@@ -7,9 +7,8 @@ from chronos.errors import DomainError, ResourceError
 from chronos.families import (SIGMA_X, SIGMA_Z, builtin_family,
                               family_from_matrix, integrate_family)
 from chronos.film import (ExchangeOperator, FilmSpace, commutation_check,
-                          dump_dense_csv, embed, exchange, film_Q,
-                          midpoint_edges, slot_operator_norm, verify_eq35,
-                          verify_eq38)
+                          embed, exchange, film_Q, midpoint_edges,
+                          slot_operator_norm, verify_eq35, verify_eq38)
 from chronos.linalg import matrix_exp, operator_norm
 
 
@@ -247,13 +246,3 @@ def test_partition_difference_scalar_reading():
     fine = np.array([0.25, 0.5, 0.75, 1.0])
     assert verify_eq35(fam, 1e5, 0, coarse, fine) <= 1e-12
 
-
-def test_dense_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(8)
-    M = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    path = tmp_path / "matrix.csv"
-    dump_dense_csv(M, path)
-    rows = path.read_text().strip().splitlines()
-    data = np.array([[float(x) for x in r.split(",")] for r in rows[1:]])
-    back = data[:, 0::2] + 1j * data[:, 1::2]
-    assert np.array_equal(back, M)

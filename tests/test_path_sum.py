@@ -8,8 +8,7 @@ from chronos.families import (SIGMA_X, SIGMA_Z, builtin_family,
                               family_from_evaluator, family_from_matrix,
                               integrate_family)
 from chronos.linalg import matrix_exp, operator_norm
-from chronos.path_sum import (PartitionScheme, PathSumConfig, U_lambda, U_n,
-                              cell_generator,
+from chronos.path_sum import (PathSumConfig, U_lambda, U_n, _cell_generators,
                               conditional_single_bubble_check, make_partition,
                               monte_carlo_U, partition_from_centers,
                               poisson_truncation, poisson_weight,
@@ -57,32 +56,29 @@ def test_partition_validation():
 def test_cell_generator_constant_family():
     fam = family_from_matrix(-1j * SIGMA_Z)
     p = make_partition(1.0, 4)
-    for j in range(1, 5):
-        A = cell_generator(fam, p, j)
-        assert np.allclose(A, p.widths[j - 1] * (-1j * SIGMA_Z), atol=1e-12)
+    A = _cell_generators(fam, p.edges)
+    for j in range(4):
+        assert np.allclose(A[j], p.widths[j] * (-1j * SIGMA_Z), atol=1e-12)
 
 
 def test_cell_generator_linear_family():
     fam = family_from_evaluator(lambda t: t * SIGMA_X)
-    p = PartitionScheme(centers=np.array([0.5]),
-                        edges=np.array([0.25, 0.75]))
-    assert np.allclose(cell_generator(fam, p, 1), 0.25 * SIGMA_X, atol=1e-12)
-
-
-def test_cell_generator_index_guard():
-    fam = family_from_matrix(-1j * SIGMA_Z)
-    p = make_partition(1.0, 3)
-    with pytest.raises(DomainError):
-        cell_generator(fam, p, 0)
-    with pytest.raises(DomainError):
-        cell_generator(fam, p, 4)
+    A = _cell_generators(fam, np.array([0.25, 0.75]))
+    assert np.allclose(A[0], 0.25 * SIGMA_X, atol=1e-12)
 
 
 def test_cell_generators_sum_to_full_integral():
     fam = builtin_family("two_level_driven")
-    p = make_partition(1.0, 7)
-    total = sum(cell_generator(fam, p, j) for j in range(1, 8))
+    total = _cell_generators(fam, make_partition(1.0, 7).edges).sum(axis=0)
     assert np.linalg.norm(total - integrate_family(fam, 0.0, 1.0), 2) <= 2e-10
+
+
+def test_cell_generators_reject_cells_outside_the_family():
+    fam = builtin_family("two_level_driven")  # lives on [0, 1]
+    with pytest.raises(DomainError):
+        U_n(fam, make_partition(3.0, 4))
+    with pytest.raises(DomainError):
+        _cell_generators(fam, np.array([-0.5, 0.5, 1.0]))
 
 
 def test_U_n_constant_family_collapses():
