@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import sys
 import time
@@ -17,7 +18,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .errors import ChronosError, ConfigError
+from .errors import ChronosError, ConfigError, ResourceError
 from .families import builtin_family, family_from_csv, integrate_family
 from .film import FilmSpace, commutation_check, embed, exchange, slot_operator_norm, verify_eq38
 from .linalg import matrix_exp, operator_norm
@@ -27,8 +28,8 @@ from .quadrature import loglog_slope
 from .smatrix import SMatrixConfig, S_lambda, oracle_S
 
 def parse_config(text: str) -> dict:
-    """Flat key = value lines; '#' starts a comment."""
-    cfg = {}
+    """Flat key = value lines; '#' starts a comment; each key is set once."""
+    cfg, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -36,50 +37,63 @@ def parse_config(text: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, value = line.split("=", 1)
-        cfg[key.strip()] = value.strip()
+        key = key.strip()
+        if key in cfg:
+            raise ConfigError(
+                f"{key} is set on line {lines[key]} and again on line {lineno}")
+        cfg[key], lines[key] = value.strip(), lineno
     return cfg
 
 
-def _floats(value: str):
-    return [float(x) for x in value.split(",") if x.strip()]
+# A key's parser follows from the type of its default in _RUNNERS; a type in
+# place of a default means the key has none and reads as None when absent.
+_PARSERS = {int: int, float: float, str: str,
+            bool: lambda text: {"on": True, "off": False}[text],
+            tuple: lambda text: tuple(float(x) for x in text.split(",") if x.strip())}
+# Least admissible value of each integer key.
+_LEAST = {"order": 0, "grid": 64, "base_dim": 1, "slots": 1, "seed": 0,
+          "count_draws": 1, "trials": 100}
 
 
-def _number(cfg: dict, key: str, default: str, kind=float):
-    """cfg[key] (or default) parsed by kind; a malformed value is a ConfigError."""
-    text = cfg.get(key, default)
+def _value(key: str, text: str, kind: type):
+    """text parsed as kind and checked against the bounds of key."""
     try:
-        return kind(text)
-    except ValueError:
+        value = _PARSERS[kind](text)
+    except (ValueError, KeyError):
         raise ConfigError(f"{key}: cannot parse {text!r}") from None
+    numbers = value if kind is tuple else (value,) if kind in (int, float) else ()
+    if not all(map(math.isfinite, numbers)):
+        raise ConfigError(f"{key} must be finite, got {text!r}")
+    if kind is int and value < _LEAST[key]:
+        raise ConfigError(f"{key} must be >= {_LEAST[key]}, got {value}")
+    if key.startswith("sweep.") and len(value) < 2:
+        raise ConfigError(f"{key} must list at least two values")
+    if key == "interval" and len(value) != 2:
+        raise ConfigError(f"interval must be two values a, b; got {text!r}")
+    if key.endswith(".diag") and not value:
+        raise ConfigError(f"{key} may not be empty")
+    if ((key.endswith("tol") or key in ("lambda", "z") or key.startswith("sweep."))
+            and min(numbers) <= 0):
+        raise ConfigError(f"{key} must be > 0, got {text!r}")
+    return value
 
 
-def _seed(cfg: dict) -> int:
-    return _number(cfg, "seed", "0", int)
+def _get_family(p: dict):
+    if p["family.csv"] is not None:
+        return family_from_csv(p["family.csv"])
+    return builtin_family(p["family.name"], p["family.params"], interval=p["interval"])
 
 
-def _get_family(cfg: dict):
-    if "family.csv" in cfg:
-        return family_from_csv(cfg["family.csv"])
-    name = cfg.get("family.name", "two_level_driven")
-    params = _number(cfg, "family.params", "", _floats)
-    interval = _number(cfg, "interval", "0, 1", _floats)
-    return builtin_family(name, params, interval=tuple(interval))
-
-
-def _path_sum_horizon(cfg: dict, fam) -> float:
+def _path_sum_horizon(p: dict, fam) -> float:
     """The horizon t of a path sum, which runs on [0, t] inside the family."""
     if fam.a != 0.0:
-        key = "family.csv" if "family.csv" in cfg else "interval"
+        key = "interval" if p["family.csv"] is None else "family.csv"
         raise ConfigError(
             f"{key}: the path sum starts at time 0, the family at {fam.a}")
-    t = _number(cfg, "horizon", str(fam.b))
+    t = fam.b if p["horizon"] is None else p["horizon"]
     if not 0.0 < t <= fam.b:
         raise ConfigError(f"horizon must be in (0, {fam.b}], got {t}")
     return t
-
-
-def _timing(cfg: dict) -> bool:
-    return cfg.get("timing", "off") == "on"
 
 
 class Report:
@@ -110,40 +124,37 @@ class Report:
                     for v in row) + "\n")
 
 
-def _experiment_asymptotic(cfg, report_cols):
-    if "q.diag" in cfg:
-        Q = np.diag(np.array(_number(cfg, "q.diag", "", _floats), dtype=complex))
+def _experiment_asymptotic(p, digest):
+    if p["q.diag"] is not None:
+        Q = np.diag(np.array(p["q.diag"], dtype=complex))
     else:
-        fam = _get_family(cfg)
+        fam = _get_family(p)
         Q = integrate_family(fam, fam.a, fam.b)
-    n = _number(cfg, "order", "1", int)
-    w_list = _number(cfg, "sweep.w", "0.1, 0.05, 0.025, 0.0125, 0.00625", _floats)
-    report = Report(["w", "residual_norm", "ratio"], _seed(cfg), report_cols)
+    n = p["order"]
+    report = Report(["w", "residual_norm", "ratio"], p["seed"], digest)
     norms = []
-    for w in w_list:
+    for w in p["sweep.w"]:
         r = float(np.linalg.norm(
             matrix_exp(w * Q) - taylor_partial_sum(Q, n, w), 2))
         norms.append(r)
         ratio = norms[-2] / r if len(norms) > 1 and r > 0 else 0.0
-        report.add(float(w), r, float(ratio))
-    order = loglog_slope(w_list, norms)
+        report.add(w, r, float(ratio))
+    order = loglog_slope(p["sweep.w"], norms)
     ok = abs(order - (n + 1)) <= 0.1
     return report, ok, f"fitted order {order:.3f} (expected {n + 1})"
 
 
-def _experiment_dyson(cfg, digest):
-    fam = _get_family(cfg)
-    n = _number(cfg, "order", "5", int)
-    oracle = product_integral(fam, fam.a, fam.b,
-                              _number(cfg, "oracle_tol", "1e-10")).U
-    expn = dyson_terms(fam, fam.a, fam.b, n, _number(cfg, "grid", "1024", int))
+def _experiment_dyson(p, digest):
+    fam = _get_family(p)
+    n = p["order"]
+    oracle = product_integral(fam, fam.a, fam.b, p["oracle_tol"]).U
+    expn = dyson_terms(fam, fam.a, fam.b, n, p["grid"])
     ts = np.linspace(fam.a, fam.b, 65)
     M = max(np.linalg.norm(H, 2) for H in fam.evaluate_batch(ts))
     span = fam.b - fam.a
-    report = Report(["order", "tail_norm", "classical_bound"], _seed(cfg), digest)
+    report = Report(["order", "tail_norm", "classical_bound"], p["seed"], digest)
     ok = True
     partial = np.zeros_like(oracle)
-    import math
     for k in range(n + 1):
         partial = partial + expn.terms[k]
         tail = float(np.linalg.norm(oracle - partial, 2))
@@ -154,58 +165,52 @@ def _experiment_dyson(cfg, digest):
     return report, ok, f"tail within classical bound up to order {n}: {ok}"
 
 
-def _experiment_yosida(cfg, digest):
-    fam = _get_family(cfg)
-    z_list = _number(cfg, "sweep.z", "10, 100, 1000, 10000", _floats)
+def _experiment_yosida(p, digest):
+    fam = _get_family(p)
     from .families import yosida_family
     Q = integrate_family(fam, fam.a, fam.b)
     expQ = matrix_exp(Q)
-    report = Report(["z", "q_gap", "exp_gap"], _seed(cfg), digest)
+    report = Report(["z", "q_gap", "exp_gap"], p["seed"], digest)
     gaps = []
-    for z in z_list:
+    for z in p["sweep.z"]:
         Qz = integrate_family(yosida_family(fam, z), fam.a, fam.b)
         qg = float(np.linalg.norm(Qz - Q, 2))
         eg = float(np.linalg.norm(matrix_exp(Qz) - expQ, 2))
         gaps.append(eg)
-        report.add(float(z), qg, eg)
-    slope = loglog_slope(z_list, gaps)
+        report.add(z, qg, eg)
+    slope = loglog_slope(p["sweep.z"], gaps)
     return report, slope <= -0.9, f"convergence slope {slope:.3f} (need <= -0.9)"
 
 
-def _experiment_lambda_sweep(cfg, digest):
-    fam = _get_family(cfg)
-    t = _path_sum_horizon(cfg, fam)
-    lambdas = _number(cfg, "sweep.lambdas", "10, 100, 1000", _floats)
-    tail_tol = _number(cfg, "tail_tol", "1e-10")
-    seed = _seed(cfg)
-    oracle = product_integral(fam, 0.0, t, _number(cfg, "oracle_tol", "1e-10")).U
-    timing = _timing(cfg)
+def _experiment_lambda_sweep(p, digest):
+    fam = _get_family(p)
+    t = _path_sum_horizon(p, fam)
+    oracle = product_integral(fam, 0.0, t, p["oracle_tol"]).U
     report = Report(["lambda", "n_max", "captured_mass", "err_raw",
-                     "err_normalized", "seconds"], seed, digest)
+                     "err_normalized", "seconds"], p["seed"], digest)
     errs = []
-    for lam in lambdas:
+    for lam in p["sweep.lambdas"]:
         t0 = time.perf_counter()
-        res = U_lambda(fam, PathSumConfig(lam=lam, t=t, tail_tol=tail_tol,
-                                          seed=seed))
+        res = U_lambda(fam, PathSumConfig(lam=lam, t=t, tail_tol=p["tail_tol"],
+                                          seed=p["seed"]))
         err = float(np.linalg.norm(res.U - oracle, 2))
         errs.append(err)
-        report.add(float(lam), res.extras["n_max"],
+        report.add(lam, res.extras["n_max"],
                    float(res.extras["captured_mass"]),
                    float(np.linalg.norm(res.extras["raw"] - oracle, 2)), err,
-                   time.perf_counter() - t0 if timing else 0.0)
+                   time.perf_counter() - t0 if p["timing"] else 0.0)
     ok = all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
     return report, ok, f"normalized error strictly decreasing: {ok}"
 
 
-def _experiment_film_verify(cfg, digest):
-    d = _number(cfg, "base_dim", "2", int)
-    N = _number(cfg, "slots", "4", int)
-    fam = _get_family(cfg)
+def _experiment_film_verify(p, digest):
+    d, N = p["base_dim"], p["slots"]
+    fam = _get_family(p)
     if d != fam.dim:
         raise ConfigError(f"base_dim {d} differs from the family dimension {fam.dim}")
     film = FilmSpace(d, tuple(np.linspace(fam.a + 0.05 * (fam.b - fam.a),
                                           fam.b - 0.05 * (fam.b - fam.a), N)))
-    report = Report(["check", "detail", "residual"], _seed(cfg), digest)
+    report = Report(["check", "detail", "residual"], p["seed"], digest)
     ok = True
     H = fam((fam.a + fam.b) / 2)
     for j in range(1, N + 1):
@@ -226,57 +231,46 @@ def _experiment_film_verify(cfg, digest):
     iso = abs(slot_operator_norm(embed(H, 1, film)) - operator_norm(H))
     ok = ok and iso <= 1e-9
     report.add("embedding_isometry", "slot1", float(iso))
-    r38 = verify_eq38(fam, film, _number(cfg, "z", "10"), 0)
+    r38 = verify_eq38(fam, film, p["z"], 0)
     ok = ok and r38 <= 1e-10
     report.add("norm_identity", "generating_vector", float(r38))
     return report, ok, f"film identities all within tolerance: {ok}"
 
 
-def _experiment_smatrix_sweep(cfg, digest):
-    H0 = np.diag(np.array(_number(cfg, "h0.diag", "1, -1", _floats), dtype=complex))
+def _experiment_smatrix_sweep(p, digest):
+    H0 = np.diag(np.array(p["h0.diag"], dtype=complex))
     # Hopping J + J^T (J: superdiagonal of ones) is sigma_x at d = 2.
     J = np.eye(H0.shape[0], k=1)
-    V = _number(cfg, "coupling", "0.3") * (J + J.T)
-    T = _number(cfg, "half_window", "2")
-    lambdas = _number(cfg, "sweep.lambdas", "10, 100, 1000", _floats)
-    tail_tol = _number(cfg, "tail_tol", "1e-10")
-    n = _number(cfg, "order", "0", int)
-    timing = _timing(cfg)
-    base = SMatrixConfig(H0=H0, V=V, T=T)
-    S_ref = oracle_S(base).U
+    V = p["coupling"] * (J + J.T)
+    T = p["half_window"]
+    S_ref = oracle_S(SMatrixConfig(H0=H0, V=V, T=T)).U
     report = Report(["lambda", "T", "n", "err_vs_oracle", "unitarity_defect",
-                     "seconds"], _seed(cfg), digest)
+                     "seconds"], p["seed"], digest)
     errs = []
-    for lam in lambdas:
+    for lam in p["sweep.lambdas"]:
         t0 = time.perf_counter()
-        smc = SMatrixConfig(H0=H0, V=V, T=T, lam=lam)
-        S = S_lambda(smc, tail_tol).U
+        S = S_lambda(SMatrixConfig(H0=H0, V=V, T=T, lam=lam), p["tail_tol"]).U
         err = float(np.linalg.norm(S - S_ref, 2))
         defect = float(np.linalg.norm(S.conj().T @ S - np.eye(S.shape[0]), 2))
         errs.append(err)
-        report.add(float(lam), T, n, err, defect,
-                   time.perf_counter() - t0 if timing else 0.0)
+        report.add(lam, T, p["order"], err, defect,
+                   time.perf_counter() - t0 if p["timing"] else 0.0)
     ok = all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
     return report, ok, f"S_lambda error strictly decreasing: {ok}"
 
 
-def _experiment_monte_carlo(cfg, digest):
-    fam = _get_family(cfg)
-    t = _path_sum_horizon(cfg, fam)
-    lam = _number(cfg, "lambda", "20")
-    trials = _number(cfg, "trials", "500", int)
-    seed = _seed(cfg)
-    ps = PathSumConfig(lam=lam, t=t, trials=trials, seed=seed)
-    draws = _number(cfg, "count_draws", "100000", int)
-    if draws < 1:
-        raise ConfigError(f"count_draws must be >= 1, got {draws}")
+def _experiment_monte_carlo(p, digest):
+    fam = _get_family(p)
+    t = _path_sum_horizon(p, fam)
+    lam, draws = p["lambda"], p["count_draws"]
+    ps = PathSumConfig(lam=lam, t=t, trials=p["trials"], seed=p["seed"])
     counts = np.array([len(arrivals) for arrivals in trial_arrivals(ps, draws)])
     mean = float(counts.mean())
     sigma = float(np.sqrt(lam * t / draws))
     res = monte_carlo_U(fam, ps)
-    oracle = product_integral(fam, 0.0, t, _number(cfg, "oracle_tol", "1e-9")).U
+    oracle = product_integral(fam, 0.0, t, p["oracle_tol"]).U
     dist = float(np.linalg.norm(res.U - oracle, 2))
-    report = Report(["stat", "value"], seed, digest)
+    report = Report(["stat", "value"], p["seed"], digest)
     report.add("count_mean", mean)
     report.add("count_expected", float(lam * t))
     report.add("count_sigma", sigma)
@@ -286,28 +280,37 @@ def _experiment_monte_carlo(cfg, digest):
     return report, ok, f"count mean {mean:.3f} vs {lam * t} (3 sigma {3 * sigma:.3f})"
 
 
-_FAMILY = ("family.csv", "family.name", "family.params", "interval")
+# Keys every experiment reads, and the keys of a built-in or tabulated family.
+_COMMON = {"experiment": str, "output": str, "seed": 0}
+_FAMILY = {"family.csv": str, "family.name": "two_level_driven",
+           "family.params": (), "interval": (0.0, 1.0)}
+_LAMBDAS = (10.0, 100.0, 1000.0)
 
-# Each experiment's runner and the keys it reads besides experiment, output
-# and seed; any other key is a config error.
+# Each experiment's runner and the keys it reads besides _COMMON, each with
+# its default; any other key is a config error.
 _RUNNERS = {
-    "dyson-convergence": (_experiment_dyson,
-                          ("order", "oracle_tol", "grid") + _FAMILY),
-    "asymptotic": (_experiment_asymptotic, ("q.diag", "order", "sweep.w") + _FAMILY),
-    "yosida": (_experiment_yosida, ("sweep.z",) + _FAMILY),
-    "lambda-sweep": (_experiment_lambda_sweep, (
-        "horizon", "sweep.lambdas", "tail_tol", "oracle_tol", "timing") + _FAMILY),
-    "film-verify": (_experiment_film_verify, ("base_dim", "slots", "z") + _FAMILY),
-    "smatrix-sweep": (_experiment_smatrix_sweep, (
-        "h0.diag", "coupling", "half_window", "sweep.lambdas", "tail_tol",
-        "order", "timing")),
-    "monte-carlo": (_experiment_monte_carlo, (
-        "horizon", "lambda", "trials", "count_draws", "oracle_tol") + _FAMILY),
+    "dyson-convergence": (_experiment_dyson, {
+        "order": 5, "oracle_tol": 1e-10, "grid": 1024, **_FAMILY}),
+    "asymptotic": (_experiment_asymptotic, {
+        "q.diag": tuple, "order": 1,
+        "sweep.w": (0.1, 0.05, 0.025, 0.0125, 0.00625), **_FAMILY}),
+    "yosida": (_experiment_yosida, {
+        "sweep.z": (10.0, 100.0, 1000.0, 10000.0), **_FAMILY}),
+    "lambda-sweep": (_experiment_lambda_sweep, {
+        "horizon": float, "sweep.lambdas": _LAMBDAS, "tail_tol": 1e-10,
+        "oracle_tol": 1e-10, "timing": False, **_FAMILY}),
+    "film-verify": (_experiment_film_verify, {
+        "base_dim": 2, "slots": 4, "z": 10.0, **_FAMILY}),
+    "smatrix-sweep": (_experiment_smatrix_sweep, {
+        "h0.diag": (1.0, -1.0), "coupling": 0.3, "half_window": 2.0,
+        "sweep.lambdas": _LAMBDAS, "tail_tol": 1e-10, "order": 0,
+        "timing": False}),
+    "monte-carlo": (_experiment_monte_carlo, {
+        "horizon": float, "lambda": 20.0, "trials": 500,
+        "count_draws": 100000, "oracle_tol": 1e-9, **_FAMILY}),
 }
 # Keys that replace others, which are then never read.
-_REPLACES = {"q.diag": _FAMILY, "family.csv": _FAMILY[1:]}
-# Least admissible value of each integer key.
-_AT_LEAST = {"order": 0, "grid": 64, "base_dim": 1, "slots": 1}
+_REPLACES = {"q.diag": tuple(_FAMILY), "family.csv": tuple(_FAMILY)[1:]}
 
 
 def run(config_path: str) -> int:
@@ -325,18 +328,26 @@ def run(config_path: str) -> int:
             raise ConfigError(
                 f"experiment must be one of {', '.join(_RUNNERS)}; got {name!r}")
         runner, keys = _RUNNERS[name]
-        unknown = sorted(set(cfg) - set(keys) - {"experiment", "output", "seed"})
+        keys = {**_COMMON, **keys}
+        unknown = sorted(set(cfg) - set(keys))
         if unknown:
             raise ConfigError(f"{name} reads no key {', '.join(unknown)}")
         for key, replaced in _REPLACES.items():
             clash = [k for k in replaced if key in cfg and k in cfg]
             if clash:
                 raise ConfigError(f"{key} replaces {', '.join(clash)}")
-        _validate(cfg)
-        report, ok, summary = runner(cfg, digest)
+        p = {}
+        for key, default in keys.items():
+            kind = default if isinstance(default, type) else type(default)
+            if key in cfg:
+                p[key] = _value(key, cfg[key], kind)
+            else:
+                p[key] = None if kind is default else default
+        report, ok, summary = runner(p, digest)
         out = cfg.get("output", f"{name}.csv")
         report.write(out)
-    except (ConfigError, OSError) as exc:
+    # A ResourceError means the config asked for more than a documented cap.
+    except (ConfigError, ResourceError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ChronosError as exc:
@@ -344,22 +355,6 @@ def run(config_path: str) -> int:
         return 1
     print(f"{name}: {summary} -> {out}")
     return 0 if ok else 1
-
-
-def _validate(cfg: dict):
-    for key, value in cfg.items():
-        if key in _AT_LEAST and _number(cfg, key, value, int) < _AT_LEAST[key]:
-            raise ConfigError(f"{key} must be >= {_AT_LEAST[key]}")
-        if ((key.endswith("tol") or key in ("lambda", "z"))
-                and _number(cfg, key, value) <= 0):
-            raise ConfigError(f"{key} must be > 0")
-        if (key in ("sweep.lambdas", "sweep.w", "sweep.z")
-                and any(v <= 0 for v in _number(cfg, key, value, _floats))):
-            raise ConfigError(f"{key} entries must be > 0")
-        if key == "sweep.lambdas" and len(_number(cfg, key, value, _floats)) < 2:
-            raise ConfigError("sweep.lambdas must list at least two values")
-        if key == "family.csv" and not os.path.exists(value):
-            raise ConfigError(f"family csv {value!r} does not exist")
 
 
 _PLOT_STYLES = {

@@ -154,6 +154,9 @@ def builtin_family(name: str, params: Sequence[float] = (),
         seed = int(p[0]) if len(p) > 0 else 0
         dim = int(p[1]) if len(p) > 1 else 3
         gamma = p[2] if len(p) > 2 else 0.2
+        if seed < 0 or dim < 1:
+            raise ConfigError("random_smooth needs seed p0 >= 0 and dim p1 >= 1, "
+                              f"got {seed} and {dim}")
         rng = np.random.default_rng(seed)
 
         def herm():

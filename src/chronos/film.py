@@ -50,7 +50,8 @@ class FilmSpace:
             raise DomainError("slot_times must be strictly increasing")
         if self.full_dim > MAX_FULL_DIM:
             raise ResourceError(
-                f"d^N = {self.base_dim}^{self.n_slots} exceeds {MAX_FULL_DIM}")
+                f"d^N = {self.base_dim}^{self.n_slots} exceeds {MAX_FULL_DIM} "
+                f"(base_dim {self.base_dim}, {self.n_slots} slots)")
 
     @property
     def n_slots(self) -> int:
@@ -144,7 +145,9 @@ class ExchangeOperator:
 
     def dense(self) -> np.ndarray:
         if self.film.full_dim > MAX_DENSE_DIM:
-            raise ResourceError("dense exchange capped at d^N <= 4096")
+            raise ResourceError(
+                f"dense exchange capped at d^N <= {MAX_DENSE_DIM}, got base_dim "
+                f"{self.film.base_dim} and {self.film.n_slots} slots")
         I = np.eye(self.film.full_dim, dtype=complex)
         return np.stack([self.apply(row) for row in I], axis=1)
 

@@ -129,13 +129,17 @@ def poisson_truncation(lam_t: float, tail_tol: float) -> int:
     """Smallest N with Poisson(lam_t) tail mass beyond N below tail_tol."""
     if not (lam_t > 0 and 0 < tail_tol < 1):
         raise ConfigError(f"need mean > 0, 0 < tail_tol < 1; got {lam_t}, {tail_tol}")
-    n = int(stats.poisson.ppf(1.0 - tail_tol, lam_t))
-    while stats.poisson.sf(n, lam_t) >= tail_tol:
-        n += 1
-        if n > MAX_POISSON_TERMS:
-            raise ResourceError(f"Poisson truncation exceeds {MAX_POISSON_TERMS}")
+    n = stats.poisson.ppf(1.0 - tail_tol, lam_t)
+    # ppf is inf once 1 - tail_tol rounds to 1; the answer then lies above
+    # the mean.  Starting at most one past the cap keeps both walks short.
+    n = int(min(lam_t if n == math.inf else n, MAX_POISSON_TERMS + 1))
     while n > 0 and stats.poisson.sf(n - 1, lam_t) < tail_tol:
         n -= 1
+    while n <= MAX_POISSON_TERMS and stats.poisson.sf(n, lam_t) >= tail_tol:
+        n += 1
+    if n > MAX_POISSON_TERMS:
+        raise ResourceError(f"the Poisson window at lambda*t = {lam_t:g} needs "
+                            f"more than {MAX_POISSON_TERMS} terms")
     return n
 
 
@@ -300,6 +304,9 @@ def _trial_keys(seed: int, trials: int) -> np.ndarray:
 def _gap_chunk(lam_t: float) -> int:
     """Gaps drawn per chunk: six standard deviations above the mean count,
     so a chunk that ends before t, and with it a refill, is rare."""
+    if lam_t > MAX_POISSON_TERMS:
+        raise ResourceError(f"lambda*t = {lam_t:g} expects more than "
+                            f"{MAX_POISSON_TERMS} arrivals per trial")
     return int(lam_t + 6.0 * math.sqrt(lam_t)) + 8
 
 

@@ -1,11 +1,13 @@
 import os
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chronos.cli import emit_plot_script, main, parse_config, run, selftest
+from chronos.cli import (_COMMON, _RUNNERS, emit_plot_script, main, parse_config,
+                         run, selftest)
 from chronos.errors import ConfigError
 
 
@@ -28,6 +30,11 @@ def test_parse_config_inline_comments_and_blanks():
 def test_parse_config_rejects_bare_lines():
     with pytest.raises(ConfigError):
         parse_config("not a key value pair\n")
+
+
+def test_parse_config_rejects_repeated_keys():
+    with pytest.raises(ConfigError, match="order is set on line 2 and again on line 4"):
+        parse_config("experiment = asymptotic\norder = 1\n\norder = 2\n")
 
 
 def test_run_asymptotic_experiment(tmp_path):
@@ -152,13 +159,19 @@ def test_run_smatrix_sweep_three_level(tmp_path):
     ("lambda-sweep", "horizon = 2"),
     ("monte-carlo", "interval = 1, 2"),
     ("monte-carlo", "horizon = 2"),
+    ("yosida", "interval = 0"),
+    ("yosida", "interval = 0, 1, 2"),
+    ("lambda-sweep", "timing = yes"),
+    ("asymptotic", "q.diag ="),
+    ("smatrix-sweep", "h0.diag ="),
 ])
 def test_run_malformed_number_is_config_error(tmp_path, capsys, experiment, line):
+    out = tmp_path / "bad.csv"
     cfg = write(tmp_path / "bad.cfg",
-                f"experiment = {experiment}\n{line}\n"
-                f"output = {tmp_path / 'bad.csv'}\n")
+                f"experiment = {experiment}\n{line}\noutput = {out}\n")
     assert run(cfg) == 2
-    assert line.split(" = ")[0] in capsys.readouterr().err
+    assert line.split("=")[0].strip() in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("experiment, line", [
@@ -172,6 +185,11 @@ def test_run_malformed_number_is_config_error(tmp_path, capsys, experiment, line
     ("asymptotic", "sweep.w = -0.1, 0.05"),
     ("asymptotic", "order = -2"),
     ("smatrix-sweep", "sweep.lambdas = 5, -20"),
+    ("monte-carlo", "lambda = inf"),
+    ("smatrix-sweep", "half_window = inf"),
+    ("dyson-convergence", "oracle_tol = nan"),
+    ("asymptotic", "sweep.w = 0.1"),
+    ("yosida", "sweep.z = 10"),
 ])
 def test_run_out_of_range_value_is_config_error(tmp_path, capsys, experiment,
                                                 line):
@@ -203,6 +221,62 @@ def test_run_rejects_keys_a_family_csv_replaces(tmp_path, capsys, line):
     assert run(cfg) == 2
     assert "family.csv replaces" in capsys.readouterr().err
     assert not out.exists()
+
+
+_NUMERIC_KEYS = [(name, key) for name, (_, keys) in _RUNNERS.items()
+                 for key, default in {**_COMMON, **keys}.items()
+                 if default in (int, float, tuple)
+                 or type(default) in (int, float, tuple)]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("experiment, key", _NUMERIC_KEYS)
+def test_run_non_finite_number_is_config_error(tmp_path, capsys, experiment, key,
+                                               value):
+    out = tmp_path / "bad.csv"
+    cfg = write(tmp_path / "bad.cfg",
+                f"experiment = {experiment}\n{key} = {value}\noutput = {out}\n")
+    assert run(cfg) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Each asks for more than a documented cap: the dense exchange operators of
+# d^N <= 4096, and Poisson windows and bubble counts of 10^6.
+@pytest.mark.parametrize("experiment, line, named", [
+    ("film-verify", "slots = 13", "slots"),
+    ("lambda-sweep", "sweep.lambdas = 10, 1e9", "lambda"),
+    ("smatrix-sweep", "sweep.lambdas = 10, 1e9", "lambda"),
+    ("monte-carlo", "lambda = 1e9", "lambda"),
+])
+def test_run_over_a_resource_cap_is_config_error(tmp_path, capsys, experiment,
+                                                 line, named):
+    out = tmp_path / "big.csv"
+    cfg = write(tmp_path / "big.cfg",
+                f"experiment = {experiment}\n{line}\noutput = {out}\n")
+    assert run(cfg) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_rejects_repeated_key(tmp_path, capsys):
+    out = tmp_path / "twice.csv"
+    cfg = write(tmp_path / "twice.cfg", f"experiment = asymptotic\n"
+                                        f"experiment = yosida\noutput = {out}\n")
+    assert run(cfg) == 2
+    assert "experiment is set on line 1 and again on line 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_key_list_matches_the_table():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        section = fh.read().split("### Config format\n", 1)[1].split("\n### ", 1)[0]
+    # Each key entry starts a bullet with its backquoted name before " — ".
+    heads = [line.split(" — ", 1)[0] for line in section.splitlines()
+             if line.startswith("- ")]
+    named = {key for head in heads for key in re.findall(r"`([^`]+)`", head)}
+    table = set(_COMMON).union(*(keys for _, keys in _RUNNERS.values()))
+    assert named == table
 
 
 # With q.diag given, asymptotic reads no family key.

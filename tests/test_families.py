@@ -59,7 +59,14 @@ def test_family_interval_validation():
 
 def test_zero_dimensional_family_rejected():
     with pytest.raises(DimensionError):
-        builtin_family("random_smooth", [0, 0])
+        GeneratorFamily(a=0.0, b=1.0, dim=0,
+                        evaluate_batch=lambda ts: np.zeros((len(ts), 0, 0)))
+
+
+@pytest.mark.parametrize("params", [[0, 0], [0, -2], [-1, 2]])
+def test_random_smooth_rejects_bad_seed_and_dim(params):
+    with pytest.raises(ConfigError, match="seed p0 >= 0 and dim p1 >= 1"):
+        builtin_family("random_smooth", params)
 
 
 def test_family_from_matrix_constant_integral():

@@ -3,7 +3,8 @@ import pytest
 import scipy.stats
 
 from chronos import path_sum
-from chronos.errors import ConfigError, ConsistencyError, DomainError
+from chronos.errors import (ConfigError, ConsistencyError, DomainError,
+                            ResourceError)
 from chronos.families import (SIGMA_X, SIGMA_Z, builtin_family,
                               family_from_evaluator, family_from_matrix,
                               integrate_family)
@@ -149,10 +150,29 @@ def test_poisson_truncation_direct_summation_value():
 
 
 def test_poisson_truncation_is_minimal():
-    for lam_t in (0.5, 3.0, 40.0):
-        n = poisson_truncation(lam_t, 1e-10)
-        assert scipy.stats.poisson.sf(n, lam_t) < 1e-10
-        assert n == 0 or scipy.stats.poisson.sf(n - 1, lam_t) >= 1e-10
+    # At tail_tol 1e-17 and 1e-30, 1 - tail_tol rounds to 1 and ppf is inf.
+    for lam_t, tail_tol in ((0.5, 1e-10), (3.0, 1e-10), (40.0, 1e-10),
+                            (5.0, 1e-17), (5.0, 1e-30)):
+        n = poisson_truncation(lam_t, tail_tol)
+        assert scipy.stats.poisson.sf(n, lam_t) < tail_tol
+        assert n == 0 or scipy.stats.poisson.sf(n - 1, lam_t) >= tail_tol
+
+
+def test_poisson_truncation_enforces_the_term_cap():
+    assert poisson_truncation(9e5, 1e-10) <= path_sum.MAX_POISSON_TERMS
+    # ppf lands near 1e9 for the first; the second has its mean below the
+    # cap and its window above it.
+    for lam_t in (1e9, 0.999e6):
+        with pytest.raises(ResourceError):
+            poisson_truncation(lam_t, 1e-10)
+
+
+def test_bubble_sampling_enforces_the_term_cap():
+    cfg = PathSumConfig(lam=1e9, t=1.0)
+    with pytest.raises(ResourceError):
+        sample_bubbles(cfg, trial_rng(0, 0))
+    with pytest.raises(ResourceError):
+        next(trial_arrivals(cfg, 1))
 
 
 def test_U_lambda_commuting_exact_for_every_rate():
