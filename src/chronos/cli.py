@@ -22,13 +22,14 @@ from .errors import ChronosError, ConfigError, ResourceError
 from .families import builtin_family, family_from_csv, integrate_family
 from .film import FilmSpace, commutation_check, embed, exchange, slot_operator_norm, verify_eq38
 from .linalg import matrix_exp, operator_norm
-from .path_sum import PathSumConfig, U_lambda, monte_carlo_U, trial_arrivals
+from .path_sum import PathSumConfig, U_lambda, bubble_counts, monte_carlo_U
 from .propagators import product_integral, taylor_partial_sum, dyson_terms
 from .quadrature import loglog_slope
 from .smatrix import SMatrixConfig, S_lambda, oracle_S
 
-def parse_config(text: str) -> dict:
-    """Flat key = value lines; '#' starts a comment; each key is set once."""
+def parse_config(text: str) -> tuple:
+    """Flat key = value lines; '#' starts a comment; each key is set once.
+    Returns (value of each key, line number of each key)."""
     cfg, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -42,7 +43,7 @@ def parse_config(text: str) -> dict:
             raise ConfigError(
                 f"{key} is set on line {lines[key]} and again on line {lineno}")
         cfg[key], lines[key] = value.strip(), lineno
-    return cfg
+    return cfg, lines
 
 
 # A key's parser follows from the type of its default in _RUNNERS; a type in
@@ -72,7 +73,8 @@ def _value(key: str, text: str, kind: type):
         raise ConfigError(f"interval must be two values a, b; got {text!r}")
     if key.endswith(".diag") and not value:
         raise ConfigError(f"{key} may not be empty")
-    if ((key.endswith("tol") or key in ("lambda", "z") or key.startswith("sweep."))
+    if ((key.endswith("tol") or key in ("lambda", "z", "half_window")
+         or key.startswith("sweep."))
             and min(numbers) <= 0):
         raise ConfigError(f"{key} must be > 0, got {text!r}")
     return value
@@ -80,7 +82,10 @@ def _value(key: str, text: str, kind: type):
 
 def _get_family(p: dict):
     if p["family.csv"] is not None:
-        return family_from_csv(p["family.csv"])
+        try:
+            return family_from_csv(p["family.csv"])
+        except OSError as exc:
+            raise ConfigError(f"family.csv: {exc}") from None
     return builtin_family(p["family.name"], p["family.params"], interval=p["interval"])
 
 
@@ -244,7 +249,7 @@ def _experiment_smatrix_sweep(p, digest):
     V = p["coupling"] * (J + J.T)
     T = p["half_window"]
     S_ref = oracle_S(SMatrixConfig(H0=H0, V=V, T=T)).U
-    report = Report(["lambda", "T", "n", "err_vs_oracle", "unitarity_defect",
+    report = Report(["lambda", "T", "err_vs_oracle", "unitarity_defect",
                      "seconds"], p["seed"], digest)
     errs = []
     for lam in p["sweep.lambdas"]:
@@ -253,7 +258,7 @@ def _experiment_smatrix_sweep(p, digest):
         err = float(np.linalg.norm(S - S_ref, 2))
         defect = float(np.linalg.norm(S.conj().T @ S - np.eye(S.shape[0]), 2))
         errs.append(err)
-        report.add(lam, T, p["order"], err, defect,
+        report.add(lam, T, err, defect,
                    time.perf_counter() - t0 if p["timing"] else 0.0)
     ok = all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
     return report, ok, f"S_lambda error strictly decreasing: {ok}"
@@ -264,7 +269,7 @@ def _experiment_monte_carlo(p, digest):
     t = _path_sum_horizon(p, fam)
     lam, draws = p["lambda"], p["count_draws"]
     ps = PathSumConfig(lam=lam, t=t, trials=p["trials"], seed=p["seed"])
-    counts = np.array([len(arrivals) for arrivals in trial_arrivals(ps, draws)])
+    counts = bubble_counts(ps, draws)
     mean = float(counts.mean())
     sigma = float(np.sqrt(lam * t / draws))
     res = monte_carlo_U(fam, ps)
@@ -303,8 +308,7 @@ _RUNNERS = {
         "base_dim": 2, "slots": 4, "z": 10.0, **_FAMILY}),
     "smatrix-sweep": (_experiment_smatrix_sweep, {
         "h0.diag": (1.0, -1.0), "coupling": 0.3, "half_window": 2.0,
-        "sweep.lambdas": _LAMBDAS, "tail_tol": 1e-10, "order": 0,
-        "timing": False}),
+        "sweep.lambdas": _LAMBDAS, "tail_tol": 1e-10, "timing": False}),
     "monte-carlo": (_experiment_monte_carlo, {
         "horizon": float, "lambda": 20.0, "trials": 500,
         "count_draws": 100000, "oracle_tol": 1e-9, **_FAMILY}),
@@ -322,7 +326,7 @@ def run(config_path: str) -> int:
         return 2
     digest = hashlib.sha256(text.encode()).hexdigest()[:16]
     try:
-        cfg = parse_config(text)
+        cfg, lines = parse_config(text)
         name = cfg.get("experiment")
         if name not in _RUNNERS:
             raise ConfigError(
@@ -331,7 +335,8 @@ def run(config_path: str) -> int:
         keys = {**_COMMON, **keys}
         unknown = sorted(set(cfg) - set(keys))
         if unknown:
-            raise ConfigError(f"{name} reads no key {', '.join(unknown)}")
+            raise ConfigError(f"{name} reads no key " + ", ".join(
+                f"{key} (line {lines[key]})" for key in unknown))
         for key, replaced in _REPLACES.items():
             clash = [k for k in replaced if key in cfg and k in cfg]
             if clash:
@@ -361,7 +366,7 @@ _PLOT_STYLES = {
     ("w", "residual_norm", "ratio"): ("w", ["residual_norm"], True),
     ("lambda", "n_max", "captured_mass", "err_raw", "err_normalized",
      "seconds"): ("lambda", ["err_raw", "err_normalized"], True),
-    ("lambda", "T", "n", "err_vs_oracle", "unitarity_defect", "seconds"):
+    ("lambda", "T", "err_vs_oracle", "unitarity_defect", "seconds"):
         ("lambda", ["err_vs_oracle", "unitarity_defect"], True),
     ("z", "q_gap", "exp_gap"): ("z", ["q_gap", "exp_gap"], True),
     ("order", "tail_norm", "classical_bound"):

@@ -8,8 +8,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ConsistencyError, DimensionError, DomainError
-from .linalg import as_matrix, dissipativity
+from .errors import (ConfigError, ConsistencyError, DimensionError, DomainError,
+                     ResourceError)
+from .linalg import MAX_DENSE_DIM, as_matrix, dissipativity
 from .quadrature import adaptive_quadrature, loglog_slope
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -157,6 +158,9 @@ def builtin_family(name: str, params: Sequence[float] = (),
         if seed < 0 or dim < 1:
             raise ConfigError("random_smooth needs seed p0 >= 0 and dim p1 >= 1, "
                               f"got {seed} and {dim}")
+        if dim > MAX_DENSE_DIM:
+            raise ResourceError(f"random_smooth dim p1 = {dim} exceeds the dense "
+                                f"cap of {MAX_DENSE_DIM}")
         rng = np.random.default_rng(seed)
 
         def herm():

@@ -14,25 +14,24 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, ResourceError
 from .families import GeneratorFamily, yosida_stack
-from .linalg import as_matrix
+from .linalg import MAX_DENSE_DIM, as_matrix
 
 MAX_FULL_DIM = 1 << 20
-MAX_DENSE_DIM = 4096
 
 
 def midpoint_edges(a: float, b: float, centers: np.ndarray) -> np.ndarray:
     """Cell edges for ordered centers: interior edges at midpoints.
 
     The first edge is a, the last is pinned to b so the cells always
-    partition [a, b].
+    partition [a, b].  Leading axes of centers are a batch of such rows.
     """
     centers = np.asarray(centers, dtype=float)
     if np.any(np.diff(centers) <= 0):
         raise DomainError("centers must be strictly increasing")
-    edges = np.empty(len(centers) + 1)
-    edges[0] = a
-    edges[-1] = b
-    edges[1:-1] = 0.5 * (centers[:-1] + centers[1:])
+    edges = np.empty(centers.shape[:-1] + (centers.shape[-1] + 1,))
+    edges[..., 0] = a
+    edges[..., -1] = b
+    edges[..., 1:-1] = 0.5 * (centers[..., :-1] + centers[..., 1:])
     return edges
 
 

@@ -13,6 +13,8 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, RangeError, SingularityError
 
+MAX_DENSE_DIM = 4096  # largest dimension materialized as a dense matrix
+
 # Diagonal Pade coefficients and backward-error thresholds (Higham 2005).
 _PADE_COEFFS = {
     3: (120.0, 60.0, 12.0, 1.0),
@@ -131,12 +133,23 @@ def matrix_exp(M) -> np.ndarray:
     return expm_stack(A[np.newaxis])[0]
 
 
+def _pade_choice(norm1: float) -> tuple:
+    """(Pade degree, squarings) for a stack of largest 1-norm norm1; degree
+    0 for the zero stack, whose exponential is the identity."""
+    if norm1 == 0.0:
+        return 0, 0
+    degree = next((m for m in (3, 5, 7, 9) if norm1 <= _PADE_THETA[m]), 13)
+    if not norm1 > _PADE_THETA[13]:
+        return degree, 0
+    return degree, int(np.ceil(np.log2(norm1 / _PADE_THETA[13])))
+
+
 def expm_stack(A: np.ndarray) -> np.ndarray:
     """exp(A) over a stack of square matrices, shape (..., d, d).
 
-    Scaling-and-squaring with a diagonal Pade approximant; the degree is
-    chosen from backward-error thresholds, the squaring count from the
-    largest 1-norm in the stack.
+    Scaling-and-squaring with a diagonal Pade approximant; _pade_choice
+    takes the degree and the squaring count from the largest 1-norm in the
+    stack.
     """
     A = np.asarray(A, dtype=complex)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
@@ -144,17 +157,10 @@ def expm_stack(A: np.ndarray) -> np.ndarray:
     d = A.shape[-1]
     eye = np.broadcast_to(np.eye(d, dtype=complex), A.shape)
     norm1 = float(np.max(np.sum(np.abs(A), axis=-2))) if A.size else 0.0
-    if norm1 == 0.0:
+    degree, s = _pade_choice(norm1)
+    if degree == 0:
         return eye.copy()
-
-    s = 0
-    degree = 13
-    for m in (3, 5, 7, 9):
-        if norm1 <= _PADE_THETA[m]:
-            degree = m
-            break
-    if degree == 13 and norm1 > _PADE_THETA[13]:
-        s = int(np.ceil(np.log2(norm1 / _PADE_THETA[13])))
+    if s:
         A = A * (0.5 ** s)
 
     b = _PADE_COEFFS[degree]

@@ -19,7 +19,7 @@ from scipy import stats
 from .errors import ConfigError, ConsistencyError, DomainError, ResourceError
 from .families import GeneratorFamily, _check_interval, integrate_family
 from .film import midpoint_edges
-from .linalg import expm_stack, matrix_exp
+from .linalg import _pade_choice, expm_stack, matrix_exp
 from .propagators import PropagatorResult, ordered_product
 from .quadrature import _GAUSS5_NODES, _GAUSS5_WEIGHTS
 
@@ -81,18 +81,19 @@ def partition_from_centers(t: float, centers: Sequence[float]) -> PartitionSchem
 
 def _cell_generators(f: GeneratorFamily, edges: np.ndarray) -> np.ndarray:
     """A_j = integral of H over cell j, concentrated at its bubble time, for
-    all cells at once: composite Gauss-5 per cell."""
-    _check_interval(f, edges[0], edges[-1])
-    n = len(edges) - 1
-    panels = max(1, -(-CELL_NODES // (5 * n)))
+    all cells at once: composite Gauss-5 per cell.  Edges (..., n + 1) give
+    cells (..., n, d, d); leading axes are a batch of partitions."""
+    _check_interval(f, np.min(edges[..., 0]), np.max(edges[..., -1]))
+    panels = max(1, -(-CELL_NODES // (5 * (edges.shape[-1] - 1))))
     sub = np.linspace(0.0, 1.0, panels + 1)
-    lo = edges[:-1, None] + np.diff(edges)[:, None] * sub[None, :-1]
-    width = np.diff(edges)[:, None] * (1.0 / panels)
+    widths = np.diff(edges)[..., None]
+    lo = edges[..., :-1, None] + widths * sub[:-1]
+    width = widths * (1.0 / panels)
     mid = lo + 0.5 * width
     nodes = (mid[..., None] + 0.5 * width[..., None] * _GAUSS5_NODES).reshape(-1)
-    H = f.evaluate_batch(nodes).reshape(n, panels, 5, f.dim, f.dim)
+    H = f.evaluate_batch(nodes).reshape(lo.shape + (5, f.dim, f.dim))
     w = 0.5 * width[..., None] * _GAUSS5_WEIGHTS
-    return np.einsum("cpq,cpqij->cij", w, H)
+    return np.einsum("...cpq,...cpqij->...cij", w, H)
 
 
 def U_n(f: GeneratorFamily, p: PartitionScheme) -> PropagatorResult:
@@ -326,12 +327,17 @@ def sample_bubbles(cfg: PathSumConfig, rng: np.random.Generator) -> np.ndarray:
     return s[:np.searchsorted(s, cfg.t, side="right")]
 
 
-def trial_arrivals(cfg: PathSumConfig, trials: int) -> Iterator[np.ndarray]:
-    """sample_bubbles(cfg, trial_rng(cfg.seed, k)) for k = 0 .. trials - 1.
+# Gaps drawn per block of trials: bounds its memory, whatever the trials.
+_COUNT_BLOCK = 2 ** 14
 
-    The same arrays, bit for bit, from one re-keyed Philox: all trial keys
-    are derived at once, and the first and last are checked against
-    SeedSequence itself so a change in numpy's seeding cannot go unnoticed.
+
+def _arrival_blocks(cfg: PathSumConfig, trials: int):
+    """(first trial, rows) per block of trials k < trials: row k - first is
+    the cumulative first gap chunk of trial_rng(cfg.seed, k), bit for bit.
+
+    One Philox is re-keyed per trial.  All keys are derived at once; the
+    first and last are checked against SeedSequence itself so a change in
+    numpy's seeding cannot go unnoticed.
     """
     if trials < 0:
         raise DomainError(f"need trials >= 0, got {trials}")
@@ -345,12 +351,37 @@ def trial_arrivals(cfg: PathSumConfig, trials: int) -> Iterator[np.ndarray]:
     bitgen = np.random.Philox(key=0)
     rng = np.random.Generator(bitgen)
     zeros = np.zeros(4, dtype=np.uint64)
-    for key in keys:
-        bitgen.state = {"bit_generator": "Philox",
-                        "state": {"counter": zeros, "key": key},
-                        "buffer": zeros, "buffer_pos": 4,
-                        "has_uint32": 0, "uinteger": 0}
-        yield sample_bubbles(cfg, rng)
+    # The setter copies the values, so one dict serves every trial.
+    state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": None},
+             "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    m = _gap_chunk(cfg.lam * cfg.t)
+    per_block = max(1, _COUNT_BLOCK // m)
+    for first in range(0, trials, per_block):
+        gaps = np.empty((min(per_block, trials - first), m))
+        for row, key in zip(gaps, keys[first:]):
+            state["state"]["key"] = key
+            bitgen.state = state
+            rng.standard_exponential(out=row)
+        yield first, np.cumsum(gaps * (1.0 / cfg.lam), axis=1)
+
+
+def trial_arrivals(cfg: PathSumConfig, trials: int) -> Iterator[np.ndarray]:
+    """sample_bubbles(cfg, trial_rng(cfg.seed, k)) for k < trials, bit for bit,
+    mostly as views of one shared block; a chunk ending before t calls it."""
+    for first, rows in _arrival_blocks(cfg, trials):
+        for k, s in enumerate(rows, first):
+            yield (s[:np.searchsorted(s, cfg.t, side="right")] if s[-1] > cfg.t
+                   else sample_bubbles(cfg, trial_rng(cfg.seed, k)))
+
+
+def bubble_counts(cfg: PathSumConfig, trials: int) -> np.ndarray:
+    """The lengths of trial_arrivals(cfg, trials), counted a block at a time."""
+    counts = [np.zeros(0, dtype=int)]
+    for first, rows in _arrival_blocks(cfg, trials):
+        counts.append((rows <= cfg.t).sum(axis=1))
+        for k in np.flatnonzero(rows[:, -1] <= cfg.t):
+            counts[-1][k] = len(sample_bubbles(cfg, trial_rng(cfg.seed, first + k)))
+    return np.concatenate(counts)
 
 
 def _check_trials(cfg: PathSumConfig):
@@ -358,24 +389,48 @@ def _check_trials(cfg: PathSumConfig):
         raise ConfigError(f"need trials >= 100, got {cfg.trials}")
 
 
+# Generator entries (about nodes times d^2) evaluated for one block of Monte
+# Carlo trials: bounds every work stack, whatever the trial count.
+_BLOCK_ENTRIES = 2 ** 20
+
+
+def _block_samples(f: GeneratorFamily, t: float, block: list, out: np.ndarray):
+    """out[k] = U_n of the partition from the arrivals block[k], the same
+    bits per trial: one cell stack per bubble count, exponentiated in one
+    stack per Pade class that expm_stack would choose for each trial alone."""
+    counts = np.array([len(arrivals) for arrivals in block])
+    for n in np.unique(counts):
+        group = np.flatnonzero(counts == n)
+        if n == 0:
+            out[group] = _U_for_count(f, t, 0)
+            continue
+        A = _cell_generators(f, midpoint_edges(0.0, t, [block[k] for k in group]))
+        classes = [_pade_choice(x) for x in np.abs(A).sum(axis=-2).max(axis=(-2, -1))]
+        for c in set(classes):
+            same = [i for i, other in enumerate(classes) if other == c]
+            A[same] = expm_stack(A[same])
+        out[group] = ordered_product(A)
+
+
 def monte_carlo_U(f: GeneratorFamily, cfg: PathSumConfig) -> PropagatorResult:
     """Sample mean of U over random bubble partitions.
 
     Entrywise standard errors of the mean are reported in extras; trials
     use independent counter-based streams so results are reproducible and
-    order-independent.
+    order-independent.  Trials run in blocks (see _block_samples).
     """
     _check_trials(cfg)
     _check_interval(f, 0.0, cfg.t)
-    d = f.dim
-    samples = np.empty((cfg.trials, d, d), dtype=complex)
+    samples = np.empty((cfg.trials, f.dim, f.dim), dtype=complex)
     counts = np.empty(cfg.trials, dtype=int)
+    block, entries = [], 0
     for trial, arrivals in enumerate(trial_arrivals(cfg, cfg.trials)):
         counts[trial] = len(arrivals)
-        if len(arrivals) == 0:
-            samples[trial] = _U_for_count(f, cfg.t, 0)
-        else:
-            samples[trial] = U_n(f, partition_from_centers(cfg.t, arrivals)).U
+        block.append(arrivals)
+        entries += max(5 * len(arrivals), CELL_NODES) * f.dim ** 2
+        if entries >= _BLOCK_ENTRIES or trial == cfg.trials - 1:
+            _block_samples(f, cfg.t, block, samples[trial + 1 - len(block):])
+            block, entries = [], 0
     se = np.sqrt((np.var(samples.real, axis=0) + np.var(samples.imag, axis=0))
                  / (cfg.trials - 1))
     return PropagatorResult(
@@ -395,8 +450,7 @@ def conditional_single_bubble_check(f: GeneratorFamily, cfg: PathSumConfig):
     """
     _check_trials(cfg)
     _check_interval(f, 0.0, cfg.t)
-    n_used = sum(len(arrivals) == 1
-                 for arrivals in trial_arrivals(cfg, cfg.trials))
+    n_used = int(np.count_nonzero(bubble_counts(cfg, cfg.trials) == 1))
     if n_used == 0:
         raise ConfigError("no trials with exactly one bubble; raise trials")
     one_cell = U_n(f, make_partition(cfg.t, 1)).U

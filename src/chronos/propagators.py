@@ -50,17 +50,20 @@ class DysonExpansion:
 
 
 def ordered_product(mats: np.ndarray) -> np.ndarray:
-    """mats[m-1] @ ... @ mats[0] by log-depth pairwise multiplication."""
+    """mats[m-1] @ ... @ mats[0] by log-depth pairwise multiplication.
+
+    The product runs along axis -3; leading axes are a batch of products.
+    """
     P = np.asarray(mats)
-    if P.shape[0] == 0:
-        return np.eye(P.shape[-1], dtype=complex)
-    while P.shape[0] > 1:
-        k = P.shape[0] // 2
-        Q = _matmul(P[1:2 * k:2], P[0:2 * k:2])
-        if P.shape[0] % 2:
-            Q = np.concatenate([Q, P[-1:]])
+    if P.shape[-3] == 0:
+        return np.zeros(P.shape[:-3] + P.shape[-2:], complex) + np.eye(P.shape[-1])
+    while P.shape[-3] > 1:
+        k = P.shape[-3] // 2
+        Q = _matmul(P[..., 1:2 * k:2, :, :], P[..., 0:2 * k:2, :, :])
+        if P.shape[-3] % 2:
+            Q = np.concatenate([Q, P[..., -1:, :, :]], axis=-3)
         P = Q
-    return P[0]
+    return P[..., 0, :, :]
 
 
 def product_integral(f: GeneratorFamily, s: float, t: float,

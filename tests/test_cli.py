@@ -18,13 +18,15 @@ def write(path, text):
 
 
 def test_parse_config_basic():
-    cfg = parse_config("experiment = yosida\nsweep.z = 10, 100\n# comment\n")
+    cfg, lines = parse_config("experiment = yosida\nsweep.z = 10, 100\n# comment\n")
     assert cfg == {"experiment": "yosida", "sweep.z": "10, 100"}
+    assert lines == {"experiment": 1, "sweep.z": 2}
 
 
 def test_parse_config_inline_comments_and_blanks():
-    cfg = parse_config("\nkey = value  # trailing\n\n")
+    cfg, lines = parse_config("\nkey = value  # trailing\n\n")
     assert cfg == {"key": "value"}
+    assert lines == {"key": 2}
 
 
 def test_parse_config_rejects_bare_lines():
@@ -88,6 +90,12 @@ def test_run_malformed_family_csv_is_config_error(tmp_path, capsys):
                 f"output = {tmp_path / 'bad.csv'}\n")
     assert run(cfg) == 2
     assert "line 3" in capsys.readouterr().err
+    cfg = write(tmp_path / "gone.cfg",
+                f"experiment = lambda-sweep\nfamily.csv = {tmp_path / 'nope.csv'}\n"
+                f"output = {tmp_path / 'gone.csv'}\n")
+    assert run(cfg) == 2
+    assert "config error: family.csv: " in capsys.readouterr().err
+    assert not (tmp_path / "gone.csv").exists()
 
 
 def test_run_missing_config_file():
@@ -113,7 +121,7 @@ def test_run_timing_off_by_default(tmp_path):
                 f"output = {out}\n")
     assert run(cfg) == 0
     lines = out.read_text().splitlines()
-    assert lines[1].split(",") == ["lambda", "T", "n", "err_vs_oracle",
+    assert lines[1].split(",") == ["lambda", "T", "err_vs_oracle",
                                    "unitarity_defect", "seconds"]
     for line in lines[2:]:
         assert line.split(",")[-1] == "0.0"
@@ -127,7 +135,7 @@ def test_run_smatrix_sweep_three_level(tmp_path):
                 f"experiment = smatrix-sweep\nh0.diag = 1, 0, -1\n"
                 f"sweep.lambdas = 5, 20, 80\noutput = {out}\n")
     assert run(cfg) == 0
-    errs = [float(line.split(",")[3]) for line in out.read_text().splitlines()[2:]]
+    errs = [float(line.split(",")[2]) for line in out.read_text().splitlines()[2:]]
     assert errs[2] < errs[1] < errs[0]
 
 
@@ -187,6 +195,7 @@ def test_run_malformed_number_is_config_error(tmp_path, capsys, experiment, line
     ("smatrix-sweep", "sweep.lambdas = 5, -20"),
     ("monte-carlo", "lambda = inf"),
     ("smatrix-sweep", "half_window = inf"),
+    ("smatrix-sweep", "half_window = 0"),
     ("dyson-convergence", "oracle_tol = nan"),
     ("asymptotic", "sweep.w = 0.1"),
     ("yosida", "sweep.z = 10"),
@@ -208,7 +217,7 @@ def test_run_rejects_misspelled_key(tmp_path, capsys, experiment):
                 f"experiment = {experiment}\nsweep.lambdas = 5, 20\n"
                 f"sweep.ww = 1\noutput = {out}\n")
     assert run(cfg) == 2
-    assert "sweep.ww" in capsys.readouterr().err
+    assert f"{experiment} reads no key sweep.ww (line 3)" in capsys.readouterr().err
     assert not out.exists()
 
 

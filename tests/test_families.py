@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from chronos.errors import ConfigError, DimensionError, DomainError
+from chronos.errors import ConfigError, DimensionError, DomainError, ResourceError
 from chronos.families import (SIGMA_X, SIGMA_Z, GeneratorFamily,
                               builtin_family, derivative_probe,
                               family_from_csv, family_from_evaluator,
@@ -67,6 +69,18 @@ def test_zero_dimensional_family_rejected():
 def test_random_smooth_rejects_bad_seed_and_dim(params):
     with pytest.raises(ConfigError, match="seed p0 >= 0 and dim p1 >= 1"):
         builtin_family("random_smooth", params)
+
+
+@pytest.mark.parametrize("dim", [4097, 100000])
+def test_random_smooth_dimension_cap_raises_before_allocating(dim):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match="dense cap of 4096"):
+            builtin_family("random_smooth", (0, dim))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_family_from_matrix_constant_integral():

@@ -8,10 +8,10 @@ from chronos.errors import (ConfigError, ConsistencyError, DomainError,
 from chronos.families import (SIGMA_X, SIGMA_Z, builtin_family,
                               family_from_evaluator, family_from_matrix,
                               integrate_family)
-from chronos.linalg import matrix_exp, operator_norm
+from chronos.linalg import _pade_choice, matrix_exp, operator_norm
 from chronos.path_sum import (PathSumConfig, U_lambda, U_n, _cell_generators,
-                              conditional_single_bubble_check, make_partition,
-                              monte_carlo_U, partition_from_centers,
+                              bubble_counts, conditional_single_bubble_check,
+                              make_partition, monte_carlo_U, partition_from_centers,
                               poisson_truncation, poisson_weight,
                               sample_bubbles, stieltjes_form, trial_arrivals,
                               trial_rng)
@@ -173,6 +173,8 @@ def test_bubble_sampling_enforces_the_term_cap():
         sample_bubbles(cfg, trial_rng(0, 0))
     with pytest.raises(ResourceError):
         next(trial_arrivals(cfg, 1))
+    with pytest.raises(ResourceError):
+        bubble_counts(cfg, 1)
 
 
 def test_U_lambda_commuting_exact_for_every_rate():
@@ -398,25 +400,90 @@ def test_trial_arrivals_rejects_wrong_derived_key(monkeypatch):
         list(trial_arrivals(PathSumConfig(lam=5.0, t=1.0, seed=3), 200))
 
 
-def test_monte_carlo_matches_per_trial_reference():
-    fam = builtin_family("two_level_driven")
-    cfg = PathSumConfig(lam=3.0, t=1.0, trials=120, seed=2026)
+def assert_monte_carlo_matches_reference(fam, cfg):
+    """monte_carlo_U equals the per-trial U_n samples bit for bit; returns
+    the Pade classes expm_stack chose for the trials on their own."""
     res = monte_carlo_U(fam, cfg)
-    samples, counts = [], []
+    samples, counts, classes = [], [], set()
     for k in range(cfg.trials):
         arrivals = one_gap_at_a_time(cfg, trial_rng(cfg.seed, k))
         counts.append(len(arrivals))
         if len(arrivals) == 0:
             samples.append(matrix_exp(integrate_family(fam, 0.0, cfg.t)))
-        else:
-            samples.append(U_n(fam, partition_from_centers(cfg.t, arrivals)).U)
+            continue
+        p = partition_from_centers(cfg.t, arrivals)
+        A = _cell_generators(fam, p.edges)
+        classes.add(_pade_choice(float(np.max(np.sum(np.abs(A), axis=-2)))))
+        samples.append(U_n(fam, p).U)
     samples = np.array(samples)
     se = np.sqrt((np.var(samples.real, axis=0) + np.var(samples.imag, axis=0))
                  / (cfg.trials - 1))
-    assert 0 in counts
     assert np.array_equal(res.extras["counts"], counts)
     assert np.array_equal(res.U, samples.mean(axis=0))
     assert np.array_equal(res.extras["stderr"], se)
+    return counts, classes
+
+
+def test_monte_carlo_matches_per_trial_reference():
+    families = [builtin_family("two_level_driven"),
+                builtin_family("damped_two_level"),
+                builtin_family("random_smooth", (3, 4, 0.2))]
+    for fam in families:
+        for lam in (0.5, 3.0, 20.0, 80.0):
+            cfg = PathSumConfig(lam=lam, t=1.0, trials=120, seed=2026)
+            counts, classes = assert_monte_carlo_matches_reference(fam, cfg)
+            if lam == 0.5:
+                assert 0 in counts
+            if lam == 3.0 and fam.dim == 2:
+                # One bubble count's stack mixes Pade classes.
+                assert len(classes) >= 2
+
+
+def test_monte_carlo_blocks_of_uneven_size(monkeypatch):
+    sizes = []
+    run_block = path_sum._block_samples
+
+    def recorded(f, t, block, out):
+        sizes.append(len(block))
+        run_block(f, t, block, out)
+
+    monkeypatch.setattr(path_sum, "_block_samples", recorded)
+    monkeypatch.setattr(path_sum, "_BLOCK_ENTRIES", 2000)
+    cfg = PathSumConfig(lam=20.0, t=1.0, trials=103, seed=5)
+    assert_monte_carlo_matches_reference(builtin_family("damped_two_level"), cfg)
+    assert sum(sizes) == 103 and len(sizes) > 2 and len(set(sizes)) > 1
+
+
+def assert_counts_match_per_trial_draws(cfg, trials):
+    expected = [len(sample_bubbles(cfg, trial_rng(cfg.seed, k)))
+                for k in range(trials)]
+    counts = bubble_counts(cfg, trials)
+    assert counts.dtype == np.array(expected).dtype
+    assert np.array_equal(counts, expected)
+
+
+@pytest.mark.parametrize("lam", [0.05, 1.0, 20.0, 40.0, 600.0])
+def test_bubble_counts_match_per_trial_draws(lam):
+    assert_counts_match_per_trial_draws(
+        PathSumConfig(lam=lam, t=1.0, seed=2 ** 32 + 5), 500)
+
+
+@pytest.mark.parametrize("chunk, block", [(1, 2 ** 14), (3, 2 ** 14), (None, 7),
+                                          (3, 7), (None, 200)])
+def test_bubble_counts_refill_and_block_edges(monkeypatch, chunk, block):
+    # A chunk of 1 or 3 gaps ends before t in almost every row; a budget of
+    # 7 or 200 gaps leaves 1 to 3 rows per block, and 500 is no multiple of 3.
+    if chunk is not None:
+        monkeypatch.setattr(path_sum, "_gap_chunk", lambda lam_t: chunk)
+    monkeypatch.setattr(path_sum, "_COUNT_BLOCK", block)
+    assert_counts_match_per_trial_draws(PathSumConfig(lam=20.0, t=1.0, seed=9), 500)
+
+
+def test_bubble_counts_of_no_trials():
+    cfg = PathSumConfig(lam=5.0, t=1.0)
+    assert bubble_counts(cfg, 0).shape == (0,)
+    with pytest.raises(DomainError):
+        bubble_counts(cfg, -1)
 
 
 def test_sample_bubbles_bounds_and_order():
