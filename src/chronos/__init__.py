@@ -29,11 +29,11 @@ from .film import (ExchangeOperator, FilmIntegralOperator, FilmSpace,
                    SlotOperator, commutation_check, embed, exchange, film_Q,
                    midpoint_edges, slot_operator_norm, verify_eq35,
                    verify_eq38)
-from .path_sum import (PartitionScheme, PathSumConfig, U_lambda, U_n,
+from .path_sum import (PathSumConfig, U_lambda, U_n,
                        conditional_single_bubble_check, make_partition,
-                       monte_carlo_U, partition_from_centers, poisson_weight,
-                       poisson_mixture, poisson_truncation, sample_bubbles,
-                       stieltjes_form, trial_rng)
+                       monte_carlo_U, poisson_weight, poisson_mixture,
+                       poisson_truncation, sample_bubbles, stieltjes_form,
+                       trial_rng)
 from .smatrix import (SMatrixConfig, S_lambda, S_n_experimental,
                       dyson_S_expansion, energy_shift_identity, fixed_dt_S,
                       interaction_generator, oracle_S)

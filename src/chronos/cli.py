@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .errors import ChronosError, ConfigError, ResourceError
+from .errors import ChronosError, ConfigError, RangeError, ResourceError
 from .families import builtin_family, family_from_csv, integrate_family
 from .film import FilmSpace, commutation_check, embed, exchange, slot_operator_norm, verify_eq38
 from .linalg import matrix_exp, operator_norm
@@ -113,9 +113,9 @@ class Report:
     def add(self, *values):
         if len(values) != len(self.columns):
             raise ConfigError("row width does not match the report schema")
-        for v in values:
+        for column, v in zip(self.columns, values):
             if isinstance(v, float) and not np.isfinite(v):
-                raise ConfigError("refusing to emit a non-finite value")
+                raise RangeError(f"refusing to emit the non-finite {column} = {v}")
         self.rows.append(values)
 
     def write(self, path):

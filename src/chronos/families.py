@@ -140,12 +140,14 @@ def builtin_family(name: str, params: Sequence[float] = (),
         gamma = (p[3] if len(p) > 3 else 0.5) if name == "damped_two_level" else 0.0
 
         def batch(ts):
+            # -1j (delta sigma_z + drive sigma_x) - gamma I entry by entry; delta
+            # * 0.0 gives a zero drive the sign its sum with delta sigma_z had.
             ts = np.atleast_1d(ts)
-            drive = amp * np.sin(freq * ts)
-            out = (-1j) * (delta * SIGMA_Z[None] +
-                           drive[:, None, None] * SIGMA_X[None])
-            if gamma:
-                out = out - gamma * np.eye(2)[None]
+            out = np.zeros((len(ts), 2, 2), dtype=complex)
+            out.real[:, 0, 0] = out.real[:, 1, 1] = 0.0 - gamma
+            out.imag[:, 0, 0], out.imag[:, 1, 1] = -delta, delta
+            out.imag[:, 0, 1] = out.imag[:, 1, 0] = -(
+                delta * 0.0 + amp * np.sin(freq * ts))
             return out
 
         return GeneratorFamily(a=a, b=b, dim=2, evaluate_batch=batch,

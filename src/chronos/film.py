@@ -150,10 +150,6 @@ class ExchangeOperator:
         I = np.eye(self.film.full_dim, dtype=complex)
         return np.stack([self.apply(row) for row in I], axis=1)
 
-    def conjugate_apply(self, op_apply, v: np.ndarray) -> np.ndarray:
-        """(E op E^{-1}) v; the swap is an involution."""
-        return self.apply(op_apply(self.apply(v)))
-
 
 def exchange(j: int, k: int, film: FilmSpace) -> ExchangeOperator:
     return ExchangeOperator(film, j, k)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebvander
@@ -48,35 +48,13 @@ class PathSumConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
-@dataclass(frozen=True)
-class PartitionScheme:
-    """Bubble centers with their midpoint cells partitioning [0, t]."""
-
-    centers: np.ndarray
-    edges: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.centers)
-
-    @property
-    def widths(self) -> np.ndarray:
-        return np.diff(self.edges)
-
-
-def make_partition(t: float, n: int) -> PartitionScheme:
-    """Equally spaced centers j t / n with midpoint cell edges."""
+def make_partition(t: float, n: int) -> np.ndarray:
+    """Midpoint cell edges (n + 1,) of the equally spaced centers j t / n."""
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     if not t > 0:
         raise DomainError(f"need t > 0, got {t}")
-    centers = t * np.arange(1, n + 1) / n
-    return PartitionScheme(centers=centers, edges=midpoint_edges(0.0, t, centers))
-
-
-def partition_from_centers(t: float, centers: Sequence[float]) -> PartitionScheme:
-    centers = np.asarray(centers, dtype=float)
-    return PartitionScheme(centers=centers, edges=midpoint_edges(0.0, t, centers))
+    return midpoint_edges(0.0, t, t * np.arange(1, n + 1) / n)
 
 
 def _cell_generators(f: GeneratorFamily, edges: np.ndarray) -> np.ndarray:
@@ -96,11 +74,21 @@ def _cell_generators(f: GeneratorFamily, edges: np.ndarray) -> np.ndarray:
     return np.einsum("...cpq,...cpqij->...cij", w, H)
 
 
-def U_n(f: GeneratorFamily, p: PartitionScheme) -> PropagatorResult:
-    """Ordered product of per-cell exponentials exp(A_n) ... exp(A_1)."""
-    A = _cell_generators(f, p.edges)
-    U = ordered_product(expm_stack(A))
-    return PropagatorResult(U=U, step_count=p.n)
+def U_n(f: GeneratorFamily, edges: np.ndarray) -> PropagatorResult:
+    """Ordered product of per-cell exponentials exp(A_n) ... exp(A_1) over the
+    cells between edges (n + 1,).  A batch of edges (B, n + 1) gives U of
+    shape (B, d, d), each row the same bits as alone: a row is exponentiated
+    in the Pade class expm_stack would choose from its own largest 1-norm.
+    step_count is the number of cells exponentiated."""
+    A = _cell_generators(f, edges)
+    if A.ndim == 3:
+        A = expm_stack(A)
+    else:
+        classes = [_pade_choice(x) for x in np.abs(A).sum(axis=-2).max(axis=(-2, -1))]
+        for c in set(classes):
+            same = [i for i, other in enumerate(classes) if other == c]
+            A[same] = expm_stack(A[same])
+    return PropagatorResult(U=ordered_product(A), step_count=A.size // f.dim ** 2)
 
 
 def _U_for_count(f: GeneratorFamily, t: float, n: int) -> np.ndarray:
@@ -327,13 +315,16 @@ def sample_bubbles(cfg: PathSumConfig, rng: np.random.Generator) -> np.ndarray:
     return s[:np.searchsorted(s, cfg.t, side="right")]
 
 
-# Gaps drawn per block of trials: bounds its memory, whatever the trials.
+# Gaps drawn per block of bubble_counts trials: bounds its memory, whatever the trials.
 _COUNT_BLOCK = 2 ** 14
 
 
-def _arrival_blocks(cfg: PathSumConfig, trials: int):
-    """(first trial, rows) per block of trials k < trials: row k - first is
-    the cumulative first gap chunk of trial_rng(cfg.seed, k), bit for bit.
+def _arrival_blocks(cfg: PathSumConfig, trials: int, per_block: int):
+    """(first trial, rows) per block of up to per_block trials k < trials:
+    row k - first holds the cumulative gaps of trial_rng(cfg.seed, k), bit for
+    bit, and every row reaches past t.  A block with a row that ends at or
+    before t is drawn again at twice the width: gaps and their sums run in
+    order, so its arrivals up to t equal those of sample_bubbles.
 
     One Philox is re-keyed per trial.  All keys are derived at once; the
     first and last are checked against SeedSequence itself so a change in
@@ -355,33 +346,28 @@ def _arrival_blocks(cfg: PathSumConfig, trials: int):
     state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": None},
              "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     m = _gap_chunk(cfg.lam * cfg.t)
-    per_block = max(1, _COUNT_BLOCK // m)
     for first in range(0, trials, per_block):
-        gaps = np.empty((min(per_block, trials - first), m))
-        for row, key in zip(gaps, keys[first:]):
-            state["state"]["key"] = key
-            bitgen.state = state
-            rng.standard_exponential(out=row)
-        yield first, np.cumsum(gaps * (1.0 / cfg.lam), axis=1)
-
-
-def trial_arrivals(cfg: PathSumConfig, trials: int) -> Iterator[np.ndarray]:
-    """sample_bubbles(cfg, trial_rng(cfg.seed, k)) for k < trials, bit for bit,
-    mostly as views of one shared block; a chunk ending before t calls it."""
-    for first, rows in _arrival_blocks(cfg, trials):
-        for k, s in enumerate(rows, first):
-            yield (s[:np.searchsorted(s, cfg.t, side="right")] if s[-1] > cfg.t
-                   else sample_bubbles(cfg, trial_rng(cfg.seed, k)))
+        block, width = keys[first:first + per_block], m
+        while True:
+            gaps = np.empty((len(block), width))
+            for row, key in zip(gaps, block):
+                state["state"]["key"] = key
+                bitgen.state = state
+                rng.standard_exponential(out=row)
+            rows = np.cumsum(gaps * (1.0 / cfg.lam), axis=1)
+            if rows[:, -1].min() > cfg.t:
+                break
+            width *= 2
+        yield first, rows
 
 
 def bubble_counts(cfg: PathSumConfig, trials: int) -> np.ndarray:
-    """The lengths of trial_arrivals(cfg, trials), counted a block at a time."""
-    counts = [np.zeros(0, dtype=int)]
-    for first, rows in _arrival_blocks(cfg, trials):
-        counts.append((rows <= cfg.t).sum(axis=1))
-        for k in np.flatnonzero(rows[:, -1] <= cfg.t):
-            counts[-1][k] = len(sample_bubbles(cfg, trial_rng(cfg.seed, first + k)))
-    return np.concatenate(counts)
+    """len(sample_bubbles(cfg, trial_rng(cfg.seed, k))) for k < trials,
+    counted a block of about _COUNT_BLOCK gaps at a time."""
+    per_block = max(1, _COUNT_BLOCK // _gap_chunk(cfg.lam * cfg.t))
+    return np.concatenate([np.zeros(0, dtype=int)] + [
+        (rows <= cfg.t).sum(axis=1)
+        for _, rows in _arrival_blocks(cfg, trials, per_block)])
 
 
 def _check_trials(cfg: PathSumConfig):
@@ -394,43 +380,27 @@ def _check_trials(cfg: PathSumConfig):
 _BLOCK_ENTRIES = 2 ** 20
 
 
-def _block_samples(f: GeneratorFamily, t: float, block: list, out: np.ndarray):
-    """out[k] = U_n of the partition from the arrivals block[k], the same
-    bits per trial: one cell stack per bubble count, exponentiated in one
-    stack per Pade class that expm_stack would choose for each trial alone."""
-    counts = np.array([len(arrivals) for arrivals in block])
-    for n in np.unique(counts):
-        group = np.flatnonzero(counts == n)
-        if n == 0:
-            out[group] = _U_for_count(f, t, 0)
-            continue
-        A = _cell_generators(f, midpoint_edges(0.0, t, [block[k] for k in group]))
-        classes = [_pade_choice(x) for x in np.abs(A).sum(axis=-2).max(axis=(-2, -1))]
-        for c in set(classes):
-            same = [i for i, other in enumerate(classes) if other == c]
-            A[same] = expm_stack(A[same])
-        out[group] = ordered_product(A)
-
-
 def monte_carlo_U(f: GeneratorFamily, cfg: PathSumConfig) -> PropagatorResult:
     """Sample mean of U over random bubble partitions.
 
     Entrywise standard errors of the mean are reported in extras; trials
     use independent counter-based streams so results are reproducible and
-    order-independent.  Trials run in blocks (see _block_samples).
+    order-independent.  Trials run in blocks of _arrival_blocks rows, with
+    one batched U_n call per bubble count in a block.
     """
     _check_trials(cfg)
     _check_interval(f, 0.0, cfg.t)
+    entries = max(5 * _gap_chunk(cfg.lam * cfg.t), CELL_NODES) * f.dim ** 2
     samples = np.empty((cfg.trials, f.dim, f.dim), dtype=complex)
     counts = np.empty(cfg.trials, dtype=int)
-    block, entries = [], 0
-    for trial, arrivals in enumerate(trial_arrivals(cfg, cfg.trials)):
-        counts[trial] = len(arrivals)
-        block.append(arrivals)
-        entries += max(5 * len(arrivals), CELL_NODES) * f.dim ** 2
-        if entries >= _BLOCK_ENTRIES or trial == cfg.trials - 1:
-            _block_samples(f, cfg.t, block, samples[trial + 1 - len(block):])
-            block, entries = [], 0
+    for first, rows in _arrival_blocks(cfg, cfg.trials,
+                                       max(1, _BLOCK_ENTRIES // entries)):
+        n_of = counts[first:first + len(rows)] = (rows <= cfg.t).sum(axis=1)
+        out = samples[first:first + len(rows)]
+        for n in np.unique(n_of):
+            group = n_of == n
+            out[group] = (U_n(f, midpoint_edges(0.0, cfg.t, rows[group, :n])).U
+                          if n else _U_for_count(f, cfg.t, 0))
     se = np.sqrt((np.var(samples.real, axis=0) + np.var(samples.imag, axis=0))
                  / (cfg.trials - 1))
     return PropagatorResult(

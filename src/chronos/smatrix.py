@@ -16,9 +16,9 @@ from .errors import ConfigError, DomainError
 from .families import GeneratorFamily, classify_evaluator, integrate_family
 from .film import midpoint_edges
 from .linalg import as_matrix, expm_stack, matrix_exp
-from .path_sum import PartitionScheme, U_n, _cell_generators, poisson_mixture
-from .propagators import (DysonExpansion, PropagatorResult, dyson_terms,
-                          ordered_product, product_integral, remainder_42)
+from .path_sum import U_n, _cell_generators, poisson_mixture
+from .propagators import (DysonExpansion, PropagatorResult, dyson_expansion,
+                          ordered_product, product_integral)
 
 
 @dataclass(frozen=True)
@@ -90,10 +90,10 @@ def interaction_generator(cfg: SMatrixConfig) -> GeneratorFamily:
                    evaluate_batch=lambda ts: rotate(fam.evaluate_batch(ts)))
 
 
-def _window_partition(cfg: SMatrixConfig, n: int) -> PartitionScheme:
+def _window_partition(cfg: SMatrixConfig, n: int) -> np.ndarray:
+    """Midpoint cell edges of the equally spaced centers -T + 2 T j / n."""
     centers = -cfg.T + 2.0 * cfg.T * np.arange(1, n + 1) / n
-    return PartitionScheme(centers=centers,
-                           edges=midpoint_edges(-cfg.T, cfg.T, centers))
+    return midpoint_edges(-cfg.T, cfg.T, centers)
 
 
 def oracle_S(cfg: SMatrixConfig, tol: float = 1e-10) -> PropagatorResult:
@@ -144,10 +144,10 @@ def energy_shift_identity(cfg: SMatrixConfig, n: int) -> float:
         shifted = matrix_exp(-cfg.lam * 2.0 * cfg.T * eye)
         return float(np.linalg.norm(np.exp(-two_lam_T) * eye - shifted, 2))
     fam, _ = _eigen_frame(cfg)  # the residual's 2-norm is basis-independent
-    p = _window_partition(cfg, n)
-    A = _cell_generators(fam, p.edges)
-    plain = ordered_product(expm_stack(A))
-    shifted_cells = A - cfg.lam * p.widths[:, None, None] * eye[None]
+    edges = _window_partition(cfg, n)
+    plain = U_n(fam, edges).U
+    shifted_cells = (_cell_generators(fam, edges)
+                     - cfg.lam * np.diff(edges)[:, None, None] * eye[None])
     shifted = ordered_product(expm_stack(shifted_cells))
     return float(np.linalg.norm(np.exp(-two_lam_T) * plain - shifted, 2))
 
@@ -165,9 +165,7 @@ def fixed_dt_S(cfg: SMatrixConfig) -> np.ndarray:
         raise ConfigError(
             f"2*T*lambda = {m_float} must be a positive integer for fixed-step cells")
     fam, rotate = _eigen_frame(cfg)
-    edges = np.linspace(-cfg.T, cfg.T, m + 1)
-    A = _cell_generators(fam, edges)
-    return rotate(ordered_product(expm_stack(A)))
+    return rotate(U_n(fam, np.linspace(-cfg.T, cfg.T, m + 1)).U)
 
 
 def dyson_S_expansion(cfg: SMatrixConfig, n: int,
@@ -177,7 +175,4 @@ def dyson_S_expansion(cfg: SMatrixConfig, n: int,
     The interaction generator already carries (-i/hbar)^k into the k-th
     term; partial sum plus remainder reproduces the oracle S.
     """
-    fam = interaction_generator(cfg)
-    terms = dyson_terms(fam, -cfg.T, cfg.T, n, grid).terms
-    R = remainder_42(fam, -cfg.T, cfg.T, n, 1.0, grid)
-    return DysonExpansion(terms=terms, remainder=R)
+    return dyson_expansion(interaction_generator(cfg), -cfg.T, cfg.T, n, 1.0, grid)

@@ -268,6 +268,17 @@ def test_run_over_a_resource_cap_is_config_error(tmp_path, capsys, experiment,
     assert not out.exists()
 
 
+def test_run_non_finite_result_is_an_invariant_violation(tmp_path, capsys):
+    # At delta = 800 the classical bound of the constant family overflows.
+    out = tmp_path / "inf.csv"
+    cfg = write(tmp_path / "inf.cfg",
+                "experiment = dyson-convergence\nfamily.name = constant\n"
+                f"family.params = 800\noutput = {out}\n")
+    assert run(cfg) == 1
+    assert "non-finite classical_bound = inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_rejects_repeated_key(tmp_path, capsys):
     out = tmp_path / "twice.csv"
     cfg = write(tmp_path / "twice.cfg", f"experiment = asymptotic\n"

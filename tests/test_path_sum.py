@@ -9,11 +9,11 @@ from chronos.families import (SIGMA_X, SIGMA_Z, builtin_family,
                               family_from_evaluator, family_from_matrix,
                               integrate_family)
 from chronos.linalg import _pade_choice, matrix_exp, operator_norm
+from chronos.film import midpoint_edges
 from chronos.path_sum import (PathSumConfig, U_lambda, U_n, _cell_generators,
                               bubble_counts, conditional_single_bubble_check,
-                              make_partition, monte_carlo_U, partition_from_centers,
-                              poisson_truncation, poisson_weight,
-                              sample_bubbles, stieltjes_form, trial_arrivals,
+                              make_partition, monte_carlo_U, poisson_truncation,
+                              poisson_weight, sample_bubbles, stieltjes_form,
                               trial_rng)
 from chronos.propagators import product_integral
 from chronos.quadrature import loglog_slope
@@ -31,20 +31,18 @@ def test_config_validation():
 
 
 def test_single_cell_partition():
-    p = make_partition(1.0, 1)
-    assert np.allclose(p.centers, [1.0])
-    assert np.allclose(p.edges, [0.0, 1.0])
+    assert np.array_equal(make_partition(1.0, 1), [0.0, 1.0])
 
 
 def test_two_cell_partition():
-    p = make_partition(1.0, 2)
-    assert np.allclose(p.centers, [0.5, 1.0])
-    assert np.allclose(p.edges, [0.0, 0.75, 1.0])
+    # Centers 0.5 and 1.0: one interior edge at their midpoint.
+    assert np.array_equal(make_partition(1.0, 2), [0.0, 0.75, 1.0])
 
 
 def test_partition_widths_telescope():
-    p = make_partition(3.0, 10 ** 4)
-    assert np.sum(p.widths) == pytest.approx(3.0, abs=1e-12)
+    edges = make_partition(3.0, 10 ** 4)
+    assert edges.shape == (10 ** 4 + 1,)
+    assert np.sum(np.diff(edges)) == pytest.approx(3.0, abs=1e-12)
 
 
 def test_partition_validation():
@@ -56,10 +54,10 @@ def test_partition_validation():
 
 def test_cell_generator_constant_family():
     fam = family_from_matrix(-1j * SIGMA_Z)
-    p = make_partition(1.0, 4)
-    A = _cell_generators(fam, p.edges)
-    for j in range(4):
-        assert np.allclose(A[j], p.widths[j] * (-1j * SIGMA_Z), atol=1e-12)
+    edges = make_partition(1.0, 4)
+    A = _cell_generators(fam, edges)
+    for j, width in enumerate(np.diff(edges)):
+        assert np.allclose(A[j], width * (-1j * SIGMA_Z), atol=1e-12)
 
 
 def test_cell_generator_linear_family():
@@ -70,7 +68,7 @@ def test_cell_generator_linear_family():
 
 def test_cell_generators_sum_to_full_integral():
     fam = builtin_family("two_level_driven")
-    total = _cell_generators(fam, make_partition(1.0, 7).edges).sum(axis=0)
+    total = _cell_generators(fam, make_partition(1.0, 7)).sum(axis=0)
     assert np.linalg.norm(total - integrate_family(fam, 0.0, 1.0), 2) <= 2e-10
 
 
@@ -172,7 +170,7 @@ def test_bubble_sampling_enforces_the_term_cap():
     with pytest.raises(ResourceError):
         sample_bubbles(cfg, trial_rng(0, 0))
     with pytest.raises(ResourceError):
-        next(trial_arrivals(cfg, 1))
+        next(path_sum._arrival_blocks(cfg, 1, 1))
     with pytest.raises(ResourceError):
         bubble_counts(cfg, 1)
 
@@ -360,8 +358,18 @@ def test_trial_keys_match_seed_sequence(seed):
         assert np.array_equal(keys[k], expected)
 
 
-def assert_arrivals_match_reference(cfg, trials):
-    got = list(trial_arrivals(cfg, trials))
+def block_arrivals(cfg, trials, per_block):
+    """The rows of _arrival_blocks, cut at t; checks every row passes t."""
+    got = []
+    for first, rows in path_sum._arrival_blocks(cfg, trials, per_block):
+        assert first == len(got) and len(rows) <= per_block
+        assert np.all(rows[:, -1] > cfg.t)
+        got += [s[:np.searchsorted(s, cfg.t, side="right")] for s in rows]
+    return got
+
+
+def assert_arrivals_match_reference(cfg, trials, per_block):
+    got = block_arrivals(cfg, trials, per_block)
     assert len(got) == trials
     for k, arrivals in enumerate(got):
         expected = one_gap_at_a_time(cfg, trial_rng(cfg.seed, k))
@@ -376,15 +384,16 @@ def assert_arrivals_match_reference(cfg, trials):
 @pytest.mark.parametrize("lam", [0.05, 1.0, 20.0, 40.0, 600.0])
 def test_trial_arrivals_match_per_trial_streams(lam):
     got = assert_arrivals_match_reference(
-        PathSumConfig(lam=lam, t=1.0, seed=2 ** 32 + 5), 500)
+        PathSumConfig(lam=lam, t=1.0, seed=2 ** 32 + 5), 500, 64)
     if lam <= 1.0:
         assert any(len(a) == 0 for a in got)
 
 
 @pytest.mark.parametrize("chunk", [1, 3])
 def test_trial_arrivals_refill_matches(monkeypatch, chunk):
+    # Almost every block redraws, some several times; 500 is no multiple of 7.
     monkeypatch.setattr(path_sum, "_gap_chunk", lambda lam_t: chunk)
-    assert_arrivals_match_reference(PathSumConfig(lam=20.0, t=1.0, seed=9), 500)
+    assert_arrivals_match_reference(PathSumConfig(lam=20.0, t=1.0, seed=9), 500, 7)
 
 
 def test_trial_arrivals_rejects_wrong_derived_key(monkeypatch):
@@ -397,7 +406,7 @@ def test_trial_arrivals_rejects_wrong_derived_key(monkeypatch):
 
     monkeypatch.setattr(path_sum, "_trial_keys", off_by_one_bit)
     with pytest.raises(ConsistencyError):
-        list(trial_arrivals(PathSumConfig(lam=5.0, t=1.0, seed=3), 200))
+        block_arrivals(PathSumConfig(lam=5.0, t=1.0, seed=3), 200, 64)
 
 
 def assert_monte_carlo_matches_reference(fam, cfg):
@@ -411,10 +420,10 @@ def assert_monte_carlo_matches_reference(fam, cfg):
         if len(arrivals) == 0:
             samples.append(matrix_exp(integrate_family(fam, 0.0, cfg.t)))
             continue
-        p = partition_from_centers(cfg.t, arrivals)
-        A = _cell_generators(fam, p.edges)
+        edges = midpoint_edges(0.0, cfg.t, arrivals)
+        A = _cell_generators(fam, edges)
         classes.add(_pade_choice(float(np.max(np.sum(np.abs(A), axis=-2)))))
-        samples.append(U_n(fam, p).U)
+        samples.append(U_n(fam, edges).U)
     samples = np.array(samples)
     se = np.sqrt((np.var(samples.real, axis=0) + np.var(samples.imag, axis=0))
                  / (cfg.trials - 1))
@@ -441,17 +450,34 @@ def test_monte_carlo_matches_per_trial_reference():
 
 def test_monte_carlo_blocks_of_uneven_size(monkeypatch):
     sizes = []
-    run_block = path_sum._block_samples
+    blocks = path_sum._arrival_blocks
 
-    def recorded(f, t, block, out):
-        sizes.append(len(block))
-        run_block(f, t, block, out)
+    def recorded(cfg, trials, per_block):
+        for first, rows in blocks(cfg, trials, per_block):
+            sizes.append(len(rows))
+            yield first, rows
 
-    monkeypatch.setattr(path_sum, "_block_samples", recorded)
-    monkeypatch.setattr(path_sum, "_BLOCK_ENTRIES", 2000)
+    monkeypatch.setattr(path_sum, "_arrival_blocks", recorded)
+    monkeypatch.setattr(path_sum, "_BLOCK_ENTRIES", 2 ** 14)
     cfg = PathSumConfig(lam=20.0, t=1.0, trials=103, seed=5)
     assert_monte_carlo_matches_reference(builtin_family("damped_two_level"), cfg)
-    assert sum(sizes) == 103 and len(sizes) > 2 and len(set(sizes)) > 1
+    # 2^14 entries over 5 * 54 nodes of 2 x 2 entries: 15 trials per block.
+    assert path_sum._gap_chunk(20.0) == 54
+    assert sizes == [15] * 6 + [13]
+
+
+def test_batched_U_n_matches_row_by_row():
+    fam = builtin_family("two_level_driven")
+    cfg = PathSumConfig(lam=3.0, t=1.0, seed=2026)
+    rows = [one_gap_at_a_time(cfg, trial_rng(cfg.seed, k)) for k in range(300)]
+    edges = np.array([midpoint_edges(0.0, cfg.t, r) for r in rows if len(r) == 3])
+    batch = U_n(fam, edges)
+    classes = {_pade_choice(float(np.max(np.sum(np.abs(A), axis=-2))))
+               for A in _cell_generators(fam, edges)}
+    assert len(classes) >= 2
+    assert batch.U.shape == (len(edges), 2, 2)
+    assert batch.step_count == 3 * len(edges)
+    assert np.array_equal(batch.U, [U_n(fam, e).U for e in edges])
 
 
 def assert_counts_match_per_trial_draws(cfg, trials):
@@ -590,7 +616,7 @@ def test_conditional_single_bubble_matches_quadrature():
 
 
 def test_partition_from_centers_handles_arbitrary_times():
-    p = partition_from_centers(2.0, [0.3, 1.1, 1.9])
-    assert p.edges[0] == 0.0
-    assert p.edges[-1] == 2.0
-    assert np.allclose(p.edges[1:-1], [0.7, 1.5])
+    edges = midpoint_edges(0.0, 2.0, [0.3, 1.1, 1.9])
+    assert edges[0] == 0.0
+    assert edges[-1] == 2.0
+    assert np.allclose(edges[1:-1], [0.7, 1.5])
