@@ -100,15 +100,16 @@ def yosida(H, z: float) -> np.ndarray:
 _ADJ_SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
-def _matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A @ B over stacks of square matrices.
+def _matmul(A: np.ndarray, B: np.ndarray, out=None) -> np.ndarray:
+    """A @ B over stacks of square matrices, into `out` when given.
 
     numpy hands a stack to one BLAS call per matrix; at d = 2 two broadcast
-    outer products are faster from about 16 matrices up.
+    outer products are faster from about 16 matrices up.  `out` must not
+    overlap A or B.
     """
     if A.shape[-1] != 2:
-        return A @ B
-    C = A[..., :, 0:1] * B[..., 0:1, :]
+        return np.matmul(A, B, out=out)
+    C = np.multiply(A[..., :, 0:1], B[..., 0:1, :], out=out)
     C += A[..., :, 1:2] * B[..., 1:2, :]
     return C
 
@@ -124,7 +125,17 @@ def _solve(M: np.ndarray, R: np.ndarray) -> np.ndarray:
         return np.linalg.solve(M, R)
     adj = M[..., ::-1, ::-1].swapaxes(-1, -2) * _ADJ_SIGN
     det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
-    return _matmul(adj, R) / det[..., None, None]
+    C = _matmul(adj, R)
+    C /= det[..., None, None]
+    return C
+
+
+def _accumulate(acc: np.ndarray, terms, tmp: np.ndarray) -> np.ndarray:
+    """acc + c_1 X_1 + c_2 X_2 + ..., added left to right into acc; tmp is
+    scratch of acc's shape."""
+    for c, X in terms:
+        acc += np.multiply(X, c, out=tmp)
+    return acc
 
 
 def matrix_exp(M) -> np.ndarray:
@@ -163,25 +174,35 @@ def expm_stack(A: np.ndarray) -> np.ndarray:
     if s:
         A = A * (0.5 ** s)
 
+    # Each sum adds its terms left to right into a buffer it owns, as the
+    # plain expression would.  The low-degree sums start from b_1 I and b_0 I
+    # rather than from an int 0: 0 + x turns -0.0 into +0.0, but b I holds
+    # no -0.0, so every bit of the result is unchanged.
     b = _PADE_COEFFS[degree]
     A2 = _matmul(A, A)
+    tmp = np.empty(A.shape, dtype=complex)
     if degree == 13:
         A4 = _matmul(A2, A2)
         A6 = _matmul(A2, A4)
-        U = _matmul(A, _matmul(A6, b[13] * A6 + b[11] * A4 + b[9] * A2)
-                    + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
-        V = (_matmul(A6, b[12] * A6 + b[10] * A4 + b[8] * A2)
-             + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye)
+        inner = _accumulate(np.multiply(A6, b[13]), ((b[11], A4), (b[9], A2)), tmp)
+        U = _accumulate(_matmul(A6, inner),
+                        ((b[7], A6), (b[5], A4), (b[3], A2), (b[1], eye)), tmp)
+        _accumulate(np.multiply(A6, b[12], out=inner), ((b[10], A4), (b[8], A2)), tmp)
+        V = _accumulate(_matmul(A6, inner),
+                        ((b[6], A6), (b[4], A4), (b[2], A2), (b[0], eye)), tmp)
     else:
         powers = [eye, A2]
         for _ in range((degree - 1) // 2 - 1):
             powers.append(_matmul(powers[-1], A2))
-        U = sum(b[2 * k + 1] * powers[k] for k in range(len(powers)))
-        U = _matmul(A, U)
-        V = sum(b[2 * k] * powers[k] for k in range(len(powers)))
-    E = _solve(V - U, V + U)
+        U = _accumulate(np.multiply(eye, b[1]),
+                        ((b[2 * k + 1], P) for k, P in enumerate(powers[1:], 1)), tmp)
+        V = _accumulate(np.multiply(eye, b[0]),
+                        ((b[2 * k], P) for k, P in enumerate(powers[1:], 1)), tmp)
+    AU = _matmul(A, U, out=tmp)
+    E = _solve(np.subtract(V, AU, out=U), np.add(V, AU, out=V))
+    spare = U
     for _ in range(s):
-        E = _matmul(E, E)
+        E, spare = _matmul(E, E, out=spare), E
     if not (np.all(np.isfinite(E.real)) and np.all(np.isfinite(E.imag))):
         raise RangeError("matrix exponential overflowed")
     return E

@@ -17,7 +17,7 @@ from .errors import ConsistencyError, ConvergenceError, DomainError
 from .families import (GeneratorFamily, _check_interval, integrate_family,
                        yosida_family)
 from .linalg import _matmul, as_matrix, expm_stack, matrix_exp, operator_norm
-from .quadrature import cumulative_simpson_uniform, loglog_slope, panel_nodes
+from .quadrature import _cumulative_simpson_into, loglog_slope, panel_nodes
 
 MAX_HALVINGS = 24
 XI_PANELS = 32  # Gauss-5 panels of the xi-integral in remainder_310
@@ -112,8 +112,16 @@ def _magnus_steps(f: GeneratorFamily, left: np.ndarray, h: float,
     c = np.sqrt(3.0) / 6.0
     A1 = w * f.evaluate_batch(left + h * (0.5 - c))
     A2 = w * f.evaluate_batch(left + h * (0.5 + c))
-    omega = (0.5 * h * (A1 + A2)
-             + (h * h * np.sqrt(3.0) / 12.0) * (_matmul(A2, A1) - _matmul(A1, A2)))
+    # omega = h/2 (A1 + A2) + h^2 sqrt(3)/12 [A2, A1], built in A1's buffer;
+    # A2 and C are released before expm_stack allocates its own stacks.
+    C = _matmul(A2, A1)
+    C -= _matmul(A1, A2)
+    C *= h * h * np.sqrt(3.0) / 12.0
+    omega = np.add(A1, A2, out=A1)
+    del A2
+    omega *= 0.5 * h
+    omega += C
+    del C
     return expm_stack(omega)
 
 
@@ -126,7 +134,7 @@ def propagator_on_grid(f: GeneratorFamily, a: float, ts: np.ndarray,
     out = np.empty((m + 1, f.dim, f.dim), dtype=complex)
     out[0] = np.eye(f.dim)
     for j in range(m):
-        out[j + 1] = E[j] @ out[j]
+        np.matmul(E[j], out[j], out=out[j + 1])
     return out
 
 
@@ -136,6 +144,35 @@ def exp_propagator(Q, w: float) -> PropagatorResult:
     return PropagatorResult(U=matrix_exp(w * Q))
 
 
+def _series_grid(f: GeneratorFamily, a: float, t: float, n: int, grid: int):
+    """Validated uniform grid of the iterated integrals: (ts, h, H(ts))."""
+    if n < 0:
+        raise DomainError(f"order must be >= 0, got {n}")
+    if grid < 64:
+        raise DomainError(f"grid must be >= 64, got {grid}")
+    _check_interval(f, a, t)
+    ts = np.linspace(a, t, grid + 1)
+    return ts, (t - a) / grid, f.evaluate_batch(ts)
+
+
+def _apply_K(Hs: np.ndarray, V: np.ndarray, h: float, W: np.ndarray,
+             work: np.ndarray) -> None:
+    """V <- (K V)(ts) = cumulative Simpson of Hs @ V, in place; W and work
+    are scratch of the shapes of V and V[1:]."""
+    np.matmul(Hs, V, out=W)
+    _cumulative_simpson_into(W, h, V, work)
+
+
+def _terms_into(Hs, V, h, W, work, n: int) -> List[np.ndarray]:
+    """T_0..T_n, iterating K from the identity stack written into V."""
+    V[...] = np.eye(V.shape[-1])
+    terms = [np.eye(V.shape[-1], dtype=complex)]
+    for _ in range(n):
+        _apply_K(Hs, V, h, W, work)
+        terms.append(V[-1].copy())
+    return terms
+
+
 def dyson_terms(f: GeneratorFamily, a: float, t: float, n: int,
                 grid: int = 1024) -> DysonExpansion:
     """Iterated time-ordered integrals T_0..T_n via forward recursion.
@@ -143,19 +180,10 @@ def dyson_terms(f: GeneratorFamily, a: float, t: float, n: int,
     T_k(t) = int_a^t H(s) T_{k-1}(s) ds, accumulated with cumulative
     Simpson on a uniform grid.
     """
-    if n < 0:
-        raise DomainError(f"order must be >= 0, got {n}")
-    if grid < 64:
-        raise DomainError(f"grid must be >= 64, got {grid}")
-    ts = np.linspace(a, t, grid + 1)
-    h = (t - a) / grid
-    Hs = f.evaluate_batch(ts)
-    Tk = np.broadcast_to(np.eye(f.dim, dtype=complex), Hs.shape).copy()
-    terms = [np.eye(f.dim, dtype=complex)]
-    for _ in range(n):
-        Tk = cumulative_simpson_uniform(Hs @ Tk, h)
-        terms.append(Tk[-1].copy())
-    return DysonExpansion(terms=terms)
+    _, h, Hs = _series_grid(f, a, t, n, grid)
+    V = np.empty((grid + 1, f.dim, f.dim), dtype=complex)
+    return DysonExpansion(
+        terms=_terms_into(Hs, V, h, np.empty_like(V), np.empty_like(V[1:]), n))
 
 
 def taylor_partial_sum(Q: np.ndarray, n: int, w: float) -> np.ndarray:
@@ -198,27 +226,39 @@ def remainder_42(f: GeneratorFamily, a: float, t: float, n: int, w: float,
     integral equation R = w^{n+1} K^{n+1}[U_w](t) with
     (K g)(s) = int_a^s H(u) g(u) du and U_w the propagator of w H(t).
     """
-    if n < 0:
-        raise DomainError(f"order must be >= 0, got {n}")
     if w < 0:
         raise DomainError(f"need w >= 0, got {w}")
+    ts, h, Hs = _series_grid(f, a, t, n, grid)
     if w == 0:
         return np.zeros((f.dim, f.dim), dtype=complex)
-    ts = np.linspace(a, t, grid + 1)
-    h = (t - a) / grid
-    Hs = f.evaluate_batch(ts)
     V = propagator_on_grid(f, a, ts, w=w)
+    return _remainder_into(Hs, V, h, np.empty_like(V), np.empty_like(V[1:]), n, w)
+
+
+def _remainder_into(Hs, V, h, W, work, n: int, w: float) -> np.ndarray:
+    """w^{n+1} K^{n+1}[V](t), iterating K on the propagator stack V in place."""
     for _ in range(n + 1):
-        V = cumulative_simpson_uniform(Hs @ V, h)
+        _apply_K(Hs, V, h, W, work)
     return (w ** (n + 1)) * V[-1]
 
 
 def dyson_expansion(f: GeneratorFamily, a: float, t: float, n: int, w: float = 1.0,
                     grid: int = 1024) -> DysonExpansion:
-    """Terms plus exact remainder in one structure."""
-    exp_terms = dyson_terms(f, a, t, n, grid)
-    R = remainder_42(f, a, t, n, w, grid)
-    return DysonExpansion(terms=exp_terms.terms, remainder=R)
+    """Terms plus exact remainder in one structure.
+
+    H is evaluated once on the grid.  The remainder runs first; its
+    propagator stack is then overwritten with the identity for the terms,
+    and both share one pair of work arrays.
+    """
+    if w < 0:
+        raise DomainError(f"need w >= 0, got {w}")
+    ts, h, Hs = _series_grid(f, a, t, n, grid)
+    V = (propagator_on_grid(f, a, ts, w=w) if w
+         else np.empty((grid + 1, f.dim, f.dim), dtype=complex))
+    W, work = np.empty_like(V), np.empty_like(V[1:])
+    R = (_remainder_into(Hs, V, h, W, work, n, w) if w
+         else np.zeros((f.dim, f.dim), dtype=complex))
+    return DysonExpansion(terms=_terms_into(Hs, V, h, W, work, n), remainder=R)
 
 
 def asymptotic_probe(Q, n: int, w_list: Sequence[float]):

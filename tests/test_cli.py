@@ -1,5 +1,6 @@
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -268,14 +269,20 @@ def test_run_over_a_resource_cap_is_config_error(tmp_path, capsys, experiment,
     assert not out.exists()
 
 
-def test_run_non_finite_result_is_an_invariant_violation(tmp_path, capsys):
-    # At delta = 800 the classical bound of the constant family overflows.
+def test_run_non_finite_result_is_an_invariant_violation(tmp_path, capfd):
+    # At delta = 800 the classical bound of the constant family overflows;
+    # the run says so itself, with no numpy warning before it.
     out = tmp_path / "inf.csv"
     cfg = write(tmp_path / "inf.cfg",
                 "experiment = dyson-convergence\nfamily.name = constant\n"
                 f"family.params = 800\noutput = {out}\n")
-    assert run(cfg) == 1
-    assert "non-finite classical_bound = inf" in capsys.readouterr().err
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(cfg) == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capfd.readouterr().err
+    assert "non-finite classical_bound = inf" in err
+    assert "RuntimeWarning" not in err
     assert not out.exists()
 
 

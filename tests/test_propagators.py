@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -256,6 +257,55 @@ def test_dyson_expansion_closes_on_oracle_order_one():
         exp = dyson_expansion(fam, fam.a, fam.b, 1)
         closure = exp.partial_sum() + exp.remainder
         assert np.linalg.norm(closure - oracle, 2) <= 1e-8
+
+
+@pytest.mark.parametrize("grid", [0, 10, 63])
+def test_series_grid_below_64_is_a_domain_error(grid):
+    fam = builtin_family("two_level_driven")
+    for call in (lambda: dyson_terms(fam, 0.0, 1.0, 2, grid),
+                 lambda: remainder_42(fam, 0.0, 1.0, 2, 1.0, grid),
+                 lambda: remainder_42(fam, 0.0, 1.0, 2, 0.0, grid),
+                 lambda: dyson_expansion(fam, 0.0, 1.0, 2, 1.0, grid)):
+        with pytest.raises(DomainError):
+            call()
+
+
+@pytest.mark.parametrize("a,t", [(-5.0, 9.0), (0.0, 1.5), (-0.5, 0.5), (0.8, 0.2)])
+def test_series_outside_family_interval_is_a_domain_error(a, t):
+    fam = builtin_family("two_level_driven")
+    for call in (lambda: dyson_terms(fam, a, t, 2),
+                 lambda: remainder_42(fam, a, t, 2, 1.0),
+                 lambda: dyson_expansion(fam, a, t, 2)):
+        with pytest.raises(DomainError):
+            call()
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8])
+@pytest.mark.parametrize("grid", [64, 1024])
+def test_dyson_expansion_is_terms_and_remainder_bit_for_bit(dim, grid):
+    # One H evaluation and shared work arrays change no bit of either half.
+    fam = builtin_family("random_smooth", (dim, dim, 0.2))
+    for n in (0, 1, 4):
+        terms = dyson_terms(fam, fam.a, fam.b, n, grid).terms
+        for w in (0.7, 1.0):
+            exp = dyson_expansion(fam, fam.a, fam.b, n, w, grid)
+            assert [T.tobytes() for T in exp.terms] == [T.tobytes() for T in terms]
+            R = remainder_42(fam, fam.a, fam.b, n, w, grid)
+            assert exp.remainder.tobytes() == R.tobytes()
+
+
+def test_dyson_expansion_peak_memory_is_bounded_in_grid_stacks():
+    # Work arrays are allocated once per call, not once per K iteration.
+    dim, grid = 8, 1024
+    fam = builtin_family("random_smooth", (0, dim, 0.2))
+    dyson_expansion(fam, fam.a, fam.b, 4)
+    tracemalloc.start()
+    try:
+        dyson_expansion(fam, fam.a, fam.b, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * (grid + 1) * dim * dim * 16
 
 
 def test_asymptotic_probe_scalar_limit():

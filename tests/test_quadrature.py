@@ -71,6 +71,35 @@ def test_cumulative_simpson_stack_shape():
     assert np.allclose(out[-1], 1.0)
 
 
+def _simpson_reference(f, h):
+    """The allocating formula the in-place kernel must reproduce bit for bit."""
+    m = f.shape[0] - 1
+    out = np.zeros_like(f)
+    if m == 0:
+        return out
+    if m == 1:
+        out[1] = 0.5 * h * (f[0] + f[1])
+        return out
+    inc = np.empty_like(f[1:])
+    inc[:-1] = (h / 12.0) * (5.0 * f[0:-2] + 8.0 * f[1:-1] - f[2:])
+    inc[-1] = (h / 12.0) * (-f[-3] + 8.0 * f[-2] + 5.0 * f[-1])
+    out[1:] = np.cumsum(inc, axis=0)
+    return out
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 10])
+def test_cumulative_simpson_matches_reference_bit_for_bit(m):
+    rng = np.random.default_rng(m)
+    stack = rng.standard_normal((m + 1, 3, 3)) + 1j * rng.standard_normal((m + 1, 3, 3))
+    stack[0, 0, 0] = -0.0
+    for f, h in ((stack, 0.01), (stack.real.copy(), 0.3), (stack[:, 1, 2].real.copy(), 0.7),
+                 (np.full((m + 1, 2), -0.0), 0.5)):
+        got = cumulative_simpson_uniform(f, h)
+        ref = _simpson_reference(f, h)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+
 def test_loglog_slope_power_law():
     x = np.array([1.0, 0.5, 0.25, 0.125])
     assert loglog_slope(x, x ** 3) == pytest.approx(3.0, abs=1e-12)
