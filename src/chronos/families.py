@@ -190,10 +190,13 @@ def family_from_csv(path, name: str = "tabulated") -> GeneratorFamily:
     Columns: t, re(h_11), im(h_11), ... in row-major entry order; header
     row required.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [(reader.line_num, r) for r in reader
-                if r and not r[0].startswith("#")]
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            rows = [(reader.line_num, r) for r in reader
+                    if r and not r[0].startswith("#")]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"{path}: not a CSV table: {exc}") from None
     if len(rows) < 3:
         raise ConfigError(f"{path}: need a header and at least two data rows")
     width = len(rows[1][1])

@@ -7,13 +7,12 @@ integrals, exact Taylor and series remainders and asymptotic-order probes.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConsistencyError, ConvergenceError, DomainError
+from .errors import ConsistencyError, ConvergenceError, DomainError, RangeError
 from .families import (GeneratorFamily, _check_interval, integrate_family,
                        yosida_family)
 from .linalg import _matmul, as_matrix, expm_stack, matrix_exp, operator_norm
@@ -21,6 +20,9 @@ from .quadrature import _cumulative_simpson_into, loglog_slope, panel_nodes
 
 MAX_HALVINGS = 24
 XI_PANELS = 32  # Gauss-5 panels of the xi-integral in remainder_310
+# Norms below this are lost to cancellation: the asymptotic probe fits only
+# the residuals at or above it, and Yosida gaps all below it count as exact.
+CANCELLATION_FLOOR = 1e-13
 
 
 @dataclass(frozen=True)
@@ -264,30 +266,28 @@ def dyson_expansion(f: GeneratorFamily, a: float, t: float, n: int, w: float = 1
 def asymptotic_probe(Q, n: int, w_list: Sequence[float]):
     """Poincare-asymptotics probe for the truncated exponential series.
 
-    Returns (observed_order, limit_matrix): the log-log slope of
-    ||exp(wQ) - sum_{k<=n}(wQ)^k/k!|| versus w (expected n+1) and the
-    scaled residual w^{-(n+1)} * (exp(wQ) - partial) at the smallest
-    usable w (expected Q^{n+1}/(n+1)!).
+    Returns (observed_order, limit_matrix, norms): the log-log slope of
+    ||exp(wQ) - sum_{k<=n}(wQ)^k/k!|| versus w (expected n+1), the scaled
+    residual w^{-(n+1)} * (exp(wQ) - partial) at the smallest usable w
+    (expected Q^{n+1}/(n+1)!), and the residual norm at every w.  Points
+    whose norm falls below CANCELLATION_FLOOR are left out of the fit.
     """
     Q = as_matrix(Q, "Q")
     w_list = list(w_list)
     if len(w_list) < 4 or any(np.diff(w_list) >= 0) or min(w_list) <= 0:
-        raise DomainError("w_list must be >= 4 positive decreasing entries")
+        raise DomainError("need at least 4 strictly decreasing values > 0")
     residuals, norms = [], []
     for w in w_list:
         Rm = matrix_exp(w * Q) - taylor_partial_sum(Q, n, w)
         residuals.append(Rm)
-        norms.append(np.linalg.norm(Rm, 2))
-    keep = [k for k, r in enumerate(norms) if r >= 1e-13]
-    if len(keep) < len(w_list):
-        warnings.warn("cancellation below 1e-13; w_list truncated", RuntimeWarning)
+        norms.append(float(np.linalg.norm(Rm, 2)))
+    if not all(map(math.isfinite, norms)):
+        raise RangeError("the truncation residual overflowed")
+    keep = [k for k, r in enumerate(norms) if r >= CANCELLATION_FLOOR]
     if not keep:
-        return float("inf"), np.zeros_like(Q)
-    ws = [w_list[k] for k in keep]
-    order = loglog_slope(ws, [norms[k] for k in keep])
-    w_min = ws[-1]
-    limit = residuals[keep[-1]] / (w_min ** (n + 1))
-    return order, limit
+        return float("inf"), np.zeros_like(Q), norms
+    order = loglog_slope([w_list[k] for k in keep], [norms[k] for k in keep])
+    return order, residuals[keep[-1]] / w_list[keep[-1]] ** (n + 1), norms
 
 
 def propagator_derivative_check(f: GeneratorFamily, a: float, t: float,
@@ -311,25 +311,26 @@ def propagator_derivative_check(f: GeneratorFamily, a: float, t: float,
 
 
 def yosida_propagator_convergence(f: GeneratorFamily, a: float, t: float,
-                                  z_list: Sequence[float]) -> float:
+                                  z_list: Sequence[float]):
     """Convergence order of exp(Q_z[t,a]) -> exp(Q[t,a]) as z grows.
 
-    For dissipative families each z is also checked against the bound
-    ||exp(Q_z) - exp(Q)|| <= ||Q_z - Q|| + 1e-10.
+    Returns (slope, q_gaps, exp_gaps): ||Q_z - Q|| and ||exp(Q_z) - exp(Q)||
+    at every z, and the log-log slope of the latter (-inf when all lie below
+    CANCELLATION_FLOOR).  For dissipative families each z is also checked
+    against the bound ||exp(Q_z) - exp(Q)|| <= ||Q_z - Q|| + 1e-10.
     """
     z_list = list(z_list)
     if any(np.diff(z_list) <= 0):
-        raise DomainError("z_list must be increasing")
+        raise DomainError("need strictly increasing values")
     Q = integrate_family(f, a, t)
     expQ = matrix_exp(Q)
-    errs = []
+    q_gaps, exp_gaps = [], []
     for z in z_list:
         Qz = integrate_family(yosida_family(f, z), a, t)
-        gap = np.linalg.norm(matrix_exp(Qz) - expQ, 2)
-        if f.dissipative and gap > np.linalg.norm(Qz - Q, 2) + 1e-10:
+        q_gaps.append(float(np.linalg.norm(Qz - Q, 2)))
+        exp_gaps.append(float(np.linalg.norm(matrix_exp(Qz) - expQ, 2)))
+        if f.dissipative and exp_gaps[-1] > q_gaps[-1] + 1e-10:
             raise ConsistencyError(
-                f"contraction bound violated at z={z}: {gap:.3e}")
-        errs.append(gap)
-    if max(errs) <= 1e-13:
-        return float("-inf")
-    return loglog_slope(z_list, errs)
+                f"contraction bound violated at z={z}: {exp_gaps[-1]:.3e}")
+    exact = max(exp_gaps) < CANCELLATION_FLOOR
+    return (-math.inf if exact else loglog_slope(z_list, exp_gaps)), q_gaps, exp_gaps

@@ -96,7 +96,7 @@ def test_criterion_3_asymptotic_order_and_limit(report):
     for n in (1, 2, 3):
         Q = random_dissipative(rng, 3)
         w_list = [0.08 * 0.5 ** k for k in range(5)]
-        order, limit = asymptotic_probe(Q, n, w_list)
+        order, limit, _ = asymptotic_probe(Q, n, w_list)
         ref = np.linalg.matrix_power(Q, n + 1) / math.factorial(n + 1)
         rel = np.linalg.norm(limit - ref, 2) / np.linalg.norm(ref, 2)
         ok = ok and abs(order - (n + 1)) <= 0.1 and rel <= 0.05

@@ -200,6 +200,12 @@ def test_run_malformed_number_is_config_error(tmp_path, capsys, experiment, line
     ("dyson-convergence", "oracle_tol = nan"),
     ("asymptotic", "sweep.w = 0.1"),
     ("yosida", "sweep.z = 10"),
+    # Sweeps the probes reject: fewer than four w, w not strictly
+    # decreasing, z not strictly increasing.
+    ("asymptotic", "sweep.w = 0.1, 0.05"),
+    ("asymptotic", "sweep.w = 0.1, 0.2, 0.3, 0.4"),
+    ("asymptotic", "sweep.w = 0.1, 0.05, 0.05, 0.01"),
+    ("yosida", "sweep.z = 100, 10"),
 ])
 def test_run_out_of_range_value_is_config_error(tmp_path, capsys, experiment,
                                                 line):
@@ -286,6 +292,35 @@ def test_run_non_finite_result_is_an_invariant_violation(tmp_path, capfd):
     assert not out.exists()
 
 
+# Each overflows somewhere inside the library; the run reports it only as
+# its own invariant violation.
+@pytest.mark.parametrize("text", [
+    "experiment = asymptotic\nq.diag = 10000\n",
+    "experiment = film-verify\nfamily.name = constant\nfamily.params = 1e300\n",
+    "experiment = smatrix-sweep\ncoupling = 1e300\n",
+    "experiment = dyson-convergence\nfamily.name = random_smooth\n"
+    "family.params = 0, 3, -1e300\n",
+])
+def test_run_prints_no_numpy_warning(tmp_path, capfd, text):
+    out = tmp_path / "over.csv"
+    cfg = write(tmp_path / "over.cfg", text + f"output = {out}\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(cfg) == 1
+    assert caught == []
+    err = capfd.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("invariant violation: ")
+    assert not out.exists()
+
+
+def test_run_non_utf8_config_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "bin.cfg"
+    cfg.write_bytes(b"experiment = asymptotic\n\xff\xfe = 1\n")
+    assert run(str(cfg)) == 2
+    assert "error: " in capsys.readouterr().err
+
+
 def test_run_rejects_repeated_key(tmp_path, capsys):
     out = tmp_path / "twice.csv"
     cfg = write(tmp_path / "twice.cfg", f"experiment = asymptotic\n"
@@ -323,6 +358,31 @@ def test_run_rejects_every_key_the_experiment_does_not_read(tmp_path_factory,
     assert not out.exists()
 
 
+# Small magnitudes keep every run cheap; the extremes still overflow.
+_NUMBERS = st.one_of(st.integers(-2, 9), st.floats(-5.0, 5.0),
+                     st.sampled_from([0.0, 64, 1e-300, 1e300, -1e300]))
+_TEXTS = st.one_of(st.text("abcdefghijklmnopqrstuvwxyz_.-", max_size=8),
+                   st.sampled_from(["", "constant", "random_smooth",
+                                    "damped_two_level", "on", "off"]))
+_CONFIG_VALUES = st.one_of(
+    _NUMBERS.map(str), _TEXTS,
+    st.lists(st.one_of(_NUMBERS.map(str), _TEXTS), max_size=5).map(", ".join))
+
+
+@settings(max_examples=100, deadline=None)
+@given(experiment=st.sampled_from(["asymptotic", "yosida", "dyson-convergence"]),
+       data=st.data())
+def test_run_any_config_exits_0_1_or_2(tmp_path_factory, experiment, data):
+    keys = sorted(_RUNNERS[experiment][1])
+    values = data.draw(st.dictionaries(st.sampled_from(keys), _CONFIG_VALUES,
+                                       max_size=4))
+    where = tmp_path_factory.mktemp("any")
+    text = "".join(f"{key} = {value}\n" for key, value in values.items())
+    cfg = write(where / "any.cfg", f"experiment = {experiment}\n{text}"
+                                   f"output = {where / 'any.csv'}\n")
+    assert run(cfg) in (0, 1, 2)
+
+
 @pytest.mark.parametrize("experiment", ["lambda-sweep", "smatrix-sweep"])
 def test_run_rejects_empty_lambda_sweep(tmp_path, capsys, experiment):
     out = tmp_path / "empty.csv"
@@ -353,6 +413,31 @@ def test_run_dyson_convergence(tmp_path):
     for line in lines[2:]:
         _, tail, bound = line.split(",")
         assert float(tail) <= float(bound) + 1e-12
+
+
+def test_run_asymptotic_fits_only_residuals_above_cancellation(tmp_path, capfd):
+    # At order 6 the two smallest w lose their residual to cancellation.
+    out = tmp_path / "a6.csv"
+    cfg = write(tmp_path / "a6.cfg",
+                f"experiment = asymptotic\nq.diag = -1, -2\norder = 6\n"
+                f"output = {out}\n")
+    assert run(cfg) == 0
+    captured = capfd.readouterr()
+    assert "fitted order 6.987 (expected 7) on 3 of 5 points" in captured.out
+    assert captured.err == ""
+    assert emit_plot_script(str(out)) == 0
+    assert "title 'slope 6.99'" in (tmp_path / "a6.csv.gp").read_text()
+
+
+def test_run_yosida_zero_generator_is_exact(tmp_path, capsys):
+    out = tmp_path / "y0.csv"
+    cfg = write(tmp_path / "y0.cfg",
+                f"experiment = yosida\nfamily.name = constant\n"
+                f"family.params = 0\noutput = {out}\n")
+    assert run(cfg) == 0
+    assert "convergence slope -inf" in capsys.readouterr().out
+    assert [line.split(",")[1:] for line in out.read_text().splitlines()[2:]] == [
+        ["0.0", "0.0"]] * 4
 
 
 def test_run_yosida(tmp_path):

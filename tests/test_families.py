@@ -216,3 +216,13 @@ def test_family_csv_rejects_unsorted_times(tmp_path):
     path.write_text(header + "\n1,0,0,0,0,0,0,0,0\n" + row + "\n")
     with pytest.raises(ConfigError):
         family_from_csv(path)
+
+
+@pytest.mark.parametrize("content", [b"t,re,im\n0,1,0\n\xff\xfe\n",
+                                     b"t," + b"x" * 200000 + b"\n"])
+def test_family_csv_rejects_a_file_that_is_no_csv_table(tmp_path, content):
+    # Undecodable bytes, and a field beyond the csv module's size limit.
+    path = tmp_path / "bin.csv"
+    path.write_bytes(content)
+    with pytest.raises(ConfigError, match="not a CSV table"):
+        family_from_csv(path)

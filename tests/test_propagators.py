@@ -7,9 +7,10 @@ import pytest
 from chronos.errors import ConvergenceError, DomainError
 from chronos.families import (SIGMA_X, SIGMA_Y, SIGMA_Z, builtin_family,
                               family_from_evaluator, family_from_matrix,
-                              integrate_family)
+                              integrate_family, yosida_family)
 from chronos.linalg import matrix_exp, operator_norm, random_dissipative
-from chronos.propagators import (asymptotic_probe, dyson_expansion,
+from chronos.propagators import (CANCELLATION_FLOOR, asymptotic_probe,
+                                 dyson_expansion,
                                  dyson_terms, exp_propagator, ordered_product,
                                  product_integral,
                                  propagator_derivative_check,
@@ -312,15 +313,14 @@ def test_asymptotic_probe_scalar_limit():
     # w^{-2}(e^{wq} - 1 - wq) tends to q^2/2 entrywise.
     Q = np.diag([-1.0, -2.0]).astype(complex)
     w_list = [1e-2, 5e-3, 2.5e-3, 1.25e-3, 1e-3]
-    order, limit = asymptotic_probe(Q, 1, w_list)
+    order, limit, _ = asymptotic_probe(Q, 1, w_list)
     assert order == pytest.approx(2.0, abs=0.1)
     assert np.allclose(limit, np.diag([0.5, 2.0]), rtol=2e-3)
 
 
 def test_asymptotic_probe_zero_operator():
-    with pytest.warns(RuntimeWarning):
-        order, limit = asymptotic_probe(
-            np.zeros((2, 2)), 1, [0.1, 0.05, 0.025, 0.0125])
+    order, limit, _ = asymptotic_probe(
+        np.zeros((2, 2)), 1, [0.1, 0.05, 0.025, 0.0125])
     assert order == float("inf")
     assert np.allclose(limit, 0.0)
 
@@ -329,10 +329,21 @@ def test_asymptotic_probe_random_dissipative_order():
     rng = np.random.default_rng(19)
     Q = random_dissipative(rng, 3)
     w_list = [0.04, 0.02, 0.01, 0.005, 0.0025]
-    order, limit = asymptotic_probe(Q, 2, w_list)
+    order, limit, _ = asymptotic_probe(Q, 2, w_list)
     assert 2.9 <= order <= 3.1
     ref = np.linalg.matrix_power(Q, 3) / math.factorial(3)
     assert np.linalg.norm(limit - ref, 2) <= 0.05 * np.linalg.norm(ref, 2)
+
+
+def test_asymptotic_probe_fits_only_norms_above_the_cancellation_floor():
+    # At order 6 the two smallest w lose their residual to cancellation; the
+    # probe still returns their norms but fits the other three.
+    Q = np.diag([-1.0, -2.0]).astype(complex)
+    w_list = [0.1, 0.05, 0.025, 0.0125, 0.00625]
+    order, _, norms = asymptotic_probe(Q, 6, w_list)
+    assert len(norms) == 5
+    assert [r >= CANCELLATION_FLOOR for r in norms] == [True] * 3 + [False] * 2
+    assert order == pytest.approx(6.987, abs=1e-3)
 
 
 def test_asymptotic_probe_validates_w_list():
@@ -374,19 +385,30 @@ def test_derivative_orderings_agree_for_commuting_families():
 
 def test_yosida_propagator_convergence_rate():
     fam = builtin_family("damped_two_level")
-    slope = yosida_propagator_convergence(fam, 0.0, 1.0, [10.0, 100.0, 1000.0])
+    slope, _, _ = yosida_propagator_convergence(fam, 0.0, 1.0, [10.0, 100.0, 1000.0])
     assert slope <= -0.9
 
 
 def test_yosida_propagator_exact_for_zero_family():
     fam = family_from_matrix(np.zeros((2, 2)))
-    slope = yosida_propagator_convergence(fam, 0.0, 1.0, [10.0, 100.0])
+    slope, _, _ = yosida_propagator_convergence(fam, 0.0, 1.0, [10.0, 100.0])
     assert slope == float("-inf")
+
+
+def test_yosida_probe_returns_both_gaps_at_every_z():
+    fam = builtin_family("damped_two_level")
+    z_list = [10.0, 100.0, 1000.0]
+    _, q_gaps, exp_gaps = yosida_propagator_convergence(fam, 0.0, 1.0, z_list)
+    Q = integrate_family(fam, 0.0, 1.0)
+    for z, q_gap, exp_gap in zip(z_list, q_gaps, exp_gaps):
+        Qz = integrate_family(yosida_family(fam, z), 0.0, 1.0)
+        assert q_gap == np.linalg.norm(Qz - Q, 2)
+        assert exp_gap == np.linalg.norm(matrix_exp(Qz) - matrix_exp(Q), 2)
+        assert exp_gap <= q_gap + 1e-10
 
 
 def test_yosida_gap_scales_with_squared_norm():
     # Bounded constant H at large z: ||Q_z - Q|| ~ ||H^2||(t-a)/z.
-    from chronos.families import yosida_family
     H = np.diag([-1.0, -2.0]).astype(complex)
     fam = family_from_matrix(H)
     z = 1e4
