@@ -375,7 +375,7 @@ _PLOT_STYLES = {
 def emit_plot_script(csv_path: str) -> int:
     try:
         with open(csv_path) as fh:
-            lines = [l for l in fh.read().splitlines()
+            lines = [(no, l) for no, l in enumerate(fh.read().splitlines(), 1)
                      if l and not l.startswith("#")]
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -383,13 +383,34 @@ def emit_plot_script(csv_path: str) -> int:
     if len(lines) < 2:
         print("error: CSV has no data rows", file=sys.stderr)
         return 2
-    header = tuple(lines[0].split(","))
+    header = tuple(lines[0][1].split(","))
     if header not in _PLOT_STYLES:
         print(f"error: unknown CSV schema {header}", file=sys.stderr)
         return 2
     xcol, ycols, logscale = _PLOT_STYLES[header]
-    out = csv_path + ".gp"
     xi = header.index(xcol) + 1
+    ref = None
+    if xcol == "w":
+        # Reference power law fitted to the residuals the probe fits.
+        rows = []
+        for no, line in lines[1:]:
+            try:
+                row = [float(v) for v in line.split(",")]
+            except ValueError:
+                row = []
+            if len(row) != len(header):
+                print(f"error: {csv_path} line {no}: expected {len(header)} "
+                      f"numbers, got {line!r}", file=sys.stderr)
+                return 2
+            rows.append(row)
+        data = np.array(rows)
+        xs, ys = data[:, xi - 1], data[:, header.index(ycols[0])]
+        # Only finite points with w > 0 have a place on log-log axes.
+        good = ((xs > 0) & np.isfinite(xs) & np.isfinite(ys)
+                & (ys >= CANCELLATION_FLOOR))
+        if good.sum() >= 2:
+            ref = np.polyfit(np.log(xs[good]), np.log(ys[good]), 1)
+    out = csv_path + ".gp"
     with open(out, "w") as fh:
         fh.write("set datafile separator ','\n")
         fh.write(f"set xlabel '{xcol}'\n")
@@ -398,18 +419,12 @@ def emit_plot_script(csv_path: str) -> int:
         plots = [
             f"'{csv_path}' skip 2 using {xi}:{header.index(y) + 1} "
             f"with linespoints title '{y}'" for y in ycols]
-        if xcol == "w":
-            # Reference power law fitted to the residuals the probe fits.
-            data = np.array([[float(v) for v in line.split(",")]
-                             for line in lines[1:]])
-            xs, ys = data[:, xi - 1], data[:, header.index(ycols[0])]
-            good = ys >= CANCELLATION_FLOOR
-            if good.sum() >= 2:
-                slope, logc = np.polyfit(np.log(xs[good]), np.log(ys[good]), 1)
-                fh.write(f"ref(x) = {float(np.exp(logc))!r}"
-                         f" * x**{float(slope)!r}\n")
-                plots.append(f"ref(x) with lines dashtype 2 "
-                             f"title 'slope {slope:.2f}'")
+        if ref is not None:
+            slope, logc = ref
+            fh.write(f"ref(x) = {float(np.exp(logc))!r}"
+                     f" * x**{float(slope)!r}\n")
+            plots.append(f"ref(x) with lines dashtype 2 "
+                         f"title 'slope {slope:.2f}'")
         fh.write("plot " + ", ".join(plots) + "\n")
     print(f"wrote {out}")
     return 0

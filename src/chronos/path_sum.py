@@ -3,6 +3,10 @@
 Midpoint partitions from bubble centers, per-cell concentrated generators,
 the Poisson-weighted experimental evolution operator, its Stieltjes form,
 and Monte Carlo bubble sampling.
+
+The Poisson weights come from scipy.special, imported inside the functions
+that compute them: loading it more than doubles the import time of the
+package, and runs that sum no Poisson window never need it.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebvander
-from scipy import stats
 
 from .errors import ConfigError, ConsistencyError, DomainError, ResourceError
 from .families import GeneratorFamily, _check_interval, integrate_family
@@ -111,20 +114,25 @@ def poisson_weight(t: float, s: float, lam: float) -> float:
         raise DomainError(f"t must be > 0, got {t}")
     if s <= 0:
         return 0.0
-    return float(stats.poisson.cdf(math.floor(lam * s), lam * t))
+    from scipy import special
+    return float(special.pdtr(math.floor(lam * s), lam * t))
 
 
 def poisson_truncation(lam_t: float, tail_tol: float) -> int:
     """Smallest N with Poisson(lam_t) tail mass beyond N below tail_tol."""
     if not (lam_t > 0 and 0 < tail_tol < 1):
         raise ConfigError(f"need mean > 0, 0 < tail_tol < 1; got {lam_t}, {tail_tol}")
-    n = stats.poisson.ppf(1.0 - tail_tol, lam_t)
-    # ppf is inf once 1 - tail_tol rounds to 1; the answer then lies above
-    # the mean.  Starting at most one past the cap keeps both walks short.
-    n = int(min(lam_t if n == math.inf else n, MAX_POISSON_TERMS + 1))
-    while n > 0 and stats.poisson.sf(n - 1, lam_t) < tail_tol:
+    from scipy import special
+    # The quantile inverts the cdf at 1 - tail_tol; once that rounds to 1 it
+    # is infinite and the answer lies above the mean.  Starting at most one
+    # past the cap keeps both walks short, and they settle n exactly.
+    q = 1.0 - tail_tol
+    start = special.pdtrik(q, lam_t) if q < 1.0 else math.inf
+    start = math.ceil(start) if math.isfinite(start) else lam_t
+    n = int(min(start, MAX_POISSON_TERMS + 1))
+    while n > 0 and special.pdtrc(n - 1, lam_t) < tail_tol:
         n -= 1
-    while n <= MAX_POISSON_TERMS and stats.poisson.sf(n, lam_t) >= tail_tol:
+    while n <= MAX_POISSON_TERMS and special.pdtrc(n, lam_t) >= tail_tol:
         n += 1
     if n > MAX_POISSON_TERMS:
         raise ResourceError(f"the Poisson window at lambda*t = {lam_t:g} needs "
@@ -165,6 +173,12 @@ def _fitted_sum(terms: Callable, ns: np.ndarray, ws: np.ndarray):
     return None
 
 
+def _poisson_pmf(k: np.ndarray, mean: float) -> np.ndarray:
+    """Poisson(mean) masses at the counts k, by the formula scipy.stats uses."""
+    from scipy import special
+    return np.exp(special.xlogy(k, mean) - special.gammaln(k + 1) - mean)
+
+
 def poisson_mixture(term: Callable[[int], np.ndarray], mean: float,
                     tail_tol: float) -> PropagatorResult:
     """Poisson(mean)-weighted sum of term(n) over n = 0 .. n_max.
@@ -179,8 +193,9 @@ def poisson_mixture(term: Callable[[int], np.ndarray], mean: float,
     n_max; extras hold raw, captured_mass, n_max, exact_terms and
     fit_residual (None when summed exactly).
     """
+    from scipy import special
     n_max = poisson_truncation(mean, tail_tol)
-    weights = stats.poisson.pmf(np.arange(n_max + 1), mean)
+    weights = _poisson_pmf(np.arange(n_max + 1), mean)
     ns = np.flatnonzero(weights >= tail_tol / (n_max + 1))
     if len(ns) == 0:
         raise ConfigError(f"tail_tol {tail_tol} leaves no Poisson term")
@@ -195,7 +210,7 @@ def poisson_mixture(term: Callable[[int], np.ndarray], mean: float,
     captured = float(np.cumsum(ws)[-1])  # the running sum, left to right
     return PropagatorResult(
         U=raw / captured, step_count=len(ns),
-        error_estimate=float(stats.poisson.sf(n_max, mean)),
+        error_estimate=float(special.pdtrc(n_max, mean)),
         extras={"raw": raw, "captured_mass": captured, "n_max": int(n_max),
                 "exact_terms": exact.cache_info().currsize,
                 "fit_residual": None if fitted is None else fitted[1]})

@@ -72,7 +72,10 @@ def _eigen_frame(cfg: SMatrixConfig) -> tuple[GeneratorFamily, Callable]:
         ts = np.atleast_1d(ts)
         phase = np.exp(1j * np.outer(ts / cfg.hbar, evals))
         left = cfg.envelope_values(ts)[:, None] * phase
-        return left[:, :, None] * Vr * phase.conj()[:, None, :]
+        # One (len(ts), d, d) stack, scaled in place by the right phases.
+        out = np.multiply(left[:, :, None], Vr)
+        out *= np.conj(phase, out=phase)[:, None, :]
+        return out
 
     a, b = -cfg.T, cfg.T
     fam = GeneratorFamily(

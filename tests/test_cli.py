@@ -470,6 +470,36 @@ def test_plot_asymptotic_has_reference_slope(tmp_path):
     assert "ref(x)" in script
 
 
+@pytest.mark.parametrize("bad_row", ["0.05,abc,1.0", "0.05,0.004"])
+def test_plot_malformed_asymptotic_row_exits_2(tmp_path, capsys, bad_row):
+    """A non-numeric cell or a short row is named; no script is written."""
+    out = tmp_path / "a.csv"
+    cfg = write(tmp_path / "a.cfg",
+                f"experiment = asymptotic\nq.diag = -1, -2\noutput = {out}\n")
+    assert run(cfg) == 0
+    lines = out.read_text().splitlines()
+    lines[3] = bad_row
+    out.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["plot", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        f"error: {out} line 4: expected 3 numbers, got {bad_row!r}"]
+    assert not (tmp_path / "a.csv.gp").exists()
+
+
+def test_plot_reference_fit_skips_points_off_log_axes(tmp_path):
+    out = tmp_path / "a.csv"
+    cfg = write(tmp_path / "a.cfg",
+                f"experiment = asymptotic\nq.diag = -1, -2\noutput = {out}\n")
+    assert run(cfg) == 0
+    lines = out.read_text().splitlines()
+    lines[3], lines[4] = "0,0.004,1.0", "0.025,inf,1.0"
+    out.write_text("\n".join(lines) + "\n")
+    assert emit_plot_script(str(out)) == 0
+    assert "ref(x)" in (tmp_path / "a.csv.gp").read_text()
+
+
 def test_plot_empty_csv(tmp_path):
     empty = write(tmp_path / "e.csv", "")
     assert emit_plot_script(empty) == 2

@@ -1,3 +1,8 @@
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -12,9 +17,9 @@ from chronos.linalg import _pade_choice, matrix_exp, operator_norm
 from chronos.film import midpoint_edges
 from chronos.path_sum import (PathSumConfig, U_lambda, U_n, _cell_generators,
                               bubble_counts, conditional_single_bubble_check,
-                              make_partition, monte_carlo_U, poisson_truncation,
-                              poisson_weight, sample_bubbles, stieltjes_form,
-                              trial_rng)
+                              make_partition, monte_carlo_U, poisson_mixture,
+                              poisson_truncation, poisson_weight, sample_bubbles,
+                              stieltjes_form, trial_rng)
 from chronos.propagators import product_integral
 from chronos.quadrature import loglog_slope
 
@@ -163,6 +168,70 @@ def test_poisson_truncation_enforces_the_term_cap():
     for lam_t in (1e9, 0.999e6):
         with pytest.raises(ResourceError):
             poisson_truncation(lam_t, 1e-10)
+
+
+# Means from 1e-3 to 1e5: the Poisson kernels must give scipy.stats' bits.
+KERNEL_MEANS = np.concatenate([10.0 ** np.linspace(-3.0, 5.0, 33),
+                               [0.5, 1.0, 20.8, 60.0, 12346.0]])
+
+
+def test_poisson_pmf_is_bitwise_scipy_stats():
+    for mean in KERNEL_MEANS:
+        k = np.arange(int(mean + 12 * math.sqrt(mean)) + 30)
+        assert np.array_equal(path_sum._poisson_pmf(k, mean),
+                              scipy.stats.poisson.pmf(k, mean))
+
+
+def test_poisson_weight_is_bitwise_scipy_stats():
+    for mean in KERNEL_MEANS:
+        for lam in (0.5, 3.0, 17.0):
+            t = mean / lam
+            for s in np.array([0.3, 0.77, 1.0, 1.9]) * t:
+                assert poisson_weight(t, s, lam) == float(
+                    scipy.stats.poisson.cdf(math.floor(lam * s), lam * t))
+
+
+def test_poisson_mixture_error_estimate_is_bitwise_scipy_stats():
+    for mean in KERNEL_MEANS:
+        for tail_tol in (1e-12, 1e-6):
+            res = poisson_mixture(lambda n: np.ones(1), mean, tail_tol)
+            assert res.error_estimate == float(
+                scipy.stats.poisson.sf(res.extras["n_max"], mean))
+
+
+def stats_truncation(lam_t, tail_tol):
+    """The window end by scipy.stats' ppf and sf; None past the term cap."""
+    n = scipy.stats.poisson.ppf(1.0 - tail_tol, lam_t)
+    n = int(min(lam_t if n == math.inf else n, path_sum.MAX_POISSON_TERMS + 1))
+    while n > 0 and scipy.stats.poisson.sf(n - 1, lam_t) < tail_tol:
+        n -= 1
+    while (n <= path_sum.MAX_POISSON_TERMS
+           and scipy.stats.poisson.sf(n, lam_t) >= tail_tol):
+        n += 1
+    return n if n <= path_sum.MAX_POISSON_TERMS else None
+
+
+def test_poisson_truncation_matches_the_scipy_stats_walk():
+    # At 1e-17, 1 - tail_tol rounds to 1 and the quantile is infinite.
+    for mean in KERNEL_MEANS:
+        for tail_tol in (1e-17, 1e-12, 1e-10, 1e-6, 1e-3, 0.1, 0.5, 0.9):
+            assert poisson_truncation(mean, tail_tol) == stats_truncation(
+                mean, tail_tol)
+    for mean, tail_tol in ((0.999e6, 1e-10), (1e9, 1e-17), (1e9, 0.5)):
+        assert stats_truncation(mean, tail_tol) is None
+        with pytest.raises(ResourceError):
+            poisson_truncation(mean, tail_tol)
+
+
+def test_import_chronos_loads_no_scipy():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    code = ("import sys, chronos\n"
+            "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
+            "chronos.poisson_weight(1.0, 1.0, 1.0)\n"
+            "print('scipy.special' in sys.modules, 'scipy.stats' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split() == ["False", "True", "False"]
 
 
 def test_bubble_sampling_enforces_the_term_cap():

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from chronos.errors import ConvergenceError, DomainError
 from chronos.families import (SIGMA_X, SIGMA_Y, SIGMA_Z, builtin_family,
@@ -73,6 +75,39 @@ def test_product_integral_rejects_times_outside_family(s, t):
     fam = builtin_family("two_level_driven", interval=(1.0, 2.0))
     with pytest.raises(DomainError):
         product_integral(fam, s, t)
+
+
+BUILTIN_FAMILIES = ("constant", "scalar_commuting", "two_level_driven",
+                    "damped_two_level", "random_smooth")
+unit = st.floats(0.0, 1.0)
+overhang = st.one_of(st.just(0.0), st.floats(1e-6, 2.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(BUILTIN_FAMILIES), a=st.floats(-2.0, 1.0),
+       length=st.floats(0.1, 2.0), left=overhang, right=overhang)
+def test_super_intervals_hit_the_domain_guards(name, a, length, left, right):
+    assume(left or right)
+    fam = builtin_family(name, interval=(a, a + length))
+    s, t = fam.a - left, fam.b + right
+    for call in (lambda: integrate_family(fam, s, t),
+                 lambda: product_integral(fam, s, t, 1e-8),
+                 lambda: dyson_expansion(fam, s, t, 2, grid=64)):
+        with pytest.raises(DomainError):
+            call()
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(BUILTIN_FAMILIES), a=st.floats(-2.0, 1.0),
+       length=st.floats(0.1, 2.0), u=unit, v=unit)
+def test_sub_intervals_give_finite_values(name, a, length, u, v):
+    fam = builtin_family(name, interval=(a, a + length))
+    s, t = (fam.a + length * x for x in sorted((u, v)))
+    expn = dyson_expansion(fam, s, t, 2, grid=64)
+    for value in (integrate_family(fam, s, t),
+                  product_integral(fam, s, t, 1e-8).U,
+                  expn.remainder, *expn.terms):
+        assert np.all(np.isfinite(value))
 
 
 def test_product_integral_composition():

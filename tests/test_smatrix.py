@@ -13,7 +13,7 @@ from chronos.path_sum import U_n, _cell_generators, poisson_truncation
 from chronos.propagators import ordered_product, product_integral
 from chronos.quadrature import loglog_slope
 from chronos.smatrix import (SMatrixConfig, S_lambda, S_n_experimental,
-                             _window_partition, dyson_S_expansion,
+                             _eigen_frame, _window_partition, dyson_S_expansion,
                              energy_shift_identity, fixed_dt_S,
                              interaction_generator, oracle_S)
 
@@ -53,6 +53,24 @@ def test_interaction_generator_matches_reference():
     ts = np.linspace(-cfg.T, cfg.T, 101)
     got = interaction_generator(cfg).evaluate_batch(ts)
     assert np.max(np.abs(got - reference_generator(cfg).evaluate_batch(ts))) <= 1e-14
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_eigen_frame_batch_is_bitwise_the_product_formula(d):
+    """The in-place stack equals left * Vr * conj(phase), bit for bit."""
+    rng = np.random.default_rng(d)
+    X, Y = rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d))
+    cfg = SMatrixConfig(H0=X + X.conj().T, V=0.3 * (Y + Y.conj().T), T=1.5,
+                        hbar=0.7)
+    evals, W = np.linalg.eigh(cfg.H0)
+    Vr = (-1j / cfg.hbar) * (W.conj().T @ cfg.V @ W)
+    ts = np.linspace(-cfg.T, cfg.T, 257)
+    phase = np.exp(1j * np.outer(ts / cfg.hbar, evals))
+    left = cfg.envelope_values(ts)[:, None] * phase
+    expected = left[:, :, None] * Vr * phase.conj()[:, None, :]
+    got = _eigen_frame(cfg)[0].evaluate_batch(ts)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_eigen_frame_products_match_reference():
