@@ -26,7 +26,9 @@ class GeneratorFamily:
     """A map t -> H(t) on [a, b] with commutativity and dissipativity labels.
 
     `evaluate_batch` takes a time array (m,) and returns a stack (m, d, d)
-    that depends on the times alone.
+    that depends on the times alone.  The series functions in `propagators`
+    rely on this: they keep H(ts) of the last grid they built and reuse it
+    for later calls on the same family object.
     """
 
     a: float

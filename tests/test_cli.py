@@ -369,8 +369,11 @@ _CONFIG_VALUES = st.one_of(
     st.lists(st.one_of(_NUMBERS.map(str), _TEXTS), max_size=5).map(", ".join))
 
 
+# smatrix-sweep is left out: half_window = 64 with a 5 x 5 h0.diag runs for
+# 37-39 s, so the property could not stay cheap.
 @settings(max_examples=100, deadline=None)
-@given(experiment=st.sampled_from(["asymptotic", "yosida", "dyson-convergence"]),
+@given(experiment=st.sampled_from(["asymptotic", "yosida", "dyson-convergence",
+                                   "film-verify"]),
        data=st.data())
 def test_run_any_config_exits_0_1_or_2(tmp_path_factory, experiment, data):
     keys = sorted(_RUNNERS[experiment][1])

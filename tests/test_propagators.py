@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -6,10 +7,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chronos.errors import ConvergenceError, DomainError
-from chronos.families import (SIGMA_X, SIGMA_Y, SIGMA_Z, builtin_family,
-                              family_from_evaluator, family_from_matrix,
-                              integrate_family, yosida_family)
+from chronos import propagators
+from chronos.errors import ConvergenceError, DomainError, RangeError
+from chronos.families import (SIGMA_X, SIGMA_Y, SIGMA_Z, GeneratorFamily,
+                              builtin_family, family_from_evaluator,
+                              family_from_matrix, integrate_family,
+                              yosida_family)
 from chronos.linalg import matrix_exp, operator_norm, random_dissipative
 from chronos.propagators import (CANCELLATION_FLOOR, asymptotic_probe,
                                  dyson_expansion,
@@ -130,6 +133,20 @@ def test_propagator_on_grid_matches_oracle():
     path = propagator_on_grid(fam, 0.0, ts)
     oracle = product_integral(fam, 0.0, 1.0, 1e-11).U
     assert np.linalg.norm(path[-1] - oracle, 2) <= 1e-8
+
+
+@pytest.mark.parametrize("a,ts", [
+    (0.0, np.linspace(5.0, 9.0, 9)),      # outside [0, 1], and a != ts[0]
+    (5.0, np.linspace(5.0, 9.0, 9)),      # outside [0, 1] only
+    (0.3, np.array([0.0, 0.1, 0.9])),     # a != ts[0], and not uniform
+    (0.3, np.linspace(0.0, 1.0, 9)),      # a != ts[0] only
+    (0.0, np.array([0.0, 0.1, 0.9])),     # not uniform only
+    (0.0, np.array([0.0])),               # one point
+])
+def test_propagator_on_grid_rejects_grids_outside_its_domain(a, ts):
+    fam = builtin_family("random_smooth")
+    with pytest.raises(DomainError):
+        propagator_on_grid(fam, a, ts)
 
 
 def rotating_field(delta, rabi, omega):
@@ -330,18 +347,120 @@ def test_dyson_expansion_is_terms_and_remainder_bit_for_bit(dim, grid):
             assert exp.remainder.tobytes() == R.tobytes()
 
 
-def test_dyson_expansion_peak_memory_is_bounded_in_grid_stacks():
-    # Work arrays are allocated once per call, not once per K iteration.
+@pytest.mark.parametrize("warm,stacks", [(False, 10), (True, 4)],
+                         ids=["cold", "warm"])
+def test_dyson_expansion_peak_memory_is_bounded_in_grid_stacks(warm, stacks):
+    # Work arrays are allocated once per call, not once per K iteration, and
+    # a call that finds its grid in the slot allocates only them.
     dim, grid = 8, 1024
     fam = builtin_family("random_smooth", (0, dim, 0.2))
     dyson_expansion(fam, fam.a, fam.b, 4)
+    if not warm:
+        fam = builtin_family("random_smooth", (0, dim, 0.2))
     tracemalloc.start()
     try:
         dyson_expansion(fam, fam.a, fam.b, 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 10 * (grid + 1) * dim * dim * 16
+    assert peak <= stacks * (grid + 1) * dim * dim * 16
+
+
+def _signed_family():
+    # H(t) sees the sign of a zero t, so t = -0.0 and t = 0.0 differ in bits.
+    base = builtin_family("random_smooth", (5, 2, 0.2))
+
+    def batch(ts):
+        return np.copysign(1.0, ts)[:, None, None] * base.evaluate_batch(ts)
+
+    return GeneratorFamily(a=-1.0, b=1.0, dim=2, evaluate_batch=batch)
+
+
+# (call, a, t, n, w, grid)
+_SERIES_CALLS = (
+    ("expansion", 0.0, 1.0, 4, 1.0, 64), ("expansion", 0.0, 1.0, 0, 1.0, 64),
+    ("remainder", 0.0, 1.0, 2, 1.0, 64), ("terms", 0.0, 1.0, 3, 0.0, 64),
+    ("expansion", 0.0, 1.0, 2, 0.7, 64), ("expansion", 0.0, 1.0, 2, 1.0, 1024),
+    ("remainder", 0.0, 1.0, 1, 0.7, 1024), ("expansion", 0.0, 1.0, 2, 0.0, 64),
+    ("expansion", -0.0, 1.0, 1, 1.0, 64), ("remainder", -0.0, 1.0, 1, 1.0, 64),
+    ("expansion", -1.0, 0.0, 1, 1.0, 64), ("expansion", -1.0, -0.0, 1, 1.0, 64),
+    ("terms", -1.0, -0.0, 1, 0.0, 64), ("terms", -1.0, 0.0, 1, 0.0, 64),
+)
+
+
+def _series_bytes(fam, call):
+    kind, a, t, n, w, grid = call
+    if kind == "remainder":
+        return [remainder_42(fam, a, t, n, w, grid).tobytes()]
+    if kind == "terms":
+        return [T.tobytes() for T in dyson_terms(fam, a, t, n, grid).terms]
+    exp = dyson_expansion(fam, a, t, n, w, grid)
+    return [T.tobytes() for T in exp.terms] + [exp.remainder.tobytes()]
+
+
+_UNCACHED = [_series_bytes(_signed_family(), call) for call in _SERIES_CALLS]
+
+
+@settings(max_examples=25, deadline=None)
+@given(order=st.permutations(range(len(_SERIES_CALLS))))
+def test_series_calls_in_any_sequence_match_uncached_calls(order):
+    # A fresh family never finds its grid in the slot, so _UNCACHED is the
+    # reference; one family object reuses the slot wherever the key repeats.
+    fam = _signed_family()
+    for k in order:
+        assert _series_bytes(fam, _SERIES_CALLS[k]) == _UNCACHED[k]
+
+
+def test_series_slot_matches_the_family_object():
+    nodes = []
+
+    def counted(fam):
+        def batch(ts):
+            nodes.append(len(ts))
+            return fam.evaluate_batch(ts)
+        return dataclasses.replace(fam, evaluate_batch=batch)
+
+    fam = counted(builtin_family("random_smooth", (0, 2, 0.2)))
+    dyson_expansion(fam, 0.0, 1.0, 1, grid=64)
+    built = len(nodes)
+    dyson_expansion(fam, 0.0, 1.0, 3, grid=64)
+    assert len(nodes) == built
+    rebuilt = dataclasses.replace(fam)
+    assert rebuilt == fam
+    for twin in (rebuilt, counted(builtin_family("random_smooth", (0, 2, 0.2)))):
+        before = len(nodes)
+        dyson_expansion(twin, 0.0, 1.0, 3, grid=64)
+        assert len(nodes) == before + built
+
+
+def test_series_grid_arrays_are_read_only():
+    fam = builtin_family("two_level_driven")
+    ts, _, Hs, U = propagators._series_grid(fam, 0.0, 1.0, 2, 64, 1.0)
+    for x in (ts, Hs, U):
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+    assert propagator_on_grid(fam, 0.0, ts).flags.writeable
+
+
+def test_writing_into_series_results_changes_no_later_call():
+    fam = builtin_family("random_smooth", (1, 3, 0.2))
+    exp = dyson_expansion(fam, 0.0, 1.0, 2, 0.7, 64)
+    expected = [T.tobytes() for T in exp.terms] + [exp.remainder.tobytes()]
+    for x in (*exp.terms, exp.remainder,
+              remainder_42(fam, 0.0, 1.0, 2, 0.7, 64),
+              *dyson_terms(fam, 0.0, 1.0, 2, 64).terms):
+        x[...] = np.nan
+    again = dyson_expansion(fam, 0.0, 1.0, 2, 0.7, 64)
+    assert [T.tobytes() for T in again.terms] + [again.remainder.tobytes()] == expected
+
+
+def test_a_series_call_that_raises_leaves_the_slot_empty():
+    dyson_expansion(builtin_family("two_level_driven"), 0.0, 1.0, 1, grid=64)
+    hot = family_from_matrix(1e6 * np.eye(2))
+    for _ in range(2):
+        with pytest.raises(RangeError), np.errstate(all="ignore"):
+            dyson_expansion(hot, 0.0, 1.0, 1, grid=64)
+        assert propagators._grid_slot is None
 
 
 def test_asymptotic_probe_scalar_limit():
