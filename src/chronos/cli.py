@@ -220,7 +220,7 @@ def _experiment_film_verify(p, digest):
                 continue
             Pjk = exchange(j, k, film).dense()
             r1 = float(np.linalg.norm(
-                Pjk @ embed(H, j, film).dense() @ np.linalg.inv(Pjk)
+                Pjk @ embed(H, j, film).dense() @ Pjk.conj().T
                 - embed(H, k, film).dense(), 2))
             r3 = float(np.linalg.norm(
                 Pjk @ exchange(k, j, film).dense() - np.eye(film.full_dim), 2))

@@ -9,7 +9,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (ConfigError, ConsistencyError, DimensionError, DomainError,
-                     ResourceError)
+                     ResourceError, SingularityError)
 from .linalg import MAX_DENSE_DIM, as_matrix, dissipativity
 from .quadrature import adaptive_quadrature, loglog_slope
 
@@ -238,8 +238,11 @@ def yosida_stack(H: np.ndarray, z: float) -> np.ndarray:
     if not z > 0:
         raise DomainError(f"yosida requires z > 0, got z={z}")
     d = H.shape[-1]
-    R = np.linalg.solve(z * np.eye(d)[None] - H, np.broadcast_to(
-        np.eye(d, dtype=complex), H.shape))
+    try:
+        R = np.linalg.solve(z * np.eye(d)[None] - H, np.broadcast_to(
+            np.eye(d, dtype=complex), H.shape))
+    except np.linalg.LinAlgError as exc:
+        raise SingularityError(f"zI - H(t) is singular at z={z}") from exc
     return z * (H @ R)
 
 
@@ -255,9 +258,9 @@ def yosida_family(f: GeneratorFamily, z: float) -> GeneratorFamily:
 
 
 def _check_interval(f: GeneratorFamily, s: float, t: float):
-    if s > t:
+    if not s <= t:
         raise DomainError(f"need s <= t, got s={s}, t={t}")
-    if s < f.a - 1e-12 or t > f.b + 1e-12:
+    if not (f.a - 1e-12 <= s and t <= f.b + 1e-12):
         raise DomainError(
             f"[{s}, {t}] not contained in the family interval [{f.a}, {f.b}]")
 

@@ -127,25 +127,18 @@ def _magnus_steps(f: GeneratorFamily, left: np.ndarray, h: float,
     return expm_stack(omega)
 
 
-def propagator_on_grid(f: GeneratorFamily, a: float, ts: np.ndarray,
+def propagator_on_grid(f: GeneratorFamily, a: float, t: float, grid: int,
                        w: float = 1.0) -> np.ndarray:
-    """U_w[ts_j, a] along a uniform grid that starts at a, one fourth-order
-    Magnus step per cell, so the grid itself controls the accuracy."""
-    ts = np.asarray(ts, dtype=float)
-    if ts.ndim != 1 or len(ts) < 2:
-        raise DomainError(f"need a grid of at least 2 times, got shape {ts.shape}")
-    if ts[0] != a:
-        raise DomainError(f"the grid starts at {ts[0]}, not at a={a}")
-    _check_interval(f, ts[0], ts[-1])
-    m = len(ts) - 1
-    h = ts[1] - ts[0]
-    if not np.allclose(ts, np.linspace(ts[0], ts[-1], m + 1), rtol=1e-12,
-                       atol=1e-9 * abs(h)):
-        raise DomainError("the grid is not uniform")
-    E = _magnus_steps(f, ts[:-1], h, w)
-    out = np.empty((m + 1, f.dim, f.dim), dtype=complex)
+    """U_w[ts_j, a] on ts = linspace(a, t, grid + 1), one fourth-order Magnus
+    step per cell, so the grid itself controls the accuracy."""
+    if grid < 1:
+        raise DomainError(f"grid must be >= 1, got {grid}")
+    _check_interval(f, a, t)
+    ts = np.linspace(a, t, grid + 1)
+    E = _magnus_steps(f, ts[:-1], ts[1] - ts[0], w)
+    out = np.empty((grid + 1, f.dim, f.dim), dtype=complex)
     out[0] = np.eye(f.dim)
-    for j in range(m):
+    for j in range(grid):
         np.matmul(E[j], out[j], out=out[j + 1])
     return out
 
@@ -156,9 +149,8 @@ def exp_propagator(Q, w: float) -> PropagatorResult:
     return PropagatorResult(U=matrix_exp(w * Q))
 
 
-# The series grid of the last dyson_terms, remainder_42 or dyson_expansion
-# call, as (f, key, arrays), or None.  A ladder of orders on one family
-# computes H(ts) and U_w(ts) once; a call with another key replaces them.
+# The series grid of the last dyson_expansion call, as (f, key, arrays), or
+# None, so a ladder of orders on one family builds H(ts) and U_w(ts) once.
 # The slot is read once per call and its arrays are never written, so
 # concurrent callers see a whole entry or none.
 _grid_slot = None
@@ -171,17 +163,15 @@ def _read_only(x: np.ndarray) -> np.ndarray:
 
 
 def _series_grid(f: GeneratorFamily, a: float, t: float, n: int, grid: int,
-                 w: float = 0.0):
-    """Validated uniform grid of the iterated integrals, read-only:
-    (ts, h, H(ts), U_w(ts)), with U_w None when w == 0.
-
-    Every call validates.  The arrays of the last (f, a, t, grid, w) stay in
-    one slot: f matches by identity, and a, t and w by their exact bits.  A
-    miss empties the slot before it builds, so two grids are never alive
-    together, and a build that raises leaves the slot empty.
-    """
+                 w: float):
+    """Uniform grid ts = linspace(a, t, grid + 1) of the iterated integrals,
+    validated on every call, read-only: (h, H(ts), U_w(ts)), U_w None at w = 0.
+    The arrays of the last (f, a, t, grid, w) stay in one slot: f matches by
+    identity, and a, t and w by their exact bits.  A miss empties the slot
+    before it builds, so two grids are never alive together, and a build
+    that raises leaves the slot empty."""
     global _grid_slot
-    if w < 0:
+    if not w >= 0:
         raise DomainError(f"need w >= 0, got {w}")
     if n < 0:
         raise DomainError(f"order must be >= 0, got {n}")
@@ -193,46 +183,21 @@ def _series_grid(f: GeneratorFamily, a: float, t: float, n: int, grid: int,
     if slot is not None and slot[0] is f and slot[1] == key:
         return slot[2]
     _grid_slot = slot = None
-    ts = np.linspace(a, t, grid + 1)
     # U before H(ts): the stacks that U's build frees then hold H(ts) and,
     # on later hits, the callers' work arrays, so a hit grows no heap (with
     # glibc malloc, 480 -> 0 minor faults per d = 8, grid 1024 hit).
-    U = _read_only(propagator_on_grid(f, a, ts, w=w)) if w else None
-    Hs = f.evaluate_batch(ts)
-    arrays = (_read_only(ts), (t - a) / grid, _read_only(Hs), U)
+    U = _read_only(propagator_on_grid(f, a, t, grid, w)) if w else None
+    Hs = f.evaluate_batch(np.linspace(a, t, grid + 1))
+    arrays = ((t - a) / grid, _read_only(Hs), U)
     _grid_slot = (f, key, arrays)
     return arrays
 
 
-def _apply_K(Hs: np.ndarray, G: np.ndarray, h: float, W: np.ndarray,
-             work: np.ndarray, out: np.ndarray) -> None:
-    """out <- (K G)(ts) = cumulative Simpson of Hs @ G; out may be G.  W and
-    work are scratch of the shapes of G and G[1:]."""
-    np.matmul(Hs, G, out=W)
-    _cumulative_simpson_into(W, h, out, work)
-
-
-def _terms_into(Hs, V, h, W, work, n: int) -> List[np.ndarray]:
-    """T_0..T_n, iterating K in place from the identity stack written into V."""
-    V[...] = np.eye(V.shape[-1])
-    terms = [np.eye(V.shape[-1], dtype=complex)]
-    for _ in range(n):
-        _apply_K(Hs, V, h, W, work, V)
-        terms.append(V[-1].copy())
-    return terms
-
-
 def dyson_terms(f: GeneratorFamily, a: float, t: float, n: int,
                 grid: int = 1024) -> DysonExpansion:
-    """Iterated time-ordered integrals T_0..T_n via forward recursion.
-
-    T_k(t) = int_a^t H(s) T_{k-1}(s) ds, accumulated with cumulative
-    Simpson on a uniform grid.
-    """
-    _, h, Hs, _ = _series_grid(f, a, t, n, grid)
-    V = np.empty((grid + 1, f.dim, f.dim), dtype=complex)
-    return DysonExpansion(
-        terms=_terms_into(Hs, V, h, np.empty_like(V), np.empty_like(V[1:]), n))
+    """Iterated time-ordered integrals T_0..T_n via forward recursion:
+    the terms of dyson_expansion at w = 0."""
+    return DysonExpansion(terms=dyson_expansion(f, a, t, n, 0.0, grid).terms)
 
 
 def taylor_partial_sum(Q: np.ndarray, n: int, w: float) -> np.ndarray:
@@ -253,7 +218,7 @@ def remainder_310(Q, n: int, w: float) -> np.ndarray:
     sum_{k<=n} (wQ)^k/k! + R = exp(wQ) for any square Q.
     """
     Q = as_matrix(Q, "Q")
-    if w < 0:
+    if not w >= 0:
         raise DomainError(f"need w >= 0, got {w}")
     if n < 0:
         raise DomainError(f"order must be >= 0, got {n}")
@@ -268,45 +233,35 @@ def remainder_310(Q, n: int, w: float) -> np.ndarray:
 
 def remainder_42(f: GeneratorFamily, a: float, t: float, n: int, w: float,
                  grid: int = 1024) -> np.ndarray:
-    """Exact remainder of the time-ordered series after order n.
-
-    Returns R such that sum_{k<=n} w^k T_k + R reproduces the propagator
-    of w H(t) (equal to exp(wQ) for commuting families), from the iterated
-    integral equation R = w^{n+1} K^{n+1}[U_w](t) with
-    (K g)(s) = int_a^s H(u) g(u) du and U_w the propagator of w H(t).
+    """Exact remainder R of the time-ordered series after order n, as in
+    dyson_expansion: sum_{k<=n} w^k T_k + R reproduces the propagator U_w of
+    w H(t) (exp(wQ) for commuting families), from the iterated integral
+    equation R = w^{n+1} K^{n+1}[U_w](t) with (K g)(s) = int_a^s H(u) g(u) du.
     """
-    _, h, Hs, U = _series_grid(f, a, t, n, grid, w)
-    if w == 0:
-        return np.zeros((f.dim, f.dim), dtype=complex)
-    V = np.empty_like(U)
-    return _remainder_into(Hs, U, V, h, np.empty_like(V), np.empty_like(V[1:]),
-                           n, w)
-
-
-def _remainder_into(Hs, U, V, h, W, work, n: int, w: float) -> np.ndarray:
-    """w^{n+1} K^{n+1}[U](t): the first K from the propagator stack U into V,
-    the rest in place on V."""
-    _apply_K(Hs, U, h, W, work, V)
-    for _ in range(n):
-        _apply_K(Hs, V, h, W, work, V)
-    return (w ** (n + 1)) * V[-1]
+    return dyson_expansion(f, a, t, n, w, grid).remainder
 
 
 def dyson_expansion(f: GeneratorFamily, a: float, t: float, n: int, w: float = 1.0,
                     grid: int = 1024) -> DysonExpansion:
-    """Terms plus exact remainder in one structure.
-
-    H(ts) and U_w(ts) come from the series grid, computed once for a ladder
-    of orders on one family.  The remainder runs first; its stack is then
-    overwritten with the identity for the terms, and both share one pair of
-    work arrays.
-    """
-    _, h, Hs, U = _series_grid(f, a, t, n, grid, w)
-    V = np.empty((grid + 1, f.dim, f.dim), dtype=complex)
+    """Terms T_0..T_n and the exact remainder from one iteration of
+    (K g)(s) = int_a^s H(u) g(u) du, by cumulative Simpson on the series grid.
+    When w > 0 the remainder w^{n+1} K^{n+1}[U_w](t) runs first, from the
+    cached U_w; V then restarts from the identity for the terms."""
+    h, Hs, U = _series_grid(f, a, t, n, grid, w)
+    eye = np.eye(f.dim, dtype=complex)
+    V = np.broadcast_to(eye, (grid + 1, f.dim, f.dim)).copy()
     W, work = np.empty_like(V), np.empty_like(V[1:])
-    R = (_remainder_into(Hs, U, V, h, W, work, n, w) if w
-         else np.zeros((f.dim, f.dim), dtype=complex))
-    return DysonExpansion(terms=_terms_into(Hs, V, h, W, work, n), remainder=R)
+    terms, R = [eye], np.zeros_like(eye)
+    # k < 0: the remainder's K steps; k >= 0: the step that gives T_{k+1}.
+    for k in range(-(n + 1) if w else 0, n):
+        np.matmul(Hs, U if k == -(n + 1) else V, out=W)
+        _cumulative_simpson_into(W, h, V, work)
+        if k == -1:
+            R = (w ** (n + 1)) * V[-1]
+            V[...] = eye
+        elif k >= 0:
+            terms.append(V[-1].copy())
+    return DysonExpansion(terms=terms, remainder=R)
 
 
 def asymptotic_probe(Q, n: int, w_list: Sequence[float]):

@@ -118,8 +118,9 @@ def S_n_experimental(cfg: SMatrixConfig, n: int) -> np.ndarray:
 
 
 def S_lambda(cfg: SMatrixConfig, tail_tol: float = 1e-10) -> PropagatorResult:
-    """Poisson(2 lambda T)-weighted sum of the S_n operators by
-    poisson_mixture; each exact S_n is formed in the H0 eigenbasis and
+    """Poisson(2 lambda T)-weighted sum by poisson_mixture: S_n_experimental
+    for n >= 1, and for n = 0 the one-cell exposure exp(Q[T, -T]), not
+    S_n_experimental(0) = I.  Each term is formed in the H0 eigenbasis and
     rotated back once.  step_count is n_max."""
     fam, rotate = _eigen_frame(cfg)
     # Zero bubbles carry no time resolution: the whole window is a single

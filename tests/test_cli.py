@@ -1,5 +1,7 @@
 import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -7,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chronos.cli import (_COMMON, _RUNNERS, emit_plot_script, main, parse_config,
-                         run, selftest)
+import chronos
+from chronos.cli import (_COMMON, _FAMILY, _RUNNERS, emit_plot_script, main,
+                         parse_config, run, selftest)
 from chronos.errors import ConfigError
 
 
@@ -369,17 +372,37 @@ _CONFIG_VALUES = st.one_of(
     st.lists(st.one_of(_NUMBERS.map(str), _TEXTS), max_size=5).map(", ".join))
 
 
+# Real diagonals of a tabulated H(t); 10 is the default z of film-verify and
+# the first of yosida, where zI - H(t) is singular.
+_DIAGONALS = st.lists(st.tuples(*[st.sampled_from([10.0, -1.0, 0.0, 2.5])] * 2),
+                      min_size=2, max_size=3)
+
+
+def _family_table(path, diagonals):
+    rows = [f"{k},{h11},0,0,0,0,0,{h22},0\n"
+            for k, (h11, h22) in enumerate(diagonals)]
+    return write(path, "t,re11,im11,re12,im12,re21,im21,re22,im22\n" + "".join(rows))
+
+
 # smatrix-sweep is left out: half_window = 64 with a 5 x 5 h0.diag runs for
-# 37-39 s, so the property could not stay cheap.
+# 37-39 s, so the property could not stay cheap.  yosida and film-verify also
+# draw a tabulated family in place of the built-in ones.
 @settings(max_examples=100, deadline=None)
 @given(experiment=st.sampled_from(["asymptotic", "yosida", "dyson-convergence",
                                    "film-verify"]),
        data=st.data())
 def test_run_any_config_exits_0_1_or_2(tmp_path_factory, experiment, data):
+    where = tmp_path_factory.mktemp("any")
     keys = sorted(_RUNNERS[experiment][1])
+    table = (experiment in ("yosida", "film-verify")
+             and data.draw(st.booleans(), label="table"))
+    if table:
+        keys = sorted(set(keys) - set(_FAMILY))
     values = data.draw(st.dictionaries(st.sampled_from(keys), _CONFIG_VALUES,
                                        max_size=4))
-    where = tmp_path_factory.mktemp("any")
+    if table:
+        values["family.csv"] = _family_table(where / "family.csv",
+                                             data.draw(_DIAGONALS))
     text = "".join(f"{key} = {value}\n" for key, value in values.items())
     cfg = write(where / "any.cfg", f"experiment = {experiment}\n{text}"
                                    f"output = {where / 'any.csv'}\n")
@@ -441,6 +464,26 @@ def test_run_yosida_zero_generator_is_exact(tmp_path, capsys):
     assert "convergence slope -inf" in capsys.readouterr().out
     assert [line.split(",")[1:] for line in out.read_text().splitlines()[2:]] == [
         ["0.0", "0.0"]] * 4
+
+
+@pytest.mark.parametrize("experiment,key", [("yosida", "sweep.z = 10, 100"),
+                                            ("film-verify", "z = 10")])
+def test_run_singular_yosida_step_exits_1_without_traceback(tmp_path, experiment,
+                                                             key):
+    # H(t) = 10 I makes zI - H(t) singular at z = 10.
+    table = _family_table(tmp_path / "family.csv", [(10.0, 10.0)] * 2)
+    out = tmp_path / "singular.csv"
+    cfg = write(tmp_path / "s.cfg", f"experiment = {experiment}\n"
+                                    f"family.csv = {table}\n{key}\noutput = {out}\n")
+    src = os.path.dirname(os.path.dirname(chronos.__file__))
+    done = subprocess.run([sys.executable, "-m", "chronos.cli", "run", cfg],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert done.stderr.splitlines() == [
+        "invariant violation: zI - H(t) is singular at z=10.0"]
+    assert not out.exists()
 
 
 def test_run_yosida(tmp_path):

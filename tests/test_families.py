@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from chronos.errors import ConfigError, DimensionError, DomainError, ResourceError
+from chronos.errors import (ConfigError, DimensionError, DomainError,
+                            ResourceError, SingularityError)
 from chronos.families import (SIGMA_X, SIGMA_Z, GeneratorFamily,
                               builtin_family, derivative_probe,
                               family_from_csv, family_from_evaluator,
@@ -107,6 +108,9 @@ def test_integrate_outside_interval_rejected():
         integrate_family(fam, 0.0, 2.0)
     with pytest.raises(DomainError):
         integrate_family(fam, 0.5, 0.2)
+    for s, t in ((np.nan, 1.0), (0.0, np.nan)):
+        with pytest.raises(DomainError):
+            integrate_family(fam, s, t)
 
 
 def test_integrate_reports_estimate():
@@ -122,6 +126,12 @@ def test_yosida_stack_matches_single():
     stack = yosida_stack(fam.evaluate_batch(ts), 10.0)
     for k, t in enumerate(ts):
         assert np.allclose(stack[k], yosida(fam(t), 10.0), atol=1e-12)
+
+
+def test_yosida_stack_of_a_singular_step_names_z():
+    H = np.broadcast_to(10.0 * np.eye(2, dtype=complex), (3, 2, 2))
+    with pytest.raises(SingularityError, match="z=10"):
+        yosida_stack(H, 10.0)
 
 
 def test_yosida_family_keeps_labels():

@@ -83,6 +83,8 @@ def test_cell_generators_reject_cells_outside_the_family():
         U_n(fam, make_partition(3.0, 4))
     with pytest.raises(DomainError):
         _cell_generators(fam, np.array([-0.5, 0.5, 1.0]))
+    with pytest.raises(DomainError):
+        U_n(fam, np.array([0.0, np.nan]))
 
 
 def test_U_n_constant_family_collapses():

@@ -73,7 +73,8 @@ def test_product_integral_degenerate_interval():
         product_integral(fam, 0.9, 0.1)
 
 
-@pytest.mark.parametrize("s, t", [(0.0, 2.0), (1.0, 2.5), (0.5, 0.9)])
+@pytest.mark.parametrize("s, t", [(0.0, 2.0), (1.0, 2.5), (0.5, 0.9),
+                                  (math.nan, 1.5), (1.0, math.nan)])
 def test_product_integral_rejects_times_outside_family(s, t):
     fam = builtin_family("two_level_driven", interval=(1.0, 2.0))
     with pytest.raises(DomainError):
@@ -129,24 +130,23 @@ def test_product_integral_unreachable_tolerance():
 
 def test_propagator_on_grid_matches_oracle():
     fam = builtin_family("two_level_driven")
-    ts = np.linspace(0.0, 1.0, 129)
-    path = propagator_on_grid(fam, 0.0, ts)
+    path = propagator_on_grid(fam, 0.0, 1.0, 128)
     oracle = product_integral(fam, 0.0, 1.0, 1e-11).U
     assert np.linalg.norm(path[-1] - oracle, 2) <= 1e-8
 
 
-@pytest.mark.parametrize("a,ts", [
-    (0.0, np.linspace(5.0, 9.0, 9)),      # outside [0, 1], and a != ts[0]
-    (5.0, np.linspace(5.0, 9.0, 9)),      # outside [0, 1] only
-    (0.3, np.array([0.0, 0.1, 0.9])),     # a != ts[0], and not uniform
-    (0.3, np.linspace(0.0, 1.0, 9)),      # a != ts[0] only
-    (0.0, np.array([0.0, 0.1, 0.9])),     # not uniform only
-    (0.0, np.array([0.0])),               # one point
+@pytest.mark.parametrize("a,t,grid", [
+    (5.0, 9.0, 8),          # outside [0, 1]
+    (-0.5, 0.5, 8),         # starts before the family
+    (0.8, 0.2, 8),          # t < a
+    (0.0, 1.0, 0),          # no cell
+    (math.nan, 1.0, 8),     # NaN endpoints
+    (0.0, math.nan, 8),
 ])
-def test_propagator_on_grid_rejects_grids_outside_its_domain(a, ts):
+def test_propagator_on_grid_rejects_grids_outside_its_domain(a, t, grid):
     fam = builtin_family("random_smooth")
     with pytest.raises(DomainError):
-        propagator_on_grid(fam, a, ts)
+        propagator_on_grid(fam, a, t, grid)
 
 
 def rotating_field(delta, rabi, omega):
@@ -245,6 +245,15 @@ def test_dyson_terms_validation():
         dyson_terms(fam, 0.0, 1.0, 2, grid=32)
 
 
+@pytest.mark.parametrize("w", [-1.0, math.nan])
+def test_series_weight_below_0_or_nan_is_a_domain_error(w):
+    fam = builtin_family("two_level_driven")
+    for call in (lambda: remainder_42(fam, 0.0, 1.0, 2, w),
+                 lambda: dyson_expansion(fam, 0.0, 1.0, 2, w)):
+        with pytest.raises(DomainError):
+            call()
+
+
 def test_remainder_310_zero_operator():
     R = remainder_310(np.zeros((2, 2)), 0, 1.0)
     assert np.allclose(R, 0.0)
@@ -267,8 +276,9 @@ def test_remainder_310_closes_exponential():
 def test_remainder_310_zero_width():
     Q = np.diag([-1.0, -2.0]).astype(complex)
     assert np.allclose(remainder_310(Q, 2, 0.0), 0.0)
-    with pytest.raises(DomainError):
-        remainder_310(Q, 2, -1.0)
+    for w in (-1.0, math.nan):
+        with pytest.raises(DomainError):
+            remainder_310(Q, 2, w)
 
 
 def test_remainder_42_zero_width():
@@ -323,7 +333,8 @@ def test_series_grid_below_64_is_a_domain_error(grid):
             call()
 
 
-@pytest.mark.parametrize("a,t", [(-5.0, 9.0), (0.0, 1.5), (-0.5, 0.5), (0.8, 0.2)])
+@pytest.mark.parametrize("a,t", [(-5.0, 9.0), (0.0, 1.5), (-0.5, 0.5), (0.8, 0.2),
+                                 (math.nan, 1.0), (0.0, math.nan)])
 def test_series_outside_family_interval_is_a_domain_error(a, t):
     fam = builtin_family("two_level_driven")
     for call in (lambda: dyson_terms(fam, a, t, 2),
@@ -435,11 +446,11 @@ def test_series_slot_matches_the_family_object():
 
 def test_series_grid_arrays_are_read_only():
     fam = builtin_family("two_level_driven")
-    ts, _, Hs, U = propagators._series_grid(fam, 0.0, 1.0, 2, 64, 1.0)
-    for x in (ts, Hs, U):
+    _, Hs, U = propagators._series_grid(fam, 0.0, 1.0, 2, 64, 1.0)
+    for x in (Hs, U):
         with pytest.raises(ValueError):
             x[0] = 0.0
-    assert propagator_on_grid(fam, 0.0, ts).flags.writeable
+    assert propagator_on_grid(fam, 0.0, 1.0, 64).flags.writeable
 
 
 def test_writing_into_series_results_changes_no_later_call():
