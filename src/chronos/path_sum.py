@@ -63,11 +63,15 @@ def make_partition(t: float, n: int) -> np.ndarray:
 def _cell_generators(f: GeneratorFamily, edges: np.ndarray) -> np.ndarray:
     """A_j = integral of H over cell j, concentrated at its bubble time, for
     all cells at once: composite Gauss-5 per cell.  Edges (..., n + 1) give
-    cells (..., n, d, d); leading axes are a batch of partitions."""
+    cells (..., n, d, d); leading axes are a batch of partitions.  Edges
+    must not decrease; a zero-width cell is legal."""
+    edges = np.asarray(edges)
     _check_interval(f, np.min(edges[..., 0]), np.max(edges[..., -1]))
+    widths = np.diff(edges)[..., None]
+    if not np.all(widths >= 0):
+        raise DomainError("cell edges must be non-decreasing and not NaN")
     panels = max(1, -(-CELL_NODES // (5 * (edges.shape[-1] - 1))))
     sub = np.linspace(0.0, 1.0, panels + 1)
-    widths = np.diff(edges)[..., None]
     lo = edges[..., :-1, None] + widths * sub[:-1]
     width = widths * (1.0 / panels)
     mid = lo + 0.5 * width

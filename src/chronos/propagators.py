@@ -7,6 +7,8 @@ integrals, exact Taylor and series remainders and asymptotic-order probes.
 from __future__ import annotations
 
 import math
+import operator
+import threading
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -131,6 +133,7 @@ def propagator_on_grid(f: GeneratorFamily, a: float, t: float, grid: int,
                        w: float = 1.0) -> np.ndarray:
     """U_w[ts_j, a] on ts = linspace(a, t, grid + 1), one fourth-order Magnus
     step per cell, so the grid itself controls the accuracy."""
+    grid = _as_int(grid, "grid")
     if grid < 1:
         raise DomainError(f"grid must be >= 1, got {grid}")
     _check_interval(f, a, t)
@@ -149,11 +152,30 @@ def exp_propagator(Q, w: float) -> PropagatorResult:
     return PropagatorResult(U=matrix_exp(w * Q))
 
 
-# The series grid of the last dyson_expansion call, as (f, key, arrays), or
-# None, so a ladder of orders on one family builds H(ts) and U_w(ts) once.
-# The slot is read once per call and its arrays are never written, so
-# concurrent callers see a whole entry or none.
+# The series grid of the last dyson_expansion call, as (f, key, (h, H(ts),
+# U_w(ts), chains)), or None, so a ladder of orders on one family builds
+# H(ts) and U_w(ts) once and runs each K iteration once.  The slot is read
+# once per call and its arrays are never written, so concurrent callers see
+# a whole entry or none.  The chains are its one mutable part: a caller
+# reads, extends and copies them out while it holds _chain_lock.
 _grid_slot = None
+_chain_lock = threading.Lock()
+
+
+class _Chains:
+    """The two running K chains of one series grid: the term stack K^m[I]
+    with T_0..T_m, and the remainder stack K^j[U_w] with its unscaled
+    values K^j[U_w](t), j = 1..len(rem).  A stack is allocated when the
+    first order that needs it arrives."""
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self.clear()
+
+    def clear(self):
+        self.terms = [np.eye(self.dim, dtype=complex)]
+        self.rem = []
+        self.term_stack = self.rem_stack = None
 
 
 def _read_only(x: np.ndarray) -> np.ndarray:
@@ -162,19 +184,29 @@ def _read_only(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _as_int(x, name: str) -> int:
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {x!r}") from None
+
+
 def _series_grid(f: GeneratorFamily, a: float, t: float, n: int, grid: int,
                  w: float):
     """Uniform grid ts = linspace(a, t, grid + 1) of the iterated integrals,
-    validated on every call, read-only: (h, H(ts), U_w(ts)), U_w None at w = 0.
-    The arrays of the last (f, a, t, grid, w) stay in one slot: f matches by
-    identity, and a, t and w by their exact bits.  A miss empties the slot
-    before it builds, so two grids are never alive together, and a build
-    that raises leaves the slot empty."""
+    validated on every call: (h, H(ts), U_w(ts), chains), the arrays
+    read-only and U_w None at w = 0.  The grid and the _Chains of the last
+    (f, a, t, grid, w) stay in one slot: f matches by identity, and a, t and
+    w by their exact bits.  A miss empties the slot before it builds, so the
+    old grid and chains are freed before the new grid is built, and a build
+    that raises leaves the slot empty.  dyson_expansion extends the chains
+    in place, under _chain_lock."""
     global _grid_slot
     if not w >= 0:
         raise DomainError(f"need w >= 0, got {w}")
-    if n < 0:
+    if _as_int(n, "order") < 0:
         raise DomainError(f"order must be >= 0, got {n}")
+    grid = _as_int(grid, "grid")
     if grid < 64:
         raise DomainError(f"grid must be >= 64, got {grid}")
     _check_interval(f, a, t)
@@ -188,7 +220,7 @@ def _series_grid(f: GeneratorFamily, a: float, t: float, n: int, grid: int,
     # glibc malloc, 480 -> 0 minor faults per d = 8, grid 1024 hit).
     U = _read_only(propagator_on_grid(f, a, t, grid, w)) if w else None
     Hs = f.evaluate_batch(np.linspace(a, t, grid + 1))
-    arrays = ((t - a) / grid, _read_only(Hs), U)
+    arrays = ((t - a) / grid, _read_only(Hs), U, _Chains(f.dim))
     _grid_slot = (f, key, arrays)
     return arrays
 
@@ -243,24 +275,39 @@ def remainder_42(f: GeneratorFamily, a: float, t: float, n: int, w: float,
 
 def dyson_expansion(f: GeneratorFamily, a: float, t: float, n: int, w: float = 1.0,
                     grid: int = 1024) -> DysonExpansion:
-    """Terms T_0..T_n and the exact remainder from one iteration of
-    (K g)(s) = int_a^s H(u) g(u) du, by cumulative Simpson on the series grid.
-    When w > 0 the remainder w^{n+1} K^{n+1}[U_w](t) runs first, from the
-    cached U_w; V then restarts from the identity for the terms."""
-    h, Hs, U = _series_grid(f, a, t, n, grid, w)
-    eye = np.eye(f.dim, dtype=complex)
-    V = np.broadcast_to(eye, (grid + 1, f.dim, f.dim)).copy()
-    W, work = np.empty_like(V), np.empty_like(V[1:])
-    terms, R = [eye], np.zeros_like(eye)
-    # k < 0: the remainder's K steps; k >= 0: the step that gives T_{k+1}.
-    for k in range(-(n + 1) if w else 0, n):
-        np.matmul(Hs, U if k == -(n + 1) else V, out=W)
-        _cumulative_simpson_into(W, h, V, work)
-        if k == -1:
-            R = (w ** (n + 1)) * V[-1]
-            V[...] = eye
-        elif k >= 0:
-            terms.append(V[-1].copy())
+    """Terms T_0..T_n and the exact remainder w^{n+1} K^{n+1}[U_w](t), from
+    the iteration of (K g)(s) = int_a^s H(u) g(u) du by cumulative Simpson on
+    the series grid.  Both chains continue where the last call on the same
+    grid left them, so a ladder of orders runs each K iteration once."""
+    h, Hs, U, chains = _series_grid(f, a, t, n, grid, w)
+    with _chain_lock:
+        rem_steps = n + 1 - len(chains.rem) if w else 0
+        if rem_steps > 0 or n >= len(chains.terms):
+            W = np.empty((grid + 1, f.dim, f.dim), complex)
+            work = np.empty_like(W[1:])
+        try:
+            for _ in range(rem_steps):
+                V = chains.rem_stack
+                if V is None:
+                    V = chains.rem_stack = np.empty_like(W)
+                np.matmul(Hs, V if chains.rem else U, out=W)
+                _cumulative_simpson_into(W, h, V, work)
+                chains.rem.append(V[-1].copy())
+            while n >= len(chains.terms):
+                V = chains.term_stack
+                if V is None:
+                    V = chains.term_stack = np.empty_like(W)
+                    V[...] = chains.terms[0]
+                np.matmul(Hs, V, out=W)
+                _cumulative_simpson_into(W, h, V, work)
+                chains.terms.append(V[-1].copy())
+        except BaseException:
+            # A step cut short (an error raised under np.errstate, an
+            # interrupt) leaves its stack half-written: start both over.
+            chains.clear()
+            raise
+        terms = [T.copy() for T in chains.terms[:n + 1]]
+        R = (w ** (n + 1)) * chains.rem[n] if w else np.zeros_like(terms[0])
     return DysonExpansion(terms=terms, remainder=R)
 
 

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,22 @@ def test_cell_generators_reject_cells_outside_the_family():
         _cell_generators(fam, np.array([-0.5, 0.5, 1.0]))
     with pytest.raises(DomainError):
         U_n(fam, np.array([0.0, np.nan]))
+    # Interior edges outside the family, out of order or NaN; a batch with
+    # one such row.  No numpy warning may come first.
+    for edges in ([0.0, 5.0, 1.0], [0.0, 0.8, 0.2, 1.0], [0.0, np.nan, 1.0],
+                  [[0.0, 0.5, 1.0], [0.0, 0.6, 0.4]]):
+        with warnings.catch_warnings(), pytest.raises(DomainError):
+            warnings.simplefilter("error")
+            U_n(fam, np.array(edges))
+
+
+def test_cell_generators_take_a_list_and_zero_width_cells():
+    fam = builtin_family("two_level_driven")
+    edges = [0.0, 0.5, 0.5, 1.0]
+    A = _cell_generators(fam, edges)
+    assert np.array_equal(A, _cell_generators(fam, np.array(edges)))
+    assert not A[1].any()
+    assert U_n(fam, edges).step_count == 3
 
 
 def test_U_n_constant_family_collapses():

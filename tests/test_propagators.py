@@ -1,6 +1,9 @@
 import dataclasses
 import math
+import sys
+import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -142,6 +145,7 @@ def test_propagator_on_grid_matches_oracle():
     (0.0, 1.0, 0),          # no cell
     (math.nan, 1.0, 8),     # NaN endpoints
     (0.0, math.nan, 8),
+    (0.0, 1.0, 8.0),        # not an integer
 ])
 def test_propagator_on_grid_rejects_grids_outside_its_domain(a, t, grid):
     fam = builtin_family("random_smooth")
@@ -243,6 +247,15 @@ def test_dyson_terms_validation():
         dyson_terms(fam, 0.0, 1.0, -1)
     with pytest.raises(DomainError):
         dyson_terms(fam, 0.0, 1.0, 2, grid=32)
+    for n, grid in ((1.5, 64), (2.0, 64), (2, 64.0), (2, "64")):
+        with pytest.raises(DomainError):
+            dyson_terms(fam, 0.0, 1.0, n, grid)
+    # numpy integers are integers
+    terms = dyson_terms(fam, 0.0, 1.0, np.int64(2), np.int32(64)).terms
+    assert [T.tobytes() for T in terms] == [
+        T.tobytes() for T in dyson_terms(fam, 0.0, 1.0, 2, 64).terms]
+    assert np.array_equal(propagator_on_grid(fam, 0.0, 1.0, np.int64(8)),
+                          propagator_on_grid(fam, 0.0, 1.0, 8))
 
 
 @pytest.mark.parametrize("w", [-1.0, math.nan])
@@ -322,7 +335,7 @@ def test_dyson_expansion_closes_on_oracle_order_one():
         assert np.linalg.norm(closure - oracle, 2) <= 1e-8
 
 
-@pytest.mark.parametrize("grid", [0, 10, 63])
+@pytest.mark.parametrize("grid", [0, 10, 63, 64.5])
 def test_series_grid_below_64_is_a_domain_error(grid):
     fam = builtin_family("two_level_driven")
     for call in (lambda: dyson_terms(fam, 0.0, 1.0, 2, grid),
@@ -446,7 +459,7 @@ def test_series_slot_matches_the_family_object():
 
 def test_series_grid_arrays_are_read_only():
     fam = builtin_family("two_level_driven")
-    _, Hs, U = propagators._series_grid(fam, 0.0, 1.0, 2, 64, 1.0)
+    _, Hs, U, _ = propagators._series_grid(fam, 0.0, 1.0, 2, 64, 1.0)
     for x in (Hs, U):
         with pytest.raises(ValueError):
             x[0] = 0.0
@@ -467,11 +480,109 @@ def test_writing_into_series_results_changes_no_later_call():
 
 def test_a_series_call_that_raises_leaves_the_slot_empty():
     dyson_expansion(builtin_family("two_level_driven"), 0.0, 1.0, 1, grid=64)
+    chains = weakref.ref(propagators._grid_slot[2][3])
     hot = family_from_matrix(1e6 * np.eye(2))
     for _ in range(2):
         with pytest.raises(RangeError), np.errstate(all="ignore"):
             dyson_expansion(hot, 0.0, 1.0, 1, grid=64)
         assert propagators._grid_slot is None
+        assert chains() is None
+
+
+def test_a_ladder_runs_each_K_iteration_once(monkeypatch):
+    # Orders 0..4 at w > 0 take 5 remainder and 4 term iterations, in any
+    # call order; a fresh family object starts both chains over.
+    steps = []
+    simpson = propagators._cumulative_simpson_into
+
+    def counted(*args):
+        steps.append(None)
+        return simpson(*args)
+
+    monkeypatch.setattr(propagators, "_cumulative_simpson_into", counted)
+    for orders in ((0, 1, 2, 3, 4), (4, 0, 2, 1, 3), (4,)):
+        fam = builtin_family("random_smooth", (0, 3, 0.2))
+        before = len(steps)
+        for n in orders:
+            dyson_expansion(fam, fam.a, fam.b, n, 1.0, 64)
+        assert len(steps) - before == 9
+        for n in range(5):
+            remainder_42(fam, fam.a, fam.b, n, 1.0, 64)
+        assert len(steps) - before == 9
+
+
+def test_a_slot_miss_frees_the_old_chains_before_building():
+    fam = builtin_family("random_smooth", (0, 8, 0.2))
+    for n in range(5):
+        dyson_expansion(fam, fam.a, fam.b, n)
+    chains = propagators._grid_slot[2][3]
+    stacks = [weakref.ref(chains.term_stack), weakref.ref(chains.rem_stack)]
+    del chains
+    alive = []
+    other = builtin_family("random_smooth", (1, 8, 0.2))
+
+    def batch(ts):
+        alive.append([ref() is not None for ref in stacks])
+        return other.evaluate_batch(ts)
+
+    dyson_expansion(dataclasses.replace(other, evaluate_batch=batch),
+                    other.a, other.b, 4)
+    assert alive and not any(map(any, alive))
+
+
+def test_a_K_step_cut_short_leaves_no_half_written_chain(monkeypatch):
+    expected = _ladder_bytes(builtin_family("random_smooth", (0, 3, 0.2)), 1.0, 64)
+    fam = builtin_family("random_smooth", (0, 3, 0.2))
+    dyson_expansion(fam, fam.a, fam.b, 1, 1.0, 64)
+
+    def cut(f, h, out, work):
+        out[...] = 0.0
+        raise FloatingPointError("overflow encountered in cumsum")
+
+    monkeypatch.setattr(propagators, "_cumulative_simpson_into", cut)
+    with pytest.raises(FloatingPointError):
+        dyson_expansion(fam, fam.a, fam.b, 3, 1.0, 64)
+    monkeypatch.undo()
+    assert _ladder_bytes(fam, 1.0, 64) == expected
+
+
+def _ladder_bytes(fam, w, grid):
+    out = []
+    for n in range(5):
+        exp = dyson_expansion(fam, fam.a, fam.b, n, w, grid)
+        out += [T.tobytes() for T in exp.terms] + [exp.remainder.tobytes()]
+    return out
+
+
+def test_concurrent_ladders_on_one_family_match_a_serial_run():
+    # More threads than cores start each round together; half take w = 1 and
+    # half w = 0.7, so threads both extend one chain and replace the slot
+    # under one another.
+    weights, threads, rounds, grid = (1.0, 0.7), 4, 8, 1024
+    serial = {w: _ladder_bytes(builtin_family("random_smooth", (2, 4, 0.2)), w, grid)
+              for w in weights}
+    fam = builtin_family("random_smooth", (2, 4, 0.2))
+    start = threading.Barrier(threads)
+    matches = []
+
+    def run(k):
+        for r in range(rounds):
+            w = weights[(k + r) % 2]
+            start.wait(timeout=60)
+            matches.append(_ladder_bytes(fam, w, grid) == serial[w])
+
+    pool = [threading.Thread(target=run, args=(k,)) for k in range(threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in pool:
+            th.start()
+        for th in pool:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in pool)
+    assert matches == [True] * (threads * rounds)
 
 
 def test_asymptotic_probe_scalar_limit():
