@@ -90,14 +90,10 @@ def _get_family(p: dict):
 
 
 def _path_sum_horizon(p: dict, fam) -> float:
-    """The horizon t of a path sum, which runs on [0, t] inside the family."""
-    if fam.a != 0.0:
-        key = "interval" if p["family.csv"] is None else "family.csv"
-        raise ConfigError(
-            f"{key}: the path sum starts at time 0, the family at {fam.a}")
-    t = fam.b if p["horizon"] is None else p["horizon"]
-    if not 0.0 < t <= fam.b:
-        raise ConfigError(f"horizon must be in (0, {fam.b}], got {t}")
+    """The horizon t of a path sum, which runs on [a, a + t] of the family."""
+    t = fam.b - fam.a if p["horizon"] is None else p["horizon"]
+    if not 0.0 < t <= fam.b - fam.a:
+        raise ConfigError(f"horizon must be in (0, {fam.b - fam.a}], got {t}")
     return t
 
 
@@ -186,7 +182,7 @@ def _experiment_yosida(p, digest):
 def _experiment_lambda_sweep(p, digest):
     fam = _get_family(p)
     t = _path_sum_horizon(p, fam)
-    oracle = product_integral(fam, 0.0, t, p["oracle_tol"]).U
+    oracle = product_integral(fam, fam.a, fam.a + t, p["oracle_tol"]).U
     report = Report(["lambda", "n_max", "captured_mass", "err_raw",
                      "err_normalized", "seconds"], p["seed"], digest)
     errs = []
@@ -269,7 +265,7 @@ def _experiment_monte_carlo(p, digest):
     mean = float(counts.mean())
     sigma = float(np.sqrt(lam * t / draws))
     res = monte_carlo_U(fam, ps)
-    oracle = product_integral(fam, 0.0, t, p["oracle_tol"]).U
+    oracle = product_integral(fam, fam.a, fam.a + t, p["oracle_tol"]).U
     dist = float(np.linalg.norm(res.U - oracle, 2))
     report = Report(["stat", "value"], p["seed"], digest)
     report.add("count_mean", mean)

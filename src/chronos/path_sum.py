@@ -23,7 +23,7 @@ from .errors import ConfigError, ConsistencyError, DomainError, ResourceError
 from .families import GeneratorFamily, _check_interval, integrate_family
 from .film import midpoint_edges
 from .linalg import _pade_choice, expm_stack, matrix_exp
-from .propagators import PropagatorResult, ordered_product
+from .propagators import PropagatorResult, _as_int, ordered_product
 from .quadrature import _GAUSS5_NODES, _GAUSS5_WEIGHTS
 
 MAX_POISSON_TERMS = 10 ** 6
@@ -47,17 +47,23 @@ class PathSumConfig:
             raise ConfigError(f"horizon must be > 0, got {self.t}")
         if not 0 < self.tail_tol < 1:
             raise ConfigError(f"tail_tol must be in (0, 1), got {self.tail_tol}")
+        for name in ("trials", "seed"):
+            value = getattr(self, name)
+            if not hasattr(type(value), "__index__"):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
-def make_partition(t: float, n: int) -> np.ndarray:
-    """Midpoint cell edges (n + 1,) of the equally spaced centers j t / n."""
+def make_partition(a: float, t: float, n: int) -> np.ndarray:
+    """Midpoint cell edges (n + 1,) on [a, a + t] of the equally spaced
+    centers a + j t / n, j = 1 .. n."""
+    n = _as_int(n, "n")
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    if not t > 0:
-        raise DomainError(f"need t > 0, got {t}")
-    return midpoint_edges(0.0, t, t * np.arange(1, n + 1) / n)
+    if not (math.isfinite(a) and 0 < t < math.inf):
+        raise DomainError(f"need a finite start and t > 0, got a={a}, t={t}")
+    return midpoint_edges(a, a + t, a + t * np.arange(1, n + 1) / n)
 
 
 def _cell_generators(f: GeneratorFamily, edges: np.ndarray) -> np.ndarray:
@@ -99,25 +105,30 @@ def U_n(f: GeneratorFamily, edges: np.ndarray) -> PropagatorResult:
 
 
 def _U_for_count(f: GeneratorFamily, t: float, n: int) -> np.ndarray:
-    # n = 0 carries no time resolution: the whole window is one cell, so
-    # U_0 = exp(Q[t,0]) = U_1 and commuting families collapse exactly.
+    """The n-bubble term on [f.a, f.a + t]: U_n over the n cells of
+    make_partition.  n = 0 carries no time resolution: the window is one
+    cell, exp(Q) = U_1, so commuting families collapse exactly."""
     if n == 0:
-        return matrix_exp(integrate_family(f, 0.0, t))
-    return U_n(f, make_partition(t, n)).U
+        return matrix_exp(integrate_family(f, f.a, f.a + t))
+    return U_n(f, make_partition(f.a, t, n)).U
 
 
 def poisson_weight(t: float, s: float, lam: float) -> float:
     """P[t; s, lambda]: Poisson(lambda t) mass on counts <= floor(lambda s).
 
     Zero for s <= 0; a right-continuous nondecreasing step function of s
-    with jumps exactly at s = k / lambda.
+    with jumps exactly at s = k / lambda, and 1 where lambda s is infinite.
     """
     if not lam > 0:
         raise DomainError(f"lambda must be > 0, got {lam}")
     if not t > 0:
         raise DomainError(f"t must be > 0, got {t}")
+    if math.isnan(s):
+        raise DomainError("s must not be NaN")
     if s <= 0:
         return 0.0
+    if lam * s == math.inf:
+        return 1.0
     from scipy import special
     return float(special.pdtr(math.floor(lam * s), lam * t))
 
@@ -221,9 +232,9 @@ def poisson_mixture(term: Callable[[int], np.ndarray], mean: float,
 
 
 def U_lambda(f: GeneratorFamily, cfg: PathSumConfig) -> PropagatorResult:
-    """Poisson(lambda t)-weighted sum of the discretized-path propagators,
+    """Poisson(lambda t)-weighted sum of the path propagators on [f.a, f.a + t],
     summed by poisson_mixture (see there for U, step_count and extras)."""
-    _check_interval(f, 0.0, cfg.t)
+    _check_interval(f, f.a, f.a + cfg.t)
     return poisson_mixture(lambda n: _U_for_count(f, cfg.t, n),
                            cfg.lam * cfg.t, cfg.tail_tol)
 
@@ -233,14 +244,14 @@ def stieltjes_form(f: GeneratorFamily, cfg: PathSumConfig,
     """Stieltjes sum over the jump set s = k / lambda.
 
     Each jump carries mass e^{-lam t}(lam t)^k / k! and the propagator
-    U_k[k / lambda, 0]; extras report the distance to an oracle, when
-    given.  The jumps reach past t, to n_max / lambda, and the family must
-    cover them.  step_count is n_max.
+    U_k[f.a + k / lambda, f.a]; extras report the distance to an oracle,
+    when given.  The jumps reach past t, to n_max / lambda, and the family
+    must cover them.  step_count is n_max.
     """
     lam_t = cfg.lam * cfg.t
-    _check_interval(f, 0.0, poisson_truncation(lam_t, cfg.tail_tol) / cfg.lam)
+    _check_interval(f, f.a, f.a + poisson_truncation(lam_t, cfg.tail_tol) / cfg.lam)
     res = poisson_mixture(
-        lambda k: (U_n(f, make_partition(k / cfg.lam, k)).U if k
+        lambda k: (_U_for_count(f, k / cfg.lam, k) if k
                    else np.eye(f.dim, dtype=complex)), lam_t, cfg.tail_tol)
     if oracle_U is not None:
         res.extras["distance_to_oracle"] = float(np.linalg.norm(
@@ -349,7 +360,7 @@ def _arrival_blocks(cfg: PathSumConfig, trials: int, per_block: int):
     first and last are checked against SeedSequence itself so a change in
     numpy's seeding cannot go unnoticed.
     """
-    if trials < 0:
+    if _as_int(trials, "trials") < 0:
         raise DomainError(f"need trials >= 0, got {trials}")
     keys = _trial_keys(cfg.seed, trials)
     for k in ({0, trials - 1} if trials else ()):
@@ -404,11 +415,12 @@ def monte_carlo_U(f: GeneratorFamily, cfg: PathSumConfig) -> PropagatorResult:
 
     Entrywise standard errors of the mean are reported in extras; trials
     use independent counter-based streams so results are reproducible and
-    order-independent.  Trials run in blocks of _arrival_blocks rows, with
-    one batched U_n call per bubble count in a block.
+    order-independent.  Arrivals on [0, t] are bubbles at f.a + arrival.
+    Trials run in blocks of _arrival_blocks rows, with one batched U_n call
+    per bubble count in a block.
     """
     _check_trials(cfg)
-    _check_interval(f, 0.0, cfg.t)
+    _check_interval(f, f.a, f.a + cfg.t)
     entries = max(5 * _gap_chunk(cfg.lam * cfg.t), CELL_NODES) * f.dim ** 2
     samples = np.empty((cfg.trials, f.dim, f.dim), dtype=complex)
     counts = np.empty(cfg.trials, dtype=int)
@@ -418,7 +430,8 @@ def monte_carlo_U(f: GeneratorFamily, cfg: PathSumConfig) -> PropagatorResult:
         out = samples[first:first + len(rows)]
         for n in np.unique(n_of):
             group = n_of == n
-            out[group] = (U_n(f, midpoint_edges(0.0, cfg.t, rows[group, :n])).U
+            out[group] = (U_n(f, midpoint_edges(f.a, f.a + cfg.t,
+                                                f.a + rows[group, :n])).U
                           if n else _U_for_count(f, cfg.t, 0))
     se = np.sqrt((np.var(samples.real, axis=0) + np.var(samples.imag, axis=0))
                  / (cfg.trials - 1))
@@ -429,19 +442,19 @@ def monte_carlo_U(f: GeneratorFamily, cfg: PathSumConfig) -> PropagatorResult:
 
 
 def conditional_single_bubble_check(f: GeneratorFamily, cfg: PathSumConfig):
-    """Compare the count==1 conditional mean to the n = 0 term exp(Q[t,0]).
+    """Compare the count==1 conditional mean to the n = 0 term exp(Q).
 
     With midpoint cells a single bubble at any position yields the one cell
-    [0, t], so every one-bubble trial gives the same propagator: the
-    conditional mean is that matrix exactly and its stderr is zero.  It is
-    formed once by U_n and compared with exp(Q[t,0]) from the adaptive
-    integrator; returns (mc_mean, reference, stderr, n_used).
+    [f.a, f.a + t], so every one-bubble trial gives the same propagator:
+    the conditional mean is that matrix exactly and its stderr is zero.  It
+    is the n = 1 term, compared with the n = 0 term exp(Q) from the
+    adaptive integrator; returns (mc_mean, reference, stderr, n_used).
     """
     _check_trials(cfg)
-    _check_interval(f, 0.0, cfg.t)
+    _check_interval(f, f.a, f.a + cfg.t)
     n_used = int(np.count_nonzero(bubble_counts(cfg, cfg.trials) == 1))
     if n_used == 0:
         raise ConfigError("no trials with exactly one bubble; raise trials")
-    one_cell = U_n(f, make_partition(cfg.t, 1)).U
-    reference = matrix_exp(integrate_family(f, 0.0, cfg.t))
+    one_cell = _U_for_count(f, cfg.t, 1)
+    reference = _U_for_count(f, cfg.t, 0)
     return one_cell, reference, np.zeros(one_cell.shape), n_used

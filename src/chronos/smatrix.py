@@ -13,12 +13,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .families import GeneratorFamily, classify_evaluator, integrate_family
-from .film import midpoint_edges
-from .linalg import as_matrix, expm_stack, matrix_exp
-from .path_sum import U_n, _cell_generators, poisson_mixture
-from .propagators import (DysonExpansion, PropagatorResult, dyson_expansion,
-                          ordered_product, product_integral)
+from .families import GeneratorFamily, classify_evaluator
+# Not called here, but the perfbench tracer rebinds expm_stack in this module.
+from .linalg import as_matrix, expm_stack  # noqa: F401
+from .path_sum import U_n, _U_for_count, poisson_mixture
+from .propagators import (DysonExpansion, PropagatorResult, _as_int,
+                          dyson_expansion, product_integral)
 
 
 @dataclass(frozen=True)
@@ -39,10 +39,10 @@ class SMatrixConfig:
             raise ConfigError(f"H0 {H0.shape} and V {V.shape} differ in shape")
         if np.linalg.norm(H0 - H0.conj().T, 2) > 1e-12:
             raise ConfigError("H0 must be Hermitian to 1e-12")
-        if not self.T > 0:
-            raise ConfigError(f"half-window T must be > 0, got {self.T}")
-        if not self.hbar > 0:
-            raise ConfigError(f"hbar must be > 0, got {self.hbar}")
+        for name in ("T", "hbar", "lam"):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:
+                raise ConfigError(f"{name} must be finite and > 0, got {value}")
         object.__setattr__(self, "H0", H0)
         object.__setattr__(self, "V", V)
 
@@ -93,12 +93,6 @@ def interaction_generator(cfg: SMatrixConfig) -> GeneratorFamily:
                    evaluate_batch=lambda ts: rotate(fam.evaluate_batch(ts)))
 
 
-def _window_partition(cfg: SMatrixConfig, n: int) -> np.ndarray:
-    """Midpoint cell edges of the equally spaced centers -T + 2 T j / n."""
-    centers = -cfg.T + 2.0 * cfg.T * np.arange(1, n + 1) / n
-    return midpoint_edges(-cfg.T, cfg.T, centers)
-
-
 def oracle_S(cfg: SMatrixConfig, tol: float = 1e-10) -> PropagatorResult:
     """Ground-truth scattering operator from the product-integral oracle,
     run in the H0 eigenbasis and rotated back once."""
@@ -109,51 +103,42 @@ def oracle_S(cfg: SMatrixConfig, tol: float = 1e-10) -> PropagatorResult:
 
 def S_n_experimental(cfg: SMatrixConfig, n: int) -> np.ndarray:
     """n-bubble scattering operator; n = 0 is the identity (blank film)."""
-    if n < 0:
+    if _as_int(n, "n") < 0:
         raise DomainError(f"need n >= 0, got {n}")
     if n == 0:
         return np.eye(cfg.dim, dtype=complex)
     fam, rotate = _eigen_frame(cfg)
-    return rotate(U_n(fam, _window_partition(cfg, n)).U)
+    return rotate(_U_for_count(fam, 2.0 * cfg.T, n))
 
 
 def S_lambda(cfg: SMatrixConfig, tail_tol: float = 1e-10) -> PropagatorResult:
-    """Poisson(2 lambda T)-weighted sum by poisson_mixture: S_n_experimental
-    for n >= 1, and for n = 0 the one-cell exposure exp(Q[T, -T]), not
-    S_n_experimental(0) = I.  Each term is formed in the H0 eigenbasis and
-    rotated back once.  step_count is n_max."""
+    """Poisson(2 lambda T)-weighted sum of the path-sum terms on [-T, T]:
+    S_n_experimental for n >= 1, and for n = 0 the one-cell exposure
+    exp(Q[T, -T]), not S_n_experimental(0) = I.  Each term is formed in the
+    H0 eigenbasis and rotated back once.  step_count is n_max."""
     fam, rotate = _eigen_frame(cfg)
-    # Zero bubbles carry no time resolution: the whole window is a single
-    # unresolved exposure, so the commuting collapse stays exact at every rate.
-    res = poisson_mixture(lambda n: rotate(
-        U_n(fam, _window_partition(cfg, n)).U if n
-        else matrix_exp(integrate_family(fam, -cfg.T, cfg.T))),
-        2.0 * cfg.lam * cfg.T, tail_tol)
+    res = poisson_mixture(lambda n: rotate(_U_for_count(fam, 2.0 * cfg.T, n)),
+                          2.0 * cfg.lam * cfg.T, tail_tol)
     return replace(res, step_count=res.extras["n_max"])
 
 
 def energy_shift_identity(cfg: SMatrixConfig, n: int) -> float:
     """Residual of the bubble-rate shift rewrite of the n-th Poisson term.
 
-    Adding -i lambda hbar I to the concentrated generator of every cell
-    multiplies each cell exponential by e^{-lambda dt}, so the product
-    carries the full Poisson factor e^{-2 lambda T}; both forms of the
-    term must agree to machine precision.
+    Adding -i lambda hbar I to the Hamiltonian, -lambda I to the generator,
+    multiplies each cell exponential by e^{-lambda dt}, so the n-th term of
+    S_lambda taken on the shifted family carries the full Poisson factor
+    e^{-2 lambda T}; both forms of the term must agree to machine precision.
     """
-    if n < 0:
+    if _as_int(n, "n") < 0:
         raise DomainError(f"need n >= 0, got {n}")
-    two_lam_T = 2.0 * cfg.lam * cfg.T
-    eye = np.eye(cfg.dim, dtype=complex)
-    if n == 0:
-        shifted = matrix_exp(-cfg.lam * 2.0 * cfg.T * eye)
-        return float(np.linalg.norm(np.exp(-two_lam_T) * eye - shifted, 2))
     fam, _ = _eigen_frame(cfg)  # the residual's 2-norm is basis-independent
-    edges = _window_partition(cfg, n)
-    plain = U_n(fam, edges).U
-    shifted_cells = (_cell_generators(fam, edges)
-                     - cfg.lam * np.diff(edges)[:, None, None] * eye[None])
-    shifted = ordered_product(expm_stack(shifted_cells))
-    return float(np.linalg.norm(np.exp(-two_lam_T) * plain - shifted, 2))
+    eye = np.eye(cfg.dim)
+    shifted = replace(fam, evaluate_batch=lambda ts: fam.evaluate_batch(ts)
+                      - cfg.lam * eye)
+    plain = _U_for_count(fam, 2.0 * cfg.T, n)
+    damped = _U_for_count(shifted, 2.0 * cfg.T, n)
+    return float(np.linalg.norm(np.exp(-2.0 * cfg.lam * cfg.T) * plain - damped, 2))
 
 
 def fixed_dt_S(cfg: SMatrixConfig) -> np.ndarray:

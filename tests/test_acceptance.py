@@ -52,7 +52,7 @@ def test_criterion_1_contraction_suite(report):
         norms = [
             operator_norm(product_integral(fam, 0.0, 1.0, 1e-9).U),
             operator_norm(matrix_exp(1.0 * Q)),
-            operator_norm(U_n(fam, make_partition(1.0, 7)).U),
+            operator_norm(U_n(fam, make_partition(0.0, 1.0, 7)).U),
         ]
         if trial % 5 == 0:
             cfg = PathSumConfig(lam=4.0, t=1.0, tail_tol=1e-8)

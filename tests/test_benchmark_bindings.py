@@ -34,3 +34,11 @@ def test_every_chronos_name_the_tracer_binds_resolves(module_name, path):
     for attr in path.split("."):
         owner = getattr(owner, attr)
     assert callable(owner)
+
+
+def test_smatrix_keeps_expm_stack_bound():
+    # perfbench/tests/test_tracer.py checks that the tracer restores this
+    # binding, although smatrix itself no longer calls expm_stack.
+    import chronos.linalg
+    import chronos.smatrix
+    assert chronos.smatrix.expm_stack is chronos.linalg.expm_stack

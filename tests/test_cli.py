@@ -166,10 +166,8 @@ def test_run_smatrix_sweep_three_level(tmp_path):
     ("monte-carlo", "lambda = l"),
     ("monte-carlo", "seed = -1"),
     ("monte-carlo", "count_draws = 0"),
-    # The path sum runs on [0, horizon] inside the family's interval.
-    ("lambda-sweep", "interval = 1, 2"),
+    # The path sum runs on [a, a + horizon] inside the family's interval.
     ("lambda-sweep", "horizon = 2"),
-    ("monte-carlo", "interval = 1, 2"),
     ("monte-carlo", "horizon = 2"),
     ("yosida", "interval = 0"),
     ("yosida", "interval = 0, 1, 2"),
@@ -183,6 +181,33 @@ def test_run_malformed_number_is_config_error(tmp_path, capsys, experiment, line
                 f"experiment = {experiment}\n{line}\noutput = {out}\n")
     assert run(cfg) == 2
     assert line.split("=")[0].strip() in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Few rates, trials and draws keep the path sums cheap.
+_SMALL_PATH_SUM_KEYS = {"sweep.lambdas": "5, 20", "trials": "100",
+                        "count_draws": "100"}
+
+
+def _small_path_sum_keys(experiment):
+    return {key: value for key, value in _SMALL_PATH_SUM_KEYS.items()
+            if key in _RUNNERS[experiment][1]}
+
+
+@pytest.mark.parametrize("experiment", ["lambda-sweep", "monte-carlo"])
+def test_run_path_sum_away_from_time_0(tmp_path, capsys, experiment):
+    """The path sum starts where its family starts: on interval 1, 2 it runs
+    on [1, 1 + horizon], and a horizon past b - a = 1 is a config error."""
+    out = tmp_path / "late.csv"
+    small = "".join(f"{key} = {value}\n"
+                    for key, value in _small_path_sum_keys(experiment).items())
+    base = f"experiment = {experiment}\ninterval = 1, 2\n{small}output = {out}\n"
+    for horizon in ("", "horizon = 0.5\n", "horizon = 1\n"):
+        assert run(write(tmp_path / "late.cfg", base + horizon)) == 0
+        assert out.exists()
+        out.unlink()
+    assert run(write(tmp_path / "far.cfg", base + "horizon = 2\n")) == 2
+    assert "horizon must be in (0, 1.0], got 2.0" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -378,31 +403,45 @@ _DIAGONALS = st.lists(st.tuples(*[st.sampled_from([10.0, -1.0, 0.0, 2.5])] * 2),
                       min_size=2, max_size=3)
 
 
-def _family_table(path, diagonals):
-    rows = [f"{k},{h11},0,0,0,0,0,{h22},0\n"
+def _family_table(path, diagonals, start=0.0):
+    rows = [f"{start + k},{h11},0,0,0,0,0,{h22},0\n"
             for k, (h11, h22) in enumerate(diagonals)]
     return write(path, "t,re11,im11,re12,im12,re21,im21,re22,im22\n" + "".join(rows))
 
 
+# Family intervals a, a + w for the path sums, most of them away from 0.
+_INTERVALS = st.tuples(st.sampled_from([-2.0, -0.5, 0.0, 1.0, 3.0]),
+                       st.sampled_from([0.5, 1.0, 2.0])).map(
+    lambda aw: f"{aw[0]}, {aw[0] + aw[1]}")
+
+
 # smatrix-sweep is left out: half_window = 64 with a 5 x 5 h0.diag runs for
-# 37-39 s, so the property could not stay cheap.  yosida and film-verify also
-# draw a tabulated family in place of the built-in ones.
+# 37-39 s, so the property could not stay cheap.  yosida, film-verify and the
+# path sums also draw a tabulated family in place of the built-in ones, with
+# its times from 0 or from elsewhere.
 @settings(max_examples=100, deadline=None)
 @given(experiment=st.sampled_from(["asymptotic", "yosida", "dyson-convergence",
-                                   "film-verify"]),
+                                   "film-verify", "lambda-sweep", "monte-carlo"]),
        data=st.data())
 def test_run_any_config_exits_0_1_or_2(tmp_path_factory, experiment, data):
     where = tmp_path_factory.mktemp("any")
     keys = sorted(_RUNNERS[experiment][1])
-    table = (experiment in ("yosida", "film-verify")
+    path_sum = experiment in ("lambda-sweep", "monte-carlo")
+    table = ((path_sum or experiment in ("yosida", "film-verify"))
              and data.draw(st.booleans(), label="table"))
     if table:
         keys = sorted(set(keys) - set(_FAMILY))
     values = data.draw(st.dictionaries(st.sampled_from(keys), _CONFIG_VALUES,
                                        max_size=4))
     if table:
-        values["family.csv"] = _family_table(where / "family.csv",
-                                             data.draw(_DIAGONALS))
+        values["family.csv"] = _family_table(
+            where / "family.csv", data.draw(_DIAGONALS),
+            data.draw(st.sampled_from([0.0, 1.5, -2.0]), label="start"))
+    elif path_sum and "interval" not in values:
+        values["interval"] = data.draw(_INTERVALS, label="interval")
+    if path_sum:
+        # Drawn rates, trials and draws win over the small ones.
+        values = {**_small_path_sum_keys(experiment), **values}
     text = "".join(f"{key} = {value}\n" for key, value in values.items())
     cfg = write(where / "any.cfg", f"experiment = {experiment}\n{text}"
                                    f"output = {where / 'any.csv'}\n")

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,33 +35,56 @@ def test_config_validation():
         PathSumConfig(lam=1.0, t=1.0, tail_tol=0.0)
     with pytest.raises(ConfigError):
         PathSumConfig(lam=1.0, t=1.0, seed=-1)
+    for bad in ({"trials": 150.5}, {"trials": 200.0}, {"trials": "200"},
+                {"seed": 1.5}, {"seed": 2.0}):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            PathSumConfig(lam=1.0, t=1.0, **bad)
+    cfg = PathSumConfig(lam=1.0, t=1.0, trials=np.int64(150), seed=np.uint32(3))
+    assert (cfg.trials, cfg.seed) == (150, 3)
 
 
 def test_single_cell_partition():
-    assert np.array_equal(make_partition(1.0, 1), [0.0, 1.0])
+    assert np.array_equal(make_partition(0.0, 1.0, 1), [0.0, 1.0])
 
 
 def test_two_cell_partition():
     # Centers 0.5 and 1.0: one interior edge at their midpoint.
-    assert np.array_equal(make_partition(1.0, 2), [0.0, 0.75, 1.0])
+    assert np.array_equal(make_partition(0.0, 1.0, 2), [0.0, 0.75, 1.0])
+
+
+def test_partition_starts_at_its_first_argument():
+    # Centers 1.5 and 2.0 on [1, 2]: the centers move with the start.
+    assert np.array_equal(make_partition(1.0, 1.0, 2), [1.0, 1.75, 2.0])
+    assert np.array_equal(make_partition(-2.0, 4.0, 4),
+                          midpoint_edges(-2.0, 2.0, [-1.0, 0.0, 1.0, 2.0]))
 
 
 def test_partition_widths_telescope():
-    edges = make_partition(3.0, 10 ** 4)
+    edges = make_partition(0.0, 3.0, 10 ** 4)
     assert edges.shape == (10 ** 4 + 1,)
     assert np.sum(np.diff(edges)) == pytest.approx(3.0, abs=1e-12)
 
 
 def test_partition_validation():
     with pytest.raises(DomainError):
-        make_partition(1.0, 0)
+        make_partition(0.0, 1.0, 0)
     with pytest.raises(DomainError):
-        make_partition(-1.0, 4)
+        make_partition(0.0, -1.0, 4)
+    for n in (2.5, 3.0, "3", None):
+        with pytest.raises(DomainError, match="integer"):
+            make_partition(0.0, 1.0, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, t in ((0.0, math.inf), (0.0, math.nan), (math.nan, 1.0),
+                     (-math.inf, 1.0)):
+            with pytest.raises(DomainError):
+                make_partition(a, t, 3)
+    assert np.array_equal(make_partition(0.0, 1.0, np.int64(2)), [0.0, 0.75, 1.0])
 
 
 def test_cell_generator_constant_family():
     fam = family_from_matrix(-1j * SIGMA_Z)
-    edges = make_partition(1.0, 4)
+    edges = make_partition(0.0, 1.0, 4)
     A = _cell_generators(fam, edges)
     for j, width in enumerate(np.diff(edges)):
         assert np.allclose(A[j], width * (-1j * SIGMA_Z), atol=1e-12)
@@ -74,14 +98,14 @@ def test_cell_generator_linear_family():
 
 def test_cell_generators_sum_to_full_integral():
     fam = builtin_family("two_level_driven")
-    total = _cell_generators(fam, make_partition(1.0, 7)).sum(axis=0)
+    total = _cell_generators(fam, make_partition(0.0, 1.0, 7)).sum(axis=0)
     assert np.linalg.norm(total - integrate_family(fam, 0.0, 1.0), 2) <= 2e-10
 
 
 def test_cell_generators_reject_cells_outside_the_family():
     fam = builtin_family("two_level_driven")  # lives on [0, 1]
     with pytest.raises(DomainError):
-        U_n(fam, make_partition(3.0, 4))
+        U_n(fam, make_partition(0.0, 3.0, 4))
     with pytest.raises(DomainError):
         _cell_generators(fam, np.array([-0.5, 0.5, 1.0]))
     with pytest.raises(DomainError):
@@ -108,14 +132,14 @@ def test_U_n_constant_family_collapses():
     H = -1j * SIGMA_Z - 0.1 * np.eye(2)
     fam = family_from_matrix(H)
     for n in (1, 3, 16):
-        U = U_n(fam, make_partition(1.0, n)).U
+        U = U_n(fam, make_partition(0.0, 1.0, n)).U
         assert np.linalg.norm(U - matrix_exp(H), 2) <= 1e-12
 
 
 def test_U_n_step_counts_differ_by_commutators():
     fam = builtin_family("two_level_driven")
-    U1 = U_n(fam, make_partition(1.0, 1)).U
-    U2 = U_n(fam, make_partition(1.0, 2)).U
+    U1 = U_n(fam, make_partition(0.0, 1.0, 1)).U
+    U2 = U_n(fam, make_partition(0.0, 1.0, 2)).U
     gap = np.linalg.norm(U1 - U2, 2)
     assert 1e-6 < gap < 0.1
 
@@ -124,7 +148,7 @@ def test_U_n_second_order_convergence():
     fam = builtin_family("two_level_driven")
     oracle = product_integral(fam, 0.0, 1.0, 1e-11).U
     ns = [4, 8, 16, 32, 64, 128, 256]
-    errs = [np.linalg.norm(U_n(fam, make_partition(1.0, n)).U - oracle, 2)
+    errs = [np.linalg.norm(U_n(fam, make_partition(0.0, 1.0, n)).U - oracle, 2)
             for n in ns]
     assert -loglog_slope(ns, errs) >= 1.9
 
@@ -142,6 +166,15 @@ def test_poisson_weight_three_term_example():
 
 def test_poisson_weight_saturates():
     assert poisson_weight(1.0, 1e3, 1.0) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_poisson_weight_at_nan_and_infinite_s():
+    with pytest.raises(DomainError):
+        poisson_weight(1.0, math.nan, 5.0)
+    # The step function's limit; lambda s overflowing is the same limit.
+    assert poisson_weight(1.0, math.inf, 5.0) == 1.0
+    assert poisson_weight(1.0, 1e308, 5.0) == 1.0
+    assert poisson_weight(1.0, -math.inf, 5.0) == 0.0
 
 
 def test_poisson_weight_right_continuous_jumps():
@@ -292,7 +325,7 @@ def test_U_lambda_bookkeeping():
 def test_U_lambda_rejects_horizon_outside_family():
     with pytest.raises(DomainError):
         U_lambda(builtin_family("two_level_driven", interval=(1.0, 2.0)),
-                 PathSumConfig(lam=100.0, t=1.0))
+                 PathSumConfig(lam=100.0, t=1.5))
     with pytest.raises(DomainError):
         U_lambda(builtin_family("two_level_driven"),
                  PathSumConfig(lam=100.0, t=2.0))
@@ -598,6 +631,10 @@ def test_bubble_counts_of_no_trials():
     assert bubble_counts(cfg, 0).shape == (0,)
     with pytest.raises(DomainError):
         bubble_counts(cfg, -1)
+    for trials in (2.5, 3.0, "3"):
+        with pytest.raises(DomainError, match="integer"):
+            bubble_counts(cfg, trials)
+    assert bubble_counts(cfg, np.int64(3)).shape == (3,)
 
 
 def test_sample_bubbles_bounds_and_order():
@@ -664,6 +701,38 @@ def test_monte_carlo_rejects_horizon_outside_family():
     with pytest.raises(DomainError):
         monte_carlo_U(builtin_family("two_level_driven"),
                       PathSumConfig(lam=5.0, t=3.0, trials=100))
+    with pytest.raises(DomainError):
+        monte_carlo_U(builtin_family("two_level_driven", interval=(1.0, 2.0)),
+                      PathSumConfig(lam=5.0, t=1.5, trials=100))
+
+
+def shifted_in_time(f, a):
+    """f moved to start at a: H_a(s) = H(s - (a - f.a)) on [a, a + b - f.a]."""
+    lag = a - f.a
+    return replace(f, a=a, b=f.b + lag,
+                   evaluate_batch=lambda ts: f.evaluate_batch(np.asarray(ts) - lag))
+
+
+@pytest.mark.parametrize("name, params", [("two_level_driven", ()),
+                                          ("random_smooth", (3, 4))])
+def test_path_sum_on_a_family_shifted_in_time(name, params):
+    """The path sum runs on [f.a, f.a + t]: moving the family to [1, 2] and
+    its bubbles with it leaves U_lambda and monte_carlo_U in place."""
+    f = builtin_family(name, params)
+    late = shifted_in_time(f, 1.0)
+    for lam in (3.0, 40.0):
+        cfg = PathSumConfig(lam=lam, t=1.0, trials=100, seed=4)
+        for run in (U_lambda, monte_carlo_U):
+            assert np.max(np.abs(run(late, cfg).U - run(f, cfg).U)) <= 1e-13
+    cfg = PathSumConfig(lam=3.0, t=1.0, trials=100, seed=4)
+    for got, want in zip(conditional_single_bubble_check(late, cfg),
+                         conditional_single_bubble_check(f, cfg)):
+        assert np.max(np.abs(np.asarray(got) - want)) <= 1e-13
+    part = PathSumConfig(lam=20.0, t=0.5, trials=100, seed=4)
+    for run in (U_lambda, monte_carlo_U):
+        assert np.max(np.abs(run(late, part).U - run(f, part).U)) <= 1e-13
+        with pytest.raises(DomainError):
+            run(late, PathSumConfig(lam=20.0, t=1.25, trials=100))
 
 
 def test_conditional_single_bubble_rejects_horizon_outside_family():

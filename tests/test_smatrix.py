@@ -8,12 +8,13 @@ from scipy import stats
 from chronos.errors import ConfigError, DomainError
 from chronos.families import (SIGMA_X, SIGMA_Z, GeneratorFamily,
                               integrate_family)
+from chronos.film import midpoint_edges
 from chronos.linalg import expm_stack, matrix_exp
 from chronos.path_sum import U_n, _cell_generators, poisson_truncation
 from chronos.propagators import ordered_product, product_integral
 from chronos.quadrature import loglog_slope
 from chronos.smatrix import (SMatrixConfig, S_lambda, S_n_experimental,
-                             _eigen_frame, _window_partition, dyson_S_expansion,
+                             _eigen_frame, dyson_S_expansion,
                              energy_shift_identity, fixed_dt_S,
                              interaction_generator, oracle_S)
 
@@ -28,6 +29,12 @@ def random_three_level(lam=3.0, T=1.0):
     X, Y = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
     return SMatrixConfig(H0=X + X.conj().T, V=0.3 * (Y + Y.conj().T), T=T,
                          lam=lam)
+
+
+def window_partition(cfg, n):
+    """Midpoint cell edges of the equally spaced centers -T + 2 T j / n."""
+    centers = -cfg.T + 2.0 * cfg.T * np.arange(1, n + 1) / n
+    return midpoint_edges(-cfg.T, cfg.T, centers)
 
 
 def reference_generator(cfg):
@@ -77,7 +84,7 @@ def test_eigen_frame_products_match_reference():
     cfg = random_three_level()
     ref = reference_generator(cfg)
     for n in (1, 2, 7, 30):
-        expected = U_n(ref, _window_partition(cfg, n)).U
+        expected = U_n(ref, window_partition(cfg, n)).U
         assert np.max(np.abs(S_n_experimental(cfg, n) - expected)) <= 1e-12
     fixed = SMatrixConfig(H0=cfg.H0, V=cfg.V, T=cfg.T, lam=8.0)
     A = _cell_generators(ref, np.linspace(-cfg.T, cfg.T, 17))
@@ -85,6 +92,16 @@ def test_eigen_frame_products_match_reference():
     assert np.max(np.abs(fixed_dt_S(fixed) - expected)) <= 1e-12
     expected = product_integral(ref, -cfg.T, cfg.T).U
     assert np.max(np.abs(oracle_S(cfg).U - expected)) <= 1e-10
+
+
+def test_S_terms_are_bitwise_the_window_formula():
+    """The path-sum partition shifts the centers by -T before taking
+    midpoints, so S_n_experimental keeps the bits of the window formula."""
+    for cfg in (toy(T=1.5), random_three_level()):
+        fam, rotate = _eigen_frame(cfg)
+        for n in (1, 2, 7, 30):
+            expected = rotate(U_n(fam, window_partition(cfg, n)).U)
+            assert S_n_experimental(cfg, n).tobytes() == expected.tobytes()
 
 
 def test_S_lambda_matches_reference_window_sum():
@@ -97,7 +114,7 @@ def test_S_lambda_matches_reference_window_sum():
         if w < 1e-10 / (n_max + 1):
             continue
         raw += w * (matrix_exp(integrate_family(ref, -cfg.T, cfg.T)) if n == 0
-                    else U_n(ref, _window_partition(cfg, n)).U)
+                    else U_n(ref, window_partition(cfg, n)).U)
     res = S_lambda(cfg)
     assert np.max(np.abs(res.extras["raw"] - raw)) <= 1e-12
     assert np.max(np.abs(res.U - raw / res.extras["captured_mass"])) <= 1e-12
@@ -151,6 +168,18 @@ def test_config_validation():
         SMatrixConfig(H0=SIGMA_Z, V=SIGMA_X, T=1.0, hbar=0.0)
     with pytest.raises(ConfigError):
         SMatrixConfig(H0=SIGMA_Z, V=np.eye(3), T=1.0)
+    for field, value in (("T", math.inf), ("T", math.nan), ("lam", math.nan),
+                         ("lam", math.inf), ("lam", -1.0), ("hbar", math.inf)):
+        with pytest.raises(ConfigError, match=field):
+            SMatrixConfig(**{"H0": SIGMA_Z, "V": SIGMA_X, "T": 1.0, field: value})
+
+
+def test_term_counts_must_be_integers():
+    cfg = toy(lam=3.0)
+    for n in (2.5, 1.5, "2"):
+        for term in (S_n_experimental, energy_shift_identity):
+            with pytest.raises(DomainError, match="integer"):
+                term(cfg, n)
 
 
 def test_zero_interaction_generator_vanishes():
