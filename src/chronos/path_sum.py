@@ -41,10 +41,10 @@ class PathSumConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ConfigError(f"lambda must be > 0, got {self.lam}")
-        if not self.t > 0:
-            raise ConfigError(f"horizon must be > 0, got {self.t}")
+        if not 0 < self.lam < math.inf:
+            raise ConfigError(f"lambda must be finite and > 0, got {self.lam}")
+        if not 0 < self.t < math.inf:
+            raise ConfigError(f"horizon must be finite and > 0, got {self.t}")
         if not 0 < self.tail_tol < 1:
             raise ConfigError(f"tail_tol must be in (0, 1), got {self.tail_tol}")
         for name in ("trials", "seed"):

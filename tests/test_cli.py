@@ -70,6 +70,20 @@ def test_run_film_verify(tmp_path):
         assert float(residual) <= 1e-9
 
 
+def test_run_film_verify_nine_slots_exact(tmp_path):
+    # 72 slot pairs on a 512-dimensional film: the identity-column checks
+    # stay exact, so every exchange and commutation residual is 0.0.
+    out = tmp_path / "film9.csv"
+    cfg = write(tmp_path / "f9.cfg",
+                f"experiment = film-verify\nslots = 9\noutput = {out}\n")
+    assert run(cfg) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    pairs = [r for r in rows if r[0] in ("exchange_transport", "exchange_involution",
+                                         "slot_commutation")]
+    assert len(pairs) == 3 * 9 * 8
+    assert all(residual == "0.0" for _, _, residual in pairs)
+
+
 def test_run_rejects_unknown_experiment(tmp_path):
     cfg = write(tmp_path / "bad.cfg", "experiment = warp\n")
     assert run(cfg) == 2
@@ -285,8 +299,8 @@ def test_run_non_finite_number_is_config_error(tmp_path, capsys, experiment, key
     assert not out.exists()
 
 
-# Each asks for more than a documented cap: the dense exchange operators of
-# d^N <= 4096, and Poisson windows and bubble counts of 10^6.
+# Each asks for more than a documented cap: film-verify's identity-column
+# batch of d^N <= 4096, and Poisson windows and bubble counts of 10^6.
 @pytest.mark.parametrize("experiment, line, named", [
     ("film-verify", "slots = 13", "slots"),
     ("lambda-sweep", "sweep.lambdas = 10, 1e9", "lambda"),

@@ -3,11 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from chronos.errors import DomainError, ResourceError
+from chronos.errors import DimensionError, DomainError, ResourceError
 from chronos.families import (SIGMA_X, SIGMA_Z, builtin_family,
                               family_from_matrix, integrate_family)
 from chronos.film import (ExchangeOperator, FilmSpace, commutation_check,
-                          embed, exchange, film_Q, midpoint_edges,
+                          embed, exchange, film_Q, midpoint_edges, residual_norm,
                           slot_operator_norm, verify_eq35, verify_eq38)
 from chronos.linalg import matrix_exp, operator_norm
 
@@ -74,15 +74,47 @@ def test_embed_flips_only_its_slot():
     assert np.allclose(out, expected)
 
 
+def kron_slot(f, H, slot):
+    """Reference dense embedding I x .. x H x .. x I by Kronecker products."""
+    left = np.eye(f.base_dim ** (slot - 1))
+    right = np.eye(f.base_dim ** (f.n_slots - slot))
+    return np.kron(np.kron(left, H), right)
+
+
 def test_embed_dense_matches_apply():
     f = film(3)
     rng = np.random.default_rng(1)
     H = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    op = embed(H, 2, f)
-    D = op.dense()
-    for _ in range(5):
-        v = rng.standard_normal(f.full_dim) + 1j * rng.standard_normal(f.full_dim)
-        assert np.allclose(op.apply(v), D @ v, atol=1e-13)
+    for slot in (1, 2, 3):
+        op = embed(H, slot, f)
+        D = kron_slot(f, H, slot)
+        assert np.array_equal(op.dense(), D)
+        for _ in range(5):
+            v = rng.standard_normal(f.full_dim) + 1j * rng.standard_normal(f.full_dim)
+            assert np.allclose(op.apply(v), D @ v, atol=1e-13)
+
+
+def test_apply_on_a_batch_is_apply_on_each_column():
+    f = film(4)
+    rng = np.random.default_rng(7)
+    H = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    V = rng.standard_normal((f.full_dim, 3)) + 1j * rng.standard_normal((f.full_dim, 3))
+    Q = film_Q(builtin_family("two_level_driven"), f)
+    for op in (embed(H, 2, f), exchange(1, 4, f), Q):
+        out = op.apply(V)
+        assert out.shape == V.shape
+        for c in range(3):
+            assert np.array_equal(out[:, c], op.apply(V[:, c]))
+
+
+@pytest.mark.parametrize("shape", [(15,), (17,), (8, 2), (16, 2, 2), ()])
+def test_apply_rejects_a_wrong_leading_axis(shape):
+    f = film(4)
+    v = np.ones(shape, dtype=complex)
+    for op in (embed(SIGMA_X, 2, f), exchange(1, 3, f),
+               film_Q(builtin_family("two_level_driven"), f)):
+        with pytest.raises(DimensionError, match="16"):
+            op.apply(v)
 
 
 def test_embedding_is_isometric_on_norms():
@@ -164,6 +196,39 @@ def test_commutation_check_matrix_free_large_film():
     A = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     B = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     assert commutation_check(A, B, 3, 11, f) <= 1e-12
+
+
+def test_residual_norm_is_zero_only_for_an_exact_identity():
+    f = film(3)
+    rng = np.random.default_rng(8)
+    H = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    P, E1 = exchange(1, 3, f), embed(H, 1, f)
+
+    def transport_to(slot):
+        E = embed(H, slot, f)
+        return lambda v: P.apply(E1.apply(P.apply(v))) - E.apply(v)
+
+    assert residual_norm(f, transport_to(3)) == 0.0
+    # The wrong target slot: the dense 2-norm of the Kronecker difference.
+    D = kron_slot(f, H, 3) - kron_slot(f, H, 2)
+    r = residual_norm(f, transport_to(2))
+    assert r > 0.0
+    assert r == pytest.approx(np.linalg.norm(D, 2), rel=1e-12)
+
+
+def test_residual_norm_reaches_the_last_identity_column():
+    # 512 columns in blocks of 12: the last block is partial, and the only
+    # nonzero image column is the last one.
+    f = film(9)
+    last = np.zeros((f.full_dim, 1))
+    last[-1] = 2.0
+    assert residual_norm(f, lambda v: last * v) == 2.0
+
+
+def test_residual_norm_caps_the_film_dimension():
+    f = film(13)
+    with pytest.raises(ResourceError, match="13 slots"):
+        residual_norm(f, lambda v: v)
 
 
 def test_film_Q_single_slot():

@@ -35,6 +35,11 @@ def test_config_validation():
         PathSumConfig(lam=1.0, t=1.0, tail_tol=0.0)
     with pytest.raises(ConfigError):
         PathSumConfig(lam=1.0, t=1.0, seed=-1)
+    # An infinite rate or horizon is a malformed config, not a resource cap.
+    for bad in ({"lam": math.inf, "t": 1.0}, {"lam": 1.0, "t": math.inf},
+                {"lam": math.nan, "t": 1.0}, {"lam": 1.0, "t": math.nan}):
+        with pytest.raises(ConfigError, match="finite"):
+            PathSumConfig(**bad)
     for bad in ({"trials": 150.5}, {"trials": 200.0}, {"trials": "200"},
                 {"seed": 1.5}, {"seed": 2.0}):
         with pytest.raises(ConfigError, match=next(iter(bad))):
