@@ -11,7 +11,7 @@ package, and runs that sum no Poisson window never need it.
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
@@ -66,51 +66,164 @@ def make_partition(a: float, t: float, n: int) -> np.ndarray:
     return midpoint_edges(a, a + t, a + t * np.arange(1, n + 1) / n)
 
 
-def _cell_generators(f: GeneratorFamily, edges: np.ndarray) -> np.ndarray:
-    """A_j = integral of H over cell j, concentrated at its bubble time, for
-    all cells at once: composite Gauss-5 per cell.  Edges (..., n + 1) give
-    cells (..., n, d, d); leading axes are a batch of partitions.  Edges
-    must not decrease; a zero-width cell is legal."""
-    edges = np.asarray(edges)
-    _check_interval(f, np.min(edges[..., 0]), np.max(edges[..., -1]))
-    widths = np.diff(edges)[..., None]
-    if not np.all(widths >= 0):
-        raise DomainError("cell edges must be non-decreasing and not NaN")
-    panels = max(1, -(-CELL_NODES // (5 * (edges.shape[-1] - 1))))
+def _panels(n: int) -> int:
+    """Gauss-5 panels per cell of an n-cell partition: CELL_NODES at least."""
+    return max(1, -(-CELL_NODES // (5 * n)))
+
+
+def _gauss5_cells(f: GeneratorFamily, left: np.ndarray, widths: np.ndarray,
+                  panels: int) -> np.ndarray:
+    """Integrals of H over the cells [left, left + widths], both (C,), as
+    (C, d, d): composite Gauss-5 with `panels` panels per cell and one
+    evaluate_batch call."""
+    widths = widths[:, None]
     sub = np.linspace(0.0, 1.0, panels + 1)
-    lo = edges[..., :-1, None] + widths * sub[:-1]
+    lo = left[:, None] + widths * sub[:-1]
     width = widths * (1.0 / panels)
     mid = lo + 0.5 * width
     nodes = (mid[..., None] + 0.5 * width[..., None] * _GAUSS5_NODES).reshape(-1)
     H = f.evaluate_batch(nodes).reshape(lo.shape + (5, f.dim, f.dim))
     w = 0.5 * width[..., None] * _GAUSS5_WEIGHTS
-    return np.einsum("...cpq,...cpqij->...cij", w, H)
+    return np.einsum("cpq,cpqij->cij", w, H)
+
+
+def _cat(arrays: list) -> np.ndarray:
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _cell_stack(f: GeneratorFamily, rows: list) -> np.ndarray:
+    """A_j = integral of H over cell j, concentrated at its bubble time, for
+    every cell of the edge rows (B_i, n_i + 1), in order, as (C, d, d).
+
+    Every edge must lie in the family, in non-decreasing order and not NaN;
+    a zero-width cell is legal.  Rows come grouped by panel count, and each
+    group takes one evaluate_batch call.
+    """
+    cells = [r.shape[1] - 1 for r in rows]
+    flat = _cat([r.reshape(-1) for r in rows])
+    _check_interval(f, np.min(flat), np.max(flat))
+    # Cell j of the flat edges is [flat[j], flat[j + 1]] unless a row ends at j.
+    left, widths = flat[:-1], np.diff(flat)
+    if len(rows) > 1 or len(rows[0]) > 1:
+        row_cells = np.repeat(cells, [len(r) for r in rows])
+        keep = np.ones(flat.size - 1, dtype=bool)
+        keep[np.cumsum(row_cells + 1)[:-1] - 1] = False
+        left, widths = left[keep], widths[keep]
+    if not np.all(widths >= 0):
+        raise DomainError("cell edges must be non-decreasing and not NaN")
+    sweeps, start = [], 0
+    for p, group in itertools.groupby(zip(cells, rows), key=lambda c: _panels(c[0])):
+        stop = start + sum(n * len(r) for n, r in group)
+        sweeps.append(_gauss5_cells(f, left[start:stop], widths[start:stop], p))
+        start = stop
+    return _cat(sweeps)
+
+
+def _edges(edges) -> np.ndarray:
+    """Edges (..., n + 1) as an array, n >= 1."""
+    edges = np.atleast_1d(edges)
+    if edges.shape[-1] < 2:
+        raise DomainError(f"a partition needs at least two edges, got {edges.shape}")
+    return edges
+
+
+def _cell_generators(f: GeneratorFamily, edges: np.ndarray) -> np.ndarray:
+    """_cell_stack of edges (..., n + 1) as cells (..., n, d, d); leading axes
+    are a batch of partitions."""
+    edges = _edges(edges)
+    A = _cell_stack(f, [edges.reshape(-1, edges.shape[-1])])
+    return A.reshape(edges.shape[:-1] + (edges.shape[-1] - 1, f.dim, f.dim))
+
+
+# Generator entries (Gauss nodes times d^2) swept in one chunk of _U_batch,
+# so a chunk's generator stack stays at 128 KiB, glibc's default mmap
+# threshold: chunks of 2^14 and 2^15 entries made S_lambda windows fault in
+# fresh pages on every call.  A partition this large goes through on its own.
+_BATCH_ENTRIES = 2 ** 13
+
+
+def _U_batch(f: GeneratorFamily, partitions: list) -> list:
+    """U_n of each edge array in partitions: edges (..., n + 1) give U of
+    shape (..., d, d).  Each matrix has the bits of
+    ordered_product(expm_stack(A)) over the cells A of its own row alone.
+
+    Partitions are taken in order, in chunks of at most _BATCH_ENTRIES
+    generator entries.  A chunk makes one Gauss-5 sweep per panel count, one
+    expm_stack per Pade class (each row in the class expm_stack would choose
+    from the row's own largest 1-norm) and one ordered_product per partition.
+    """
+    out, chunk, entries = [], [], 0
+    for edges in map(_edges, partitions):
+        n = edges.shape[-1] - 1
+        size = edges.size // (n + 1) * n * 5 * _panels(n) * f.dim ** 2
+        if chunk and entries + size > _BATCH_ENTRIES:
+            out += _U_chunk(f, chunk)
+            chunk, entries = [], 0
+        chunk.append(edges)
+        entries += size
+    return out + _U_chunk(f, chunk) if chunk else out
+
+
+def _U_chunk(f: GeneratorFamily, parts: list) -> list:
+    """_U_batch of one chunk."""
+    rows = [e.reshape(-1, e.shape[-1]) for e in parts]
+    order = sorted(range(len(rows)), key=lambda i: _panels(rows[i].shape[1] - 1))
+    A = _cell_stack(f, [rows[i] for i in order])
+    cells = [rows[i].shape[1] - 1 for i in order]
+    classes = [None]
+    if len(rows) > 1 or len(rows[0]) > 1:
+        row_cells = np.repeat(cells, [len(rows[i]) for i in order])
+        norms = np.maximum.reduceat(np.abs(A).sum(axis=-2).max(axis=-1),
+                                    np.cumsum(row_cells) - row_cells)
+        # The class grows with the norm: equal at both ends, equal for all.
+        ends = {_pade_choice(float(norms.min())), _pade_choice(float(norms.max()))}
+        classes = (list(ends) if len(ends) == 1
+                   else [_pade_choice(x) for x in norms.tolist()])
+    kinds = sorted(set(classes))
+    if len(kinds) == 1:
+        A = expm_stack(A)
+    else:
+        label = np.repeat([kinds.index(c) for c in classes], row_cells)
+        E = np.empty(A.shape, dtype=complex)
+        for k in range(len(kinds)):
+            same = np.flatnonzero(label == k)
+            E[same] = expm_stack(A[same])
+        A = E
+    U, start = [None] * len(parts), 0
+    for i, n in zip(order, cells):
+        stop = start + len(rows[i]) * n
+        U[i] = ordered_product(
+            A[start:stop].reshape(parts[i].shape[:-1] + (n, f.dim, f.dim)))
+        start = stop
+    return U
 
 
 def U_n(f: GeneratorFamily, edges: np.ndarray) -> PropagatorResult:
     """Ordered product of per-cell exponentials exp(A_n) ... exp(A_1) over the
     cells between edges (n + 1,).  A batch of edges (B, n + 1) gives U of
-    shape (B, d, d), each row the same bits as alone: a row is exponentiated
-    in the Pade class expm_stack would choose from its own largest 1-norm.
-    step_count is the number of cells exponentiated."""
-    A = _cell_generators(f, edges)
-    if A.ndim == 3:
-        A = expm_stack(A)
-    else:
-        classes = [_pade_choice(x) for x in np.abs(A).sum(axis=-2).max(axis=(-2, -1))]
-        for c in set(classes):
-            same = [i for i, other in enumerate(classes) if other == c]
-            A[same] = expm_stack(A[same])
-    return PropagatorResult(U=ordered_product(A), step_count=A.size // f.dim ** 2)
+    shape (B, d, d), each row the same bits as alone.  step_count is the
+    number of cells exponentiated."""
+    edges = _edges(edges)
+    U, = _U_batch(f, [edges])
+    return PropagatorResult(U=U, step_count=edges.size - edges.size // edges.shape[-1])
+
+
+def _U_for_counts(f: GeneratorFamily, ns, spans) -> np.ndarray:
+    """The n-bubble terms for the counts ns on the windows [f.a, f.a + span],
+    stacked (len(ns), d, d): U_n over the n cells of make_partition, every
+    n >= 1 in one _U_batch call.  n = 0 carries no time resolution: the
+    window is one cell, exp(Q) = U_1, so commuting families collapse
+    exactly; over an empty window it is I."""
+    Us = iter(_U_batch(f, [make_partition(f.a, span, n)
+                           for n, span in zip(ns, spans) if n]))
+    return np.array([next(Us) if n else
+                     matrix_exp(integrate_family(f, f.a, f.a + span))
+                     for n, span in zip(ns, spans)])
 
 
 def _U_for_count(f: GeneratorFamily, t: float, n: int) -> np.ndarray:
-    """The n-bubble term on [f.a, f.a + t]: U_n over the n cells of
-    make_partition.  n = 0 carries no time resolution: the window is one
-    cell, exp(Q) = U_1, so commuting families collapse exactly."""
-    if n == 0:
-        return matrix_exp(integrate_family(f, f.a, f.a + t))
-    return U_n(f, make_partition(f.a, t, n)).U
+    """The n-bubble term on [f.a, f.a + t] (see _U_for_counts)."""
+    return _U_for_counts(f, [n], [t])[0]
 
 
 def poisson_weight(t: float, s: float, lam: float) -> float:
@@ -177,11 +290,12 @@ def _fitted_sum(terms: Callable, ns: np.ndarray, ws: np.ndarray):
         needed |= set(nodes.tolist() + held.tolist())
         if len(held) < 2 or len(needed) >= len(ns):
             return None
-        F = terms(nodes.tolist())
+        F = terms(nodes.tolist() + held.tolist())
+        F, F_held = F[:len(nodes)], F[len(nodes):]
         coef = np.linalg.solve(chebvander(to_u(nodes), len(nodes) - 1),
                                F.reshape(len(nodes), -1))
         worst = float(np.max(np.abs(chebvander(to_u(held), len(nodes) - 1) @ coef
-                                    - terms(held.tolist()).reshape(len(held), -1))))
+                                    - F_held.reshape(len(held), -1))))
         if worst <= _FIT_TOL:
             total = ws @ chebvander(to_u(ns), len(nodes) - 1) @ coef
             return total.reshape(F.shape[1:]), worst
@@ -194,19 +308,21 @@ def _poisson_pmf(k: np.ndarray, mean: float) -> np.ndarray:
     return np.exp(special.xlogy(k, mean) - special.gammaln(k + 1) - mean)
 
 
-def poisson_mixture(term: Callable[[int], np.ndarray], mean: float,
+def poisson_mixture(terms: Callable[[list], np.ndarray], mean: float,
                     tail_tol: float) -> PropagatorResult:
-    """Poisson(mean)-weighted sum of term(n) over n = 0 .. n_max.
+    """Poisson(mean)-weighted sum of the terms T_n over n = 0 .. n_max.
 
+    terms(ns) returns T_n for a list of counts, stacked along axis 0.
     n_max = poisson_truncation(mean, tail_tol); terms weighing less than
     tail_tol / (n_max + 1) are skipped.  The n = 0 term is exact; the rest
     come from a Chebyshev interpolant in x = 1/n through 8, 16 or 32 exact
     terms (nodes rounded to integer n), accepted once held-out exact terms
     match it to 1e-13, else the window is summed exactly, left to right.
-    Each exact term is computed once.  U is the mass-normalized sum,
-    step_count the window's term count, error_estimate the tail beyond
-    n_max; extras hold raw, captured_mass, n_max, exact_terms and
-    fit_residual (None when summed exactly).
+    Each exact term is computed once, and terms is asked for a node set with
+    its held-out set, or for the rest of the window, in one call.  U is the
+    mass-normalized sum, step_count the window's term count, error_estimate
+    the tail beyond n_max; extras hold raw, captured_mass, n_max,
+    exact_terms and fit_residual (None when summed exactly).
     """
     from scipy import special
     n_max = poisson_truncation(mean, tail_tol)
@@ -214,20 +330,26 @@ def poisson_mixture(term: Callable[[int], np.ndarray], mean: float,
     ns = np.flatnonzero(weights >= tail_tol / (n_max + 1))
     if len(ns) == 0:
         raise ConfigError(f"tail_tol {tail_tol} leaves no Poisson term")
-    ws, exact = weights[ns], functools.lru_cache(maxsize=None)(term)
-    terms = lambda ms: np.array([exact(m) for m in ms])
+    ws, done = weights[ns], {}
+
+    def exact(ms):
+        new = [m for m in ms if m not in done]
+        if new:
+            done.update(zip(new, terms(new)))
+        return np.array([done[m] for m in ms])
+
     fit = ns >= 1
-    fitted = _fitted_sum(terms, ns[fit], ws[fit]) if fit.any() else None
+    fitted = _fitted_sum(exact, ns[fit], ws[fit]) if fit.any() else None
     if fitted is None:
-        raw = sum(w * T for w, T in zip(ws, terms(ns.tolist())))
+        raw = sum(w * T for w, T in zip(ws, exact(ns.tolist())))
     else:
-        raw = fitted[0] if fit.all() else ws[0] * terms([0])[0] + fitted[0]
+        raw = fitted[0] if fit.all() else ws[0] * exact([0])[0] + fitted[0]
     captured = float(np.cumsum(ws)[-1])  # the running sum, left to right
     return PropagatorResult(
         U=raw / captured, step_count=len(ns),
         error_estimate=float(special.pdtrc(n_max, mean)),
         extras={"raw": raw, "captured_mass": captured, "n_max": int(n_max),
-                "exact_terms": exact.cache_info().currsize,
+                "exact_terms": len(done),
                 "fit_residual": None if fitted is None else fitted[1]})
 
 
@@ -235,7 +357,7 @@ def U_lambda(f: GeneratorFamily, cfg: PathSumConfig) -> PropagatorResult:
     """Poisson(lambda t)-weighted sum of the path propagators on [f.a, f.a + t],
     summed by poisson_mixture (see there for U, step_count and extras)."""
     _check_interval(f, f.a, f.a + cfg.t)
-    return poisson_mixture(lambda n: _U_for_count(f, cfg.t, n),
+    return poisson_mixture(lambda ns: _U_for_counts(f, ns, [cfg.t] * len(ns)),
                            cfg.lam * cfg.t, cfg.tail_tol)
 
 
@@ -251,8 +373,7 @@ def stieltjes_form(f: GeneratorFamily, cfg: PathSumConfig,
     lam_t = cfg.lam * cfg.t
     _check_interval(f, f.a, f.a + poisson_truncation(lam_t, cfg.tail_tol) / cfg.lam)
     res = poisson_mixture(
-        lambda k: (_U_for_count(f, k / cfg.lam, k) if k
-                   else np.eye(f.dim, dtype=complex)), lam_t, cfg.tail_tol)
+        lambda ks: _U_for_counts(f, ks, [k / cfg.lam for k in ks]), lam_t, cfg.tail_tol)
     if oracle_U is not None:
         res.extras["distance_to_oracle"] = float(np.linalg.norm(
             res.U - oracle_U, 2))
@@ -356,9 +477,11 @@ def _arrival_blocks(cfg: PathSumConfig, trials: int, per_block: int):
     before t is drawn again at twice the width: gaps and their sums run in
     order, so its arrivals up to t equal those of sample_bubbles.
 
-    One Philox is re-keyed per trial.  All keys are derived at once; the
-    first and last are checked against SeedSequence itself so a change in
-    numpy's seeding cannot go unnoticed.
+    One Philox is re-keyed per trial through its state setter, fed Python
+    ints, which it reads faster than numpy scalars; each block's keys are
+    converted on their own, which keeps a large run's memory flat.  All keys
+    are derived at once; the first and last are checked against SeedSequence
+    itself so a change in numpy's seeding cannot go unnoticed.
     """
     if _as_int(trials, "trials") < 0:
         raise DomainError(f"need trials >= 0, got {trials}")
@@ -371,13 +494,12 @@ def _arrival_blocks(cfg: PathSumConfig, trials: int, per_block: int):
                 f"derived Philox key of trial {k} differs from SeedSequence")
     bitgen = np.random.Philox(key=0)
     rng = np.random.Generator(bitgen)
-    zeros = np.zeros(4, dtype=np.uint64)
     # The setter copies the values, so one dict serves every trial.
-    state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": None},
-             "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": None},
+             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     m = _gap_chunk(cfg.lam * cfg.t)
     for first in range(0, trials, per_block):
-        block, width = keys[first:first + per_block], m
+        block, width = keys[first:first + per_block].tolist(), m
         while True:
             gaps = np.empty((len(block), width))
             for row, key in zip(gaps, block):

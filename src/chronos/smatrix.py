@@ -8,6 +8,7 @@ minimal-time-step regularization and the exact-order expansion.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -16,7 +17,7 @@ from .errors import ConfigError, DomainError
 from .families import GeneratorFamily, classify_evaluator
 # Not called here, but the perfbench tracer rebinds expm_stack in this module.
 from .linalg import as_matrix, expm_stack  # noqa: F401
-from .path_sum import U_n, _U_for_count, poisson_mixture
+from .path_sum import U_n, _U_for_count, _U_for_counts, poisson_mixture
 from .propagators import (DysonExpansion, PropagatorResult, _as_int,
                           dyson_expansion, product_integral)
 
@@ -55,6 +56,13 @@ class SMatrixConfig:
     @property
     def dim(self) -> int:
         return self.H0.shape[0]
+
+    @cached_property
+    def _series_family(self) -> GeneratorFamily:
+        # One interaction family per config, built on first use: the Dyson
+        # orders of one config then share the series slot of propagators,
+        # which matches families by identity.
+        return interaction_generator(self)
 
 
 def _eigen_frame(cfg: SMatrixConfig) -> tuple[GeneratorFamily, Callable]:
@@ -117,8 +125,10 @@ def S_lambda(cfg: SMatrixConfig, tail_tol: float = 1e-10) -> PropagatorResult:
     exp(Q[T, -T]), not S_n_experimental(0) = I.  Each term is formed in the
     H0 eigenbasis and rotated back once.  step_count is n_max."""
     fam, rotate = _eigen_frame(cfg)
-    res = poisson_mixture(lambda n: rotate(_U_for_count(fam, 2.0 * cfg.T, n)),
-                          2.0 * cfg.lam * cfg.T, tail_tol)
+    res = poisson_mixture(
+        lambda ns: np.array([rotate(U) for U in _U_for_counts(
+            fam, ns, [2.0 * cfg.T] * len(ns))]),
+        2.0 * cfg.lam * cfg.T, tail_tol)
     return replace(res, step_count=res.extras["n_max"])
 
 
@@ -162,6 +172,8 @@ def dyson_S_expansion(cfg: SMatrixConfig, n: int,
     """Order-n expansion of S with the exact remainder.
 
     The interaction generator already carries (-i/hbar)^k into the k-th
-    term; partial sum plus remainder reproduces the oracle S.
+    term; partial sum plus remainder reproduces the oracle S.  Every call on
+    one config runs on the same family, so a ladder of orders extends the
+    series chains instead of restarting them.
     """
-    return dyson_expansion(interaction_generator(cfg), -cfg.T, cfg.T, n, 1.0, grid)
+    return dyson_expansion(cfg._series_family, -cfg.T, cfg.T, n, 1.0, grid)

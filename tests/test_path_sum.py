@@ -15,15 +15,15 @@ from chronos.errors import (ConfigError, ConsistencyError, DomainError,
 from chronos.families import (SIGMA_X, SIGMA_Z, builtin_family,
                               family_from_evaluator, family_from_matrix,
                               integrate_family)
-from chronos.linalg import _pade_choice, matrix_exp, operator_norm
+from chronos.linalg import _pade_choice, expm_stack, matrix_exp, operator_norm
 from chronos.film import midpoint_edges
 from chronos.path_sum import (PathSumConfig, U_lambda, U_n, _cell_generators,
                               bubble_counts, conditional_single_bubble_check,
                               make_partition, monte_carlo_U, poisson_mixture,
                               poisson_truncation, poisson_weight, sample_bubbles,
                               stieltjes_form, trial_rng)
-from chronos.propagators import product_integral
-from chronos.quadrature import loglog_slope
+from chronos.propagators import ordered_product, product_integral
+from chronos.quadrature import _GAUSS5_NODES, _GAUSS5_WEIGHTS, loglog_slope
 
 
 def test_config_validation():
@@ -158,6 +158,137 @@ def test_U_n_second_order_convergence():
     assert -loglog_slope(ns, errs) >= 1.9
 
 
+def reference_cells(f, edges):
+    """Cell integrals of edges (..., n + 1) by one plain formula: composite
+    Gauss-5 per cell on max(1, ceil(80 / 5n)) panels."""
+    edges = np.asarray(edges)
+    widths = np.diff(edges)[..., None]
+    panels = max(1, -(-80 // (5 * (edges.shape[-1] - 1))))
+    sub = np.linspace(0.0, 1.0, panels + 1)
+    lo = edges[..., :-1, None] + widths * sub[:-1]
+    width = widths * (1.0 / panels)
+    mid = lo + 0.5 * width
+    nodes = (mid[..., None] + 0.5 * width[..., None] * _GAUSS5_NODES).reshape(-1)
+    H = f.evaluate_batch(nodes).reshape(lo.shape + (5, f.dim, f.dim))
+    w = 0.5 * width[..., None] * _GAUSS5_WEIGHTS
+    return np.einsum("...cpq,...cpqij->...cij", w, H)
+
+
+def reference_U(f, edges):
+    """U_n of one partition (n + 1,): one expm_stack over its cells, then
+    their ordered product."""
+    return ordered_product(expm_stack(reference_cells(f, edges)))
+
+
+def reference_term(f, t, n):
+    """The n-bubble term on [f.a, f.a + t], n = 0 the exposure exp(Q)."""
+    if n == 0:
+        return matrix_exp(integrate_family(f, f.a, f.a + t))
+    return reference_U(f, make_partition(f.a, t, n))
+
+
+KERNEL_FAMILIES = [("two_level_driven", ()), ("damped_two_level", ()),
+                   ("random_smooth", (3, 3, 0.2)), ("random_smooth", (5, 5, 0.2))]
+
+
+@pytest.mark.parametrize("name,params", KERNEL_FAMILIES)
+def test_U_batch_terms_are_bitwise_each_term_alone(name, params):
+    fam = builtin_family(name, params)
+    ns = list(range(1, 41))
+    edges = [make_partition(fam.a, 1.0, n) for n in ns]
+    batch = path_sum._U_batch(fam, edges)
+    # One batch mixes seven panel counts and more than one Pade class.
+    assert len({path_sum._panels(n) for n in ns}) == 7
+    classes = {_pade_choice(float(np.max(np.sum(np.abs(reference_cells(fam, e)),
+                                                 axis=-2)))) for e in edges}
+    assert len(classes) >= 2
+    for n, e, U in zip(ns, edges, batch):
+        assert path_sum._cell_generators(fam, e).tobytes() == \
+            reference_cells(fam, e).tobytes()
+        assert U.tobytes() == reference_U(fam, e).tobytes()
+        assert U.tobytes() == path_sum._U_for_count(fam, 1.0, n).tobytes()
+
+
+@pytest.mark.parametrize("budget", [2 ** 15, 2 ** 11, 2 ** 8])
+def test_U_batch_mixes_partitions_and_batches_in_any_chunking(monkeypatch, budget):
+    # 2^15: one chunk; 2^11: several; 2^8: every partition on its own.
+    fam = builtin_family("damped_two_level")
+    cfg = PathSumConfig(lam=3.0, t=1.0, seed=2026)
+    arrivals = [one_gap_at_a_time(cfg, trial_rng(cfg.seed, k)) for k in range(200)]
+    batches = [np.array([midpoint_edges(0.0, 1.0, r) for r in arrivals if len(r) == n])
+               for n in (2, 3, 5)]
+    assert all(len(b) >= 5 for b in batches)
+    parts = [make_partition(0.0, 1.0, 7), batches[0], make_partition(0.0, 1.0, 30),
+             batches[1], batches[2], make_partition(0.0, 1.0, 1)]
+    monkeypatch.setattr(path_sum, "_BATCH_ENTRIES", budget)
+    got = path_sum._U_batch(fam, parts)
+    assert len(got) == len(parts)
+    for e, U in zip(parts, got):
+        assert U.shape == e.shape[:-1] + (2, 2)
+        expected = np.array([reference_U(fam, row) for row in np.atleast_2d(e)])
+        assert U.tobytes() == expected.reshape(U.shape).tobytes()
+
+
+def test_U_batch_sweeps_once_per_panel_count():
+    fam = builtin_family("two_level_driven")
+    sweeps = []
+
+    def counted(ts):
+        sweeps.append(len(ts))
+        return fam.evaluate_batch(ts)
+
+    # n = 1 .. 12 take 16, 8, 6, 4, 3 and 2 panels a cell; one chunk holds all.
+    path_sum._U_batch(replace(fam, evaluate_batch=counted),
+                      [make_partition(0.0, 1.0, n) for n in range(1, 13)])
+    assert len(sweeps) == 6
+
+
+def test_U_batch_rejects_a_bad_partition_anywhere():
+    fam = builtin_family("two_level_driven")  # lives on [0, 1]
+    good = [make_partition(0.0, 1.0, n) for n in (3, 20)]
+    bad_edges = ([0.0, 0.8, 0.2, 1.0], [0.0, np.nan, 1.0], [np.nan, 0.5, 1.0],
+                 [0.0, 0.5, 1.5], [-0.5, 0.5, 1.0], [[0.0, 0.5, 1.0], [0.0, 0.6, 0.4]],
+                 [0.5], [])
+    for bad in bad_edges:
+        for pos in range(3):
+            parts = good[:pos] + [np.array(bad)] + good[pos:]
+            with warnings.catch_warnings(), pytest.raises(DomainError):
+                warnings.simplefilter("error")
+                path_sum._U_batch(fam, parts)
+
+
+def test_U_lambda_sums_an_exact_window_in_a_few_expm_calls(monkeypatch):
+    calls = []
+    expm = path_sum.expm_stack
+
+    def counted(A):
+        calls.append(len(A))
+        return expm(A)
+
+    monkeypatch.setattr(path_sum, "expm_stack", counted)
+    res = U_lambda(builtin_family("two_level_driven"), PathSumConfig(lam=40.0, t=1.0))
+    # About 82 exact terms, where one call per term was the rule.
+    assert res.extras["fit_residual"] is None
+    assert res.extras["exact_terms"] == res.step_count >= 80
+    assert len(calls) <= 16
+
+
+@pytest.mark.parametrize("lam", [5.0, 40.0, 160.0])
+def test_path_sums_are_bitwise_the_reference_terms(lam):
+    # At 5 and 40 the windows are summed exactly, at 160 through the fit.
+    fam = builtin_family("damped_two_level", interval=(0.0, 8.0))
+    cfg = PathSumConfig(lam=lam, t=1.0)
+    jump = lambda k: (reference_U(fam, make_partition(0.0, k / lam, k)) if k
+                      else np.eye(2, dtype=complex))
+    for res, term in ((U_lambda(fam, cfg), lambda n: reference_term(fam, 1.0, n)),
+                      (stieltjes_form(fam, cfg), jump)):
+        ref = poisson_mixture(lambda ns: np.array([term(n) for n in ns]), lam, 1e-10)
+        assert res.extras["raw"].tobytes() == ref.extras["raw"].tobytes()
+        assert res.U.tobytes() == ref.U.tobytes()
+        assert res.extras["exact_terms"] == ref.extras["exact_terms"]
+        assert (res.extras["fit_residual"] is None) == (lam < 100)
+
+
 def test_poisson_weight_zero_below_threshold():
     assert poisson_weight(1.0, 0.0, 1.0) == 0.0
     assert poisson_weight(1.0, -0.5, 1.0) == 0.0
@@ -251,7 +382,7 @@ def test_poisson_weight_is_bitwise_scipy_stats():
 def test_poisson_mixture_error_estimate_is_bitwise_scipy_stats():
     for mean in KERNEL_MEANS:
         for tail_tol in (1e-12, 1e-6):
-            res = poisson_mixture(lambda n: np.ones(1), mean, tail_tol)
+            res = poisson_mixture(lambda ns: np.ones((len(ns), 1)), mean, tail_tol)
             assert res.error_estimate == float(
                 scipy.stats.poisson.sf(res.extras["n_max"], mean))
 
@@ -384,7 +515,8 @@ def test_poisson_mixture_jump_in_n_falls_back_exactly():
         calls.append(n)
         return (1.0 if n < 100 else 1.5) * np.eye(2, dtype=complex)
 
-    res = path_sum.poisson_mixture(term, 100.0, 1e-10)
+    res = path_sum.poisson_mixture(lambda ns: np.array([term(n) for n in ns]),
+                                   100.0, 1e-10)
     assert res.extras["fit_residual"] is None
     # Every term of the window is computed, each exactly once.
     assert sorted(calls) == sorted(set(calls))
@@ -399,12 +531,12 @@ def test_poisson_mixture_rejects_bad_windows():
     with pytest.raises(ConfigError):
         U_lambda(builtin_family("two_level_driven"),
                  PathSumConfig(lam=1.0, t=1.0, tail_tol=0.9))
-    term = lambda n: np.eye(2, dtype=complex)
+    terms = lambda ns: np.array([np.eye(2, dtype=complex) for n in ns])
     for mean, tail_tol in ((10.0, 0.0), (10.0, 1.0), (0.0, 1e-10), (-1.0, 1e-10)):
         with pytest.raises(ConfigError):
             poisson_truncation(mean, tail_tol)
         with pytest.raises(ConfigError):
-            path_sum.poisson_mixture(term, mean, tail_tol)
+            path_sum.poisson_mixture(terms, mean, tail_tol)
 
 
 def test_stieltjes_constant_family_matches_series():
@@ -507,7 +639,7 @@ def assert_arrivals_match_reference(cfg, trials, per_block):
     return got
 
 
-@pytest.mark.parametrize("lam", [0.05, 1.0, 20.0, 40.0, 600.0])
+@pytest.mark.parametrize("lam", [0.05, 1.0, 10.0, 20.0, 40.0, 600.0])
 def test_trial_arrivals_match_per_trial_streams(lam):
     got = assert_arrivals_match_reference(
         PathSumConfig(lam=lam, t=1.0, seed=2 ** 32 + 5), 500, 64)
@@ -536,8 +668,9 @@ def test_trial_arrivals_rejects_wrong_derived_key(monkeypatch):
 
 
 def assert_monte_carlo_matches_reference(fam, cfg):
-    """monte_carlo_U equals the per-trial U_n samples bit for bit; returns
-    the Pade classes expm_stack chose for the trials on their own."""
+    """monte_carlo_U equals the per-trial samples of the one-partition formula
+    bit for bit; returns the Pade classes expm_stack chose for the trials on
+    their own."""
     res = monte_carlo_U(fam, cfg)
     samples, counts, classes = [], [], set()
     for k in range(cfg.trials):
@@ -546,10 +679,9 @@ def assert_monte_carlo_matches_reference(fam, cfg):
         if len(arrivals) == 0:
             samples.append(matrix_exp(integrate_family(fam, 0.0, cfg.t)))
             continue
-        edges = midpoint_edges(0.0, cfg.t, arrivals)
-        A = _cell_generators(fam, edges)
+        A = reference_cells(fam, midpoint_edges(0.0, cfg.t, arrivals))
         classes.add(_pade_choice(float(np.max(np.sum(np.abs(A), axis=-2)))))
-        samples.append(U_n(fam, edges).U)
+        samples.append(ordered_product(expm_stack(A)))
     samples = np.array(samples)
     se = np.sqrt((np.var(samples.real, axis=0) + np.var(samples.imag, axis=0))
                  / (cfg.trials - 1))

@@ -10,8 +10,10 @@ from chronos.families import (SIGMA_X, SIGMA_Z, GeneratorFamily,
                               integrate_family)
 from chronos.film import midpoint_edges
 from chronos.linalg import expm_stack, matrix_exp
-from chronos.path_sum import U_n, _cell_generators, poisson_truncation
-from chronos.propagators import ordered_product, product_integral
+from chronos.path_sum import (U_n, _cell_generators, poisson_mixture,
+                              poisson_truncation)
+from chronos import propagators
+from chronos.propagators import dyson_expansion, ordered_product, product_integral
 from chronos.quadrature import loglog_slope
 from chronos.smatrix import (SMatrixConfig, S_lambda, S_n_experimental,
                              _eigen_frame, dyson_S_expansion,
@@ -118,6 +120,26 @@ def test_S_lambda_matches_reference_window_sum():
     res = S_lambda(cfg)
     assert np.max(np.abs(res.extras["raw"] - raw)) <= 1e-12
     assert np.max(np.abs(res.U - raw / res.extras["captured_mass"])) <= 1e-12
+
+
+@pytest.mark.parametrize("lam", [2.0, 10.0, 100.0])
+def test_S_lambda_is_bitwise_the_one_partition_formula(lam):
+    # 2 lambda T = 4 and 20 sum the window exactly, 200 through the fit.
+    cfg = random_three_level(lam=lam)
+    fam, rotate = _eigen_frame(cfg)
+
+    def term(n):
+        if n == 0:
+            return rotate(matrix_exp(integrate_family(fam, -cfg.T, cfg.T)))
+        cells = _cell_generators(fam, window_partition(cfg, n))
+        return rotate(ordered_product(expm_stack(cells)))
+
+    ref = poisson_mixture(lambda ns: np.array([term(n) for n in ns]),
+                          2.0 * cfg.lam * cfg.T, 1e-10)
+    res = S_lambda(cfg)
+    assert res.extras["raw"].tobytes() == ref.extras["raw"].tobytes()
+    assert res.U.tobytes() == ref.U.tobytes()
+    assert (res.extras["fit_residual"] is None) == (lam < 50)
 
 
 def exact_window_sum(cfg, tail_tol=1e-10):
@@ -364,6 +386,27 @@ def test_dyson_S_tail_bound():
     M = max(np.linalg.norm(H, 2) for H in fam.evaluate_batch(ts))
     tail = np.linalg.norm(S_ref - exp.partial_sum(), 2)
     assert tail <= (M * 4.0) ** 5 / math.factorial(5) * math.exp(M * 4.0)
+
+
+def test_dyson_S_ladder_shares_one_family_per_config(monkeypatch):
+    # Orders 0..4 take 5 remainder and 4 term iterations on one config, and
+    # every result keeps the bits of a fresh family per order.
+    cfg = toy(T=1.5)
+    fresh = [dyson_expansion(interaction_generator(cfg), -cfg.T, cfg.T, n, 1.0, 256)
+             for n in range(5)]
+    steps = []
+    simpson = propagators._cumulative_simpson_into
+
+    def counted(*args):
+        steps.append(None)
+        return simpson(*args)
+
+    monkeypatch.setattr(propagators, "_cumulative_simpson_into", counted)
+    for n in range(5):
+        exp = dyson_S_expansion(cfg, n, 256)
+        assert exp.remainder.tobytes() == fresh[n].remainder.tobytes()
+        assert [T.tobytes() for T in exp.terms] == [T.tobytes() for T in fresh[n].terms]
+    assert len(steps) == 9
 
 
 def test_first_order_term_insensitive_to_regularization():
