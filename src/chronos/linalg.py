@@ -8,6 +8,7 @@ arrays; all other modules build on these.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -98,6 +99,7 @@ def yosida(H, z: float) -> np.ndarray:
 
 
 _ADJ_SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]])
+_PLANE_SIGN = _ADJ_SIGN[:, :, None]
 
 
 def _matmul(A: np.ndarray, B: np.ndarray, out=None) -> np.ndarray:
@@ -130,6 +132,23 @@ def _solve(M: np.ndarray, R: np.ndarray) -> np.ndarray:
     return C
 
 
+def _plane_matmul(A: np.ndarray, B: np.ndarray, out=None) -> np.ndarray:
+    """_matmul of 2 x 2 stacks held batch-last, as (2, 2, N) planes: the same
+    products and sums, each over one long inner loop."""
+    C = np.multiply(A[:, 0:1], B[0:1], out=out)
+    C += A[:, 1:2] * B[1:2]
+    return C
+
+
+def _plane_solve(M: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """_solve of 2 x 2 stacks held as (2, 2, N) planes."""
+    adj = M[::-1, ::-1].swapaxes(0, 1) * _PLANE_SIGN
+    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+    C = _plane_matmul(adj, R)
+    C /= det
+    return C
+
+
 def _accumulate(acc: np.ndarray, terms, tmp: np.ndarray) -> np.ndarray:
     """acc + c_1 X_1 + c_2 X_2 + ..., added left to right into acc; tmp is
     scratch of acc's shape."""
@@ -155,54 +174,124 @@ def _pade_choice(norm1: float) -> tuple:
     return degree, int(np.ceil(np.log2(norm1 / _PADE_THETA[13])))
 
 
-def expm_stack(A: np.ndarray) -> np.ndarray:
+def _norms1(A: np.ndarray) -> np.ndarray:
+    """The 1-norm of each matrix of A (N, d, d), its largest column sum of
+    |entries|: np.abs(A).sum(axis=-2).max(axis=-1) with the same sums, one
+    row and one column at a time, over loops of length N."""
+    a = np.abs(A)
+    cols = a[:, 0]
+    for i in range(1, A.shape[-1]):
+        cols = cols + a[:, i]
+    norms = cols[:, 0]
+    for j in range(1, A.shape[-1]):
+        norms = np.maximum(norms, cols[:, j])
+    return norms
+
+
+_THETAS = np.array(list(_PADE_THETA.values()))
+_DEGREES = np.array(list(_PADE_THETA) + [13])
+
+
+def _pade_classes(norms: np.ndarray):
+    """([(degree, squarings), ...], label): the distinct _pade_choice of the
+    norms, and the index of each norm's choice in that list.  The degree is
+    the first whose threshold the norm does not exceed; only norms above the
+    last threshold (or NaN) take the scalar rule for their squarings."""
+    above = np.searchsorted(_THETAS, norms)
+    degree, squarings = _DEGREES[above], np.zeros(len(norms), dtype=int)
+    degree[norms == 0.0] = 0
+    for i in np.flatnonzero(above == len(_THETAS)).tolist():
+        degree[i], squarings[i] = _pade_choice(float(norms[i]))
+    # Every degree is below 16, so one integer keys each choice.
+    keys, label = np.unique(16 * squarings + degree, return_inverse=True)
+    return [(k % 16, k // 16) for k in keys.tolist()], label
+
+
+# Entries (matrices times d^2) of one slice of a stack: expm_stack and the
+# path-sum sweeps work a slice at a time, so their work stacks stay at
+# 64 KiB, below glibc's default 128 KiB mmap threshold, whatever the stack.
+# Slices of 2^13 entries, 128 KiB each, are mapped afresh: 1,000-trial Monte
+# Carlo jobs took about five times the minor faults of 2^12 (CHANGES.md).
+_SLICE_ENTRIES = 2 ** 12
+
+
+def expm_stack(A: np.ndarray, _pade=None) -> np.ndarray:
     """exp(A) over a stack of square matrices, shape (..., d, d).
 
     Scaling-and-squaring with a diagonal Pade approximant; _pade_choice
     takes the degree and the squaring count from the largest 1-norm in the
-    stack.
+    stack.  A caller in this package that has classed the stack already
+    hands that (degree, squarings) in as _pade.  The stack is exponentiated
+    in slices of at most _SLICE_ENTRIES entries, each matrix on its own bits;
+    at d = 2 a slice runs as (2, 2, N) planes.
     """
     A = np.asarray(A, dtype=complex)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise DimensionError(f"expm_stack needs (..., d, d), got {A.shape}")
     d = A.shape[-1]
-    eye = np.broadcast_to(np.eye(d, dtype=complex), A.shape)
-    norm1 = float(np.max(np.sum(np.abs(A), axis=-2))) if A.size else 0.0
-    degree, s = _pade_choice(norm1)
+    flat = A.reshape(-1, d, d)
+    step = max(1, _SLICE_ENTRIES // (d * d or 1))
+    bounds = range(0, len(flat), step)
+    eye = np.eye(d, dtype=complex)
+    if _pade is None:
+        norms = [np.max(_norms1(flat[i:i + step])) for i in bounds]
+        _pade = _pade_choice(float(np.max(norms, initial=0.0)))
+    degree, s = _pade
     if degree == 0:
-        return eye.copy()
-    if s:
-        A = A * (0.5 ** s)
+        return np.broadcast_to(eye, A.shape).copy()
+    E = np.empty(flat.shape, dtype=complex)
+    scale = 0.5 ** s
+    for i in bounds:
+        piece = flat[i:i + step]
+        if d == 2:
+            # Batch-last planes: every ufunc loop runs over the whole slice.
+            planes = np.empty((2, 2, len(piece)), dtype=complex)
+            planes[...] = piece.transpose(1, 2, 0)
+            if s:
+                planes *= scale
+            E[i:i + step] = _pade_exp(planes, eye[:, :, None], degree, s,
+                                      _plane_matmul, _plane_solve).transpose(2, 0, 1)
+        else:
+            E[i:i + step] = _pade_exp(piece * scale if s else piece, eye,
+                                      degree, s, _matmul, _solve)
+    return E.reshape(A.shape)
 
+
+def _pade_exp(A: np.ndarray, eye: np.ndarray, degree: int, s: int,
+              mul: Callable, solve: Callable) -> np.ndarray:
+    """exp of the scaled stack A by the degree-`degree` Pade approximant and
+    s squarings, in any layout: mul and solve are its matrix product and
+    solve, and eye broadcasts to the identity stack against A."""
     # Each sum adds its terms left to right into a buffer it owns, as the
     # plain expression would.  The low-degree sums start from b_1 I and b_0 I
     # rather than from an int 0: 0 + x turns -0.0 into +0.0, but b I holds
     # no -0.0, so every bit of the result is unchanged.
+    eye = np.broadcast_to(eye, A.shape)
     b = _PADE_COEFFS[degree]
-    A2 = _matmul(A, A)
+    A2 = mul(A, A)
     tmp = np.empty(A.shape, dtype=complex)
     if degree == 13:
-        A4 = _matmul(A2, A2)
-        A6 = _matmul(A2, A4)
+        A4 = mul(A2, A2)
+        A6 = mul(A2, A4)
         inner = _accumulate(np.multiply(A6, b[13]), ((b[11], A4), (b[9], A2)), tmp)
-        U = _accumulate(_matmul(A6, inner),
+        U = _accumulate(mul(A6, inner),
                         ((b[7], A6), (b[5], A4), (b[3], A2), (b[1], eye)), tmp)
         _accumulate(np.multiply(A6, b[12], out=inner), ((b[10], A4), (b[8], A2)), tmp)
-        V = _accumulate(_matmul(A6, inner),
+        V = _accumulate(mul(A6, inner),
                         ((b[6], A6), (b[4], A4), (b[2], A2), (b[0], eye)), tmp)
     else:
         powers = [eye, A2]
         for _ in range((degree - 1) // 2 - 1):
-            powers.append(_matmul(powers[-1], A2))
+            powers.append(mul(powers[-1], A2))
         U = _accumulate(np.multiply(eye, b[1]),
                         ((b[2 * k + 1], P) for k, P in enumerate(powers[1:], 1)), tmp)
         V = _accumulate(np.multiply(eye, b[0]),
                         ((b[2 * k], P) for k, P in enumerate(powers[1:], 1)), tmp)
-    AU = _matmul(A, U, out=tmp)
-    E = _solve(np.subtract(V, AU, out=U), np.add(V, AU, out=V))
+    AU = mul(A, U, out=tmp)
+    E = solve(np.subtract(V, AU, out=U), np.add(V, AU, out=V))
     spare = U
     for _ in range(s):
-        E, spare = _matmul(E, E, out=spare), E
+        E, spare = mul(E, E, out=spare), E
     if not (np.all(np.isfinite(E.real)) and np.all(np.isfinite(E.imag))):
         raise RangeError("matrix exponential overflowed")
     return E

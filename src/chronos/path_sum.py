@@ -22,7 +22,8 @@ from numpy.polynomial.chebyshev import chebvander
 from .errors import ConfigError, ConsistencyError, DomainError, ResourceError
 from .families import GeneratorFamily, _check_interval, integrate_family
 from .film import midpoint_edges
-from .linalg import _pade_choice, expm_stack, matrix_exp
+from .linalg import (_SLICE_ENTRIES, _norms1, _pade_classes, expm_stack,
+                     matrix_exp)
 from .propagators import PropagatorResult, _as_int, ordered_product
 from .quadrature import _GAUSS5_NODES, _GAUSS5_WEIGHTS
 
@@ -72,19 +73,33 @@ def _panels(n: int) -> int:
 
 
 def _gauss5_cells(f: GeneratorFamily, left: np.ndarray, widths: np.ndarray,
-                  panels: int) -> np.ndarray:
-    """Integrals of H over the cells [left, left + widths], both (C,), as
-    (C, d, d): composite Gauss-5 with `panels` panels per cell and one
-    evaluate_batch call."""
+                  panels: int, out: np.ndarray) -> np.ndarray:
+    """Integrals of H over the cells [left, left + widths], both (C,), into
+    out (C, d, d): composite Gauss-5 with `panels` panels per cell, swept in
+    slices of at most _SLICE_ENTRIES Gauss-node entries, one evaluate_batch
+    call a slice.
+
+    Each cell sums its weighted nodes one at a time, panel by panel, from
+    +0.0: np.einsum("cpq,cpqij->cij", weights, H) adds them in that order,
+    and the same sums over whole slices of cells keep its bits.
+    """
     widths = widths[:, None]
     sub = np.linspace(0.0, 1.0, panels + 1)
     lo = left[:, None] + widths * sub[:-1]
-    width = widths * (1.0 / panels)
-    mid = lo + 0.5 * width
-    nodes = (mid[..., None] + 0.5 * width[..., None] * _GAUSS5_NODES).reshape(-1)
-    H = f.evaluate_batch(nodes).reshape(lo.shape + (5, f.dim, f.dim))
-    w = 0.5 * width[..., None] * _GAUSS5_WEIGHTS
-    return np.einsum("cpq,cpqij->cij", w, H)
+    half = 0.5 * (widths * (1.0 / panels))
+    mid = lo + half
+    step = max(1, _SLICE_ENTRIES // (5 * panels * f.dim ** 2))
+    for i in range(0, len(out), step):
+        # Nodes ordered panel, node, cell, so that H[k] is node k of every cell.
+        m, h = mid[i:i + step].T[:, None], half[i:i + step].T
+        H = f.evaluate_batch((m + h[:, None] * _GAUSS5_NODES[:, None]).reshape(-1))
+        H = H.reshape((-1,) + out[i:i + step].shape)
+        w = (h * _GAUSS5_WEIGHTS[:, None])[..., None, None]
+        acc, term = out[i:i + step], np.empty(H.shape[1:], dtype=complex)
+        acc[...] = 0.0
+        for k in range(len(H)):
+            acc += np.multiply(H[k], w[k % 5], out=term)
+    return out
 
 
 def _cat(arrays: list) -> np.ndarray:
@@ -97,7 +112,7 @@ def _cell_stack(f: GeneratorFamily, rows: list) -> np.ndarray:
 
     Every edge must lie in the family, in non-decreasing order and not NaN;
     a zero-width cell is legal.  Rows come grouped by panel count, and each
-    group takes one evaluate_batch call.
+    group takes one _gauss5_cells sweep.
     """
     cells = [r.shape[1] - 1 for r in rows]
     flat = _cat([r.reshape(-1) for r in rows])
@@ -111,12 +126,13 @@ def _cell_stack(f: GeneratorFamily, rows: list) -> np.ndarray:
         left, widths = left[keep], widths[keep]
     if not np.all(widths >= 0):
         raise DomainError("cell edges must be non-decreasing and not NaN")
-    sweeps, start = [], 0
+    A = np.empty((left.size, f.dim, f.dim), dtype=complex)
+    start = 0
     for p, group in itertools.groupby(zip(cells, rows), key=lambda c: _panels(c[0])):
         stop = start + sum(n * len(r) for n, r in group)
-        sweeps.append(_gauss5_cells(f, left[start:stop], widths[start:stop], p))
+        _gauss5_cells(f, left[start:stop], widths[start:stop], p, A[start:stop])
         start = stop
-    return _cat(sweeps)
+    return A
 
 
 def _edges(edges) -> np.ndarray:
@@ -135,11 +151,13 @@ def _cell_generators(f: GeneratorFamily, edges: np.ndarray) -> np.ndarray:
     return A.reshape(edges.shape[:-1] + (edges.shape[-1] - 1, f.dim, f.dim))
 
 
-# Generator entries (Gauss nodes times d^2) swept in one chunk of _U_batch,
-# so a chunk's generator stack stays at 128 KiB, glibc's default mmap
-# threshold: chunks of 2^14 and 2^15 entries made S_lambda windows fault in
-# fresh pages on every call.  A partition this large goes through on its own.
-_BATCH_ENTRIES = 2 ** 13
+# Generator entries (Gauss nodes times d^2) of one chunk of _U_batch.  The
+# sweeps and exponentials of a chunk run in slices of _SLICE_ENTRIES, so
+# this bounds only the chunk's cell stacks (a fifth of it or less) and sets
+# how many calls a batch takes: 1,000-trial Monte Carlo jobs ran fastest at
+# 2^16 (2^17 was no faster), and 2^14 no faster than one call per bubble
+# count (CHANGES.md).
+_BATCH_ENTRIES = 2 ** 16
 
 
 def _U_batch(f: GeneratorFamily, partitions: list) -> list:
@@ -147,53 +165,61 @@ def _U_batch(f: GeneratorFamily, partitions: list) -> list:
     shape (..., d, d).  Each matrix has the bits of
     ordered_product(expm_stack(A)) over the cells A of its own row alone.
 
-    Partitions are taken in order, in chunks of at most _BATCH_ENTRIES
-    generator entries.  A chunk makes one Gauss-5 sweep per panel count, one
-    expm_stack per Pade class (each row in the class expm_stack would choose
-    from the row's own largest 1-norm) and one ordered_product per partition.
+    Rows are taken in order, in chunks of at most _BATCH_ENTRIES generator
+    entries; a batch that does not fit is split between chunks, and a row
+    larger than a chunk goes through on its own.  A chunk makes one Gauss-5
+    sweep per panel count, one expm_stack per Pade class (each row in the
+    class expm_stack would choose from the row's own largest 1-norm) and
+    one ordered_product per batch piece.
     """
-    out, chunk, entries = [], [], 0
-    for edges in map(_edges, partitions):
+    parts = [_edges(e) for e in partitions]
+    chunks, entries = [[]], 0
+    for i, edges in enumerate(parts):
         n = edges.shape[-1] - 1
-        size = edges.size // (n + 1) * n * 5 * _panels(n) * f.dim ** 2
-        if chunk and entries + size > _BATCH_ENTRIES:
-            out += _U_chunk(f, chunk)
-            chunk, entries = [], 0
-        chunk.append(edges)
-        entries += size
-    return out + _U_chunk(f, chunk) if chunk else out
+        rows = edges.reshape(-1, n + 1)
+        per_row = n * 5 * _panels(n) * f.dim ** 2
+        start = 0
+        while start < len(rows):
+            take = (_BATCH_ENTRIES - entries) // per_row
+            if chunks[-1] and take < 1:
+                chunks.append([])
+                entries = 0
+                continue
+            piece = rows[start:start + max(take, 1)]
+            chunks[-1].append((i, piece))
+            entries += len(piece) * per_row
+            start += len(piece)
+    pieces = [[] for _ in parts]
+    for chunk in filter(None, chunks):
+        for (i, _), U in zip(chunk, _U_chunk(f, [rows for _, rows in chunk])):
+            pieces[i].append(U)
+    empty = np.empty((0, f.dim, f.dim), dtype=complex)
+    return [_cat(p or [empty]).reshape(e.shape[:-1] + (f.dim, f.dim))
+            for e, p in zip(parts, pieces)]
 
 
-def _U_chunk(f: GeneratorFamily, parts: list) -> list:
-    """_U_batch of one chunk."""
-    rows = [e.reshape(-1, e.shape[-1]) for e in parts]
-    order = sorted(range(len(rows)), key=lambda i: _panels(rows[i].shape[1] - 1))
-    A = _cell_stack(f, [rows[i] for i in order])
-    cells = [rows[i].shape[1] - 1 for i in order]
-    classes = [None]
-    if len(rows) > 1 or len(rows[0]) > 1:
-        row_cells = np.repeat(cells, [len(rows[i]) for i in order])
-        norms = np.maximum.reduceat(np.abs(A).sum(axis=-2).max(axis=-1),
-                                    np.cumsum(row_cells) - row_cells)
-        # The class grows with the norm: equal at both ends, equal for all.
-        ends = {_pade_choice(float(norms.min())), _pade_choice(float(norms.max()))}
-        classes = (list(ends) if len(ends) == 1
-                   else [_pade_choice(x) for x in norms.tolist()])
-    kinds = sorted(set(classes))
+def _U_chunk(f: GeneratorFamily, chunk: list) -> list:
+    """U (B_i, d, d) of each edge batch (B_i, n_i + 1) of one chunk."""
+    order = sorted(range(len(chunk)), key=lambda i: _panels(chunk[i].shape[1] - 1))
+    rows = [chunk[i] for i in order]
+    cells = [r.shape[1] - 1 for r in rows]
+    A = _cell_stack(f, rows)
+    row_cells = np.repeat(cells, [len(r) for r in rows])
+    kinds, label = _pade_classes(np.maximum.reduceat(
+        _norms1(A), np.cumsum(row_cells) - row_cells))
     if len(kinds) == 1:
-        A = expm_stack(A)
+        A = expm_stack(A, kinds[0])
     else:
-        label = np.repeat([kinds.index(c) for c in classes], row_cells)
+        label = np.repeat(label, row_cells)
         E = np.empty(A.shape, dtype=complex)
-        for k in range(len(kinds)):
+        for k, pade in enumerate(kinds):
             same = np.flatnonzero(label == k)
-            E[same] = expm_stack(A[same])
+            E[same] = expm_stack(A[same], pade)
         A = E
-    U, start = [None] * len(parts), 0
-    for i, n in zip(order, cells):
-        stop = start + len(rows[i]) * n
-        U[i] = ordered_product(
-            A[start:stop].reshape(parts[i].shape[:-1] + (n, f.dim, f.dim)))
+    U, start = [None] * len(chunk), 0
+    for i, r, n in zip(order, rows, cells):
+        stop = start + len(r) * n
+        U[i] = ordered_product(A[start:stop].reshape(len(r), n, f.dim, f.dim))
         start = stop
     return U
 
@@ -532,17 +558,11 @@ def _check_trials(cfg: PathSumConfig):
 _BLOCK_ENTRIES = 2 ** 20
 
 
-def monte_carlo_U(f: GeneratorFamily, cfg: PathSumConfig) -> PropagatorResult:
-    """Sample mean of U over random bubble partitions.
-
-    Entrywise standard errors of the mean are reported in extras; trials
-    use independent counter-based streams so results are reproducible and
-    order-independent.  Arrivals on [0, t] are bubbles at f.a + arrival.
-    Trials run in blocks of _arrival_blocks rows, with one batched U_n call
-    per bubble count in a block.
-    """
-    _check_trials(cfg)
-    _check_interval(f, f.a, f.a + cfg.t)
+def _trial_samples(f: GeneratorFamily, cfg: PathSumConfig):
+    """(U of every trial (trials, d, d), its bubble count): arrivals on
+    [0, t] are bubbles at f.a + arrival.  Trials run in blocks of
+    _arrival_blocks rows, and each block's partitions, one (B_n, n + 1)
+    batch per bubble count n >= 1, take one _U_batch call."""
     entries = max(5 * _gap_chunk(cfg.lam * cfg.t), CELL_NODES) * f.dim ** 2
     samples = np.empty((cfg.trials, f.dim, f.dim), dtype=complex)
     counts = np.empty(cfg.trials, dtype=int)
@@ -550,11 +570,26 @@ def monte_carlo_U(f: GeneratorFamily, cfg: PathSumConfig) -> PropagatorResult:
                                        max(1, _BLOCK_ENTRIES // entries)):
         n_of = counts[first:first + len(rows)] = (rows <= cfg.t).sum(axis=1)
         out = samples[first:first + len(rows)]
-        for n in np.unique(n_of):
-            group = n_of == n
-            out[group] = (U_n(f, midpoint_edges(f.a, f.a + cfg.t,
-                                                f.a + rows[group, :n])).U
-                          if n else _U_for_count(f, cfg.t, 0))
+        groups = [(n, n_of == n) for n in np.unique(n_of).tolist()]
+        if groups[0][0] == 0:
+            out[groups.pop(0)[1]] = _U_for_count(f, cfg.t, 0)
+        Us = _U_batch(f, [midpoint_edges(f.a, f.a + cfg.t, f.a + rows[group, :n])
+                          for n, group in groups])
+        for (_, group), U in zip(groups, Us):
+            out[group] = U
+    return samples, counts
+
+
+def monte_carlo_U(f: GeneratorFamily, cfg: PathSumConfig) -> PropagatorResult:
+    """Sample mean of U over random bubble partitions.
+
+    Entrywise standard errors of the mean are reported in extras; trials
+    use independent counter-based streams so results are reproducible and
+    order-independent.  Arrivals on [0, t] are bubbles at f.a + arrival.
+    """
+    _check_trials(cfg)
+    _check_interval(f, f.a, f.a + cfg.t)
+    samples, counts = _trial_samples(f, cfg)
     se = np.sqrt((np.var(samples.real, axis=0) + np.var(samples.imag, axis=0))
                  / (cfg.trials - 1))
     return PropagatorResult(

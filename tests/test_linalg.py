@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from chronos.errors import DimensionError, DomainError
-from chronos.linalg import (_PADE_THETA, DissipativityReport, _matmul, _solve,
+from chronos import linalg
+from chronos.errors import DimensionError, DomainError, RangeError
+from chronos.linalg import (_PADE_COEFFS, _PADE_THETA, _SLICE_ENTRIES,
+                            DissipativityReport, _accumulate, _matmul,
+                            _norms1, _pade_choice, _pade_classes, _solve,
                             dissipativity, expm_stack, hermitian_part,
                             matrix_exp, operator_norm, random_dissipative,
                             resolvent, yosida)
@@ -221,3 +224,143 @@ def test_contraction_semigroup_norm_bound():
         H = random_dissipative(rng, 4)
         for tau in (0.1, 1.0, 10.0):
             assert operator_norm(matrix_exp(tau * H)) <= 1.0 + 1e-12
+
+
+def reference_expm(A, pade=None):
+    """exp(A) by one (N, d, d) scaling-and-squaring body over the whole
+    stack, as expm_stack computed it before it ran in slices and, at d = 2,
+    on batch-last planes: the bitwise reference of expm_stack."""
+    A = np.asarray(A, dtype=complex)
+    d = A.shape[-1]
+    eye = np.broadcast_to(np.eye(d, dtype=complex), A.shape)
+    if pade is None:
+        pade = _pade_choice(float(np.max(np.sum(np.abs(A), axis=-2))) if A.size else 0.0)
+    degree, s = pade
+    if degree == 0:
+        return eye.copy()
+    if s:
+        A = A * (0.5 ** s)
+    b = _PADE_COEFFS[degree]
+    A2 = _matmul(A, A)
+    tmp = np.empty(A.shape, dtype=complex)
+    if degree == 13:
+        A4 = _matmul(A2, A2)
+        A6 = _matmul(A2, A4)
+        inner = _accumulate(np.multiply(A6, b[13]), ((b[11], A4), (b[9], A2)), tmp)
+        U = _accumulate(_matmul(A6, inner),
+                        ((b[7], A6), (b[5], A4), (b[3], A2), (b[1], eye)), tmp)
+        _accumulate(np.multiply(A6, b[12], out=inner), ((b[10], A4), (b[8], A2)), tmp)
+        V = _accumulate(_matmul(A6, inner),
+                        ((b[6], A6), (b[4], A4), (b[2], A2), (b[0], eye)), tmp)
+    else:
+        powers = [eye, A2]
+        for _ in range((degree - 1) // 2 - 1):
+            powers.append(_matmul(powers[-1], A2))
+        U = _accumulate(np.multiply(eye, b[1]),
+                        ((b[2 * k + 1], P) for k, P in enumerate(powers[1:], 1)), tmp)
+        V = _accumulate(np.multiply(eye, b[0]),
+                        ((b[2 * k], P) for k, P in enumerate(powers[1:], 1)), tmp)
+    AU = _matmul(A, U, out=tmp)
+    E = _solve(np.subtract(V, AU, out=U), np.add(V, AU, out=V))
+    spare = U
+    for _ in range(s):
+        E, spare = _matmul(E, E, out=spare), E
+    if not (np.all(np.isfinite(E.real)) and np.all(np.isfinite(E.imag))):
+        raise RangeError("matrix exponential overflowed")
+    return E
+
+
+def signed_zero_stack(rng, n, d, norm1):
+    """(n, d, d) complex stack of largest 1-norm norm1 whose real and
+    imaginary parts hold +0.0 and -0.0 entries."""
+    A = scaled_to_norm(rng.standard_normal((n, d, d))
+                       + 1j * rng.standard_normal((n, d, d)), norm1)
+    for part in (A.real, A.imag):
+        part[rng.random(part.shape) < 0.15] = 0.0
+        part[rng.random(part.shape) < 0.15] = -0.0
+        part.flat[0], part.flat[-1] = -0.0, 0.0
+    return A
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+def test_expm_stack_is_bitwise_the_stack_body(d):
+    rng = np.random.default_rng(7 * d)
+    per_slice = _SLICE_ENTRIES // d ** 2
+    # One matrix, a part of a slice, and three slices and a bit.
+    for n in (1, per_slice // 3 + 1, 3 * per_slice + 5):
+        for norm1 in PADE_NORMS:
+            A = signed_zero_stack(rng, n, d, norm1)
+            assert np.signbit(A.real[A.real == 0]).any()
+            assert np.signbit(A.imag[A.imag == 0]).any()
+            assert expm_stack(A).tobytes() == reference_expm(A).tobytes()
+    # Every degree, with and without squarings, as the kernel hands it in.
+    A = signed_zero_stack(rng, 2 * per_slice + 3, d, 0.9 * _PADE_THETA[3])
+    for degree in (3, 5, 7, 9, 13):
+        for s in (0, 2):
+            assert (expm_stack(A, (degree, s)).tobytes()
+                    == reference_expm(A, (degree, s)).tobytes())
+
+
+def test_expm_stack_keeps_shapes_and_the_zero_stack():
+    rng = np.random.default_rng(3)
+    for shape in ((3, 4, 2, 2), (2, 700, 2, 2), (5, 3, 3)):
+        A = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        E = expm_stack(A)
+        assert E.shape == shape and E.flags.c_contiguous
+        assert E.tobytes() == reference_expm(A).tobytes()
+    for d in (2, 3):
+        Z = np.zeros((2 * _SLICE_ENTRIES // d ** 2 + 1, d, d), dtype=complex)
+        Z.imag[0, 0, 0] = -0.0
+        assert expm_stack(Z).tobytes() == reference_expm(Z).tobytes()
+        assert np.array_equal(expm_stack(Z), np.broadcast_to(np.eye(d), Z.shape))
+    assert expm_stack(np.zeros((0, 2, 2))).shape == (0, 2, 2)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_expm_stack_overflow_in_any_slice_raises(d):
+    per_slice = _SLICE_ENTRIES // d ** 2
+    n = 3 * per_slice
+    for k in (0, per_slice + 7, n - 1):
+        A = np.full((n, d, d), 0.01 + 0.0j)
+        A[k] = 800.0 * np.eye(d)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(RangeError):
+                reference_expm(A)
+            with pytest.raises(RangeError):
+                expm_stack(A)
+
+
+def test_expm_stack_runs_in_slices(monkeypatch):
+    seen = []
+    body = linalg._pade_exp
+
+    def recorded(A, *args):
+        seen.append(A.shape)
+        return body(A, *args)
+
+    monkeypatch.setattr(linalg, "_pade_exp", recorded)
+    expm_stack(np.full((2 * _SLICE_ENTRIES // 4 + 3, 2, 2), 0.1j))
+    expm_stack(np.full((_SLICE_ENTRIES // 9 + 1, 3, 3), 0.1j))
+    # d = 2 runs on (2, 2, N) planes, other sizes on (N, d, d) stacks.
+    per_slice = _SLICE_ENTRIES // 4
+    assert seen == [(2, 2, per_slice), (2, 2, per_slice), (2, 2, 3),
+                    (_SLICE_ENTRIES // 9, 3, 3), (1, 3, 3)]
+
+
+def test_pade_classes_match_the_scalar_rule():
+    thetas = np.array(list(_PADE_THETA.values()))
+    norms = np.concatenate([
+        [0.0, -0.0, 5e-324, 1e-300, 1.0, 7.5, 1e3, 1e300, np.nan],
+        thetas, np.nextafter(thetas, 0.0), np.nextafter(thetas, np.inf),
+        thetas[-1] * 2.0 ** np.arange(1, 8), np.geomspace(1e-6, 1e6, 301)])
+    kinds, label = _pade_classes(norms)
+    assert len(set(kinds)) == len(kinds) and label.shape == norms.shape
+    assert [kinds[k] for k in label.tolist()] == [_pade_choice(x) for x in norms.tolist()]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 64])
+def test_norms1_is_bitwise_the_column_sum_formula(d):
+    rng = np.random.default_rng(d)
+    A = signed_zero_stack(rng, 300, d, 1.0) * 10.0 ** rng.integers(-8, 8, (300, d, d))
+    assert (_norms1(A).tobytes()
+            == np.abs(A).sum(axis=-2).max(axis=-1).tobytes())

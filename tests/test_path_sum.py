@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -12,7 +13,7 @@ import scipy.stats
 from chronos import path_sum
 from chronos.errors import (ConfigError, ConsistencyError, DomainError,
                             ResourceError)
-from chronos.families import (SIGMA_X, SIGMA_Z, builtin_family,
+from chronos.families import (SIGMA_X, SIGMA_Z, GeneratorFamily, builtin_family,
                               family_from_evaluator, family_from_matrix,
                               integrate_family)
 from chronos.linalg import _pade_choice, expm_stack, matrix_exp, operator_norm
@@ -174,6 +175,44 @@ def reference_cells(f, edges):
     return np.einsum("...cpq,...cpqij->...cij", w, H)
 
 
+def signed_zero_family(d):
+    """A d x d family on [0, 1] whose entries hold +0.0 and -0.0 and terms
+    of mixed sign and size."""
+    B = np.random.default_rng(d).standard_normal((3, d, d, 2)) @ [1.0, 1j]
+
+    def batch(ts):
+        ts = np.atleast_1d(ts)
+        H = (B[0] + np.sin(7.0 * ts)[:, None, None] * B[1]
+             + 1e3 * np.cos(3.0 * ts)[:, None, None] * B[2])
+        H.real[:, 0] = np.where(ts < 0.5, 0.0, -0.0)[:, None]
+        H.imag[:, -1, 0] = np.copysign(0.0, np.sin(40.0 * ts))
+        return H
+
+    return GeneratorFamily(a=0.0, b=1.0, dim=d, evaluate_batch=batch)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_gauss5_cells_are_bitwise_the_einsum_contraction(d):
+    fam = signed_zero_family(d)
+    rng = np.random.default_rng(10 + d)
+    for panels in (1, 2, 3, 16):
+        # Three slices and a part, and some zero-width cells.
+        c = 3 * max(1, path_sum._SLICE_ENTRIES // (5 * panels * d * d)) + 7
+        left = np.sort(rng.random(c)) * 0.9
+        widths = rng.random(c) * 0.1 * (rng.random(c) > 0.1)
+        got = path_sum._gauss5_cells(fam, left, widths, panels,
+                                     np.empty((c, d, d), dtype=complex))
+        w = widths[:, None] * (1.0 / panels)
+        mid = left[:, None] + widths[:, None] * np.linspace(0.0, 1.0, panels + 1)[:-1] \
+            + 0.5 * w
+        nodes = mid[..., None] + 0.5 * w[..., None] * _GAUSS5_NODES
+        H = fam.evaluate_batch(nodes.reshape(-1)).reshape(nodes.shape + (d, d))
+        expected = np.einsum("cpq,cpqij->cij", 0.5 * w[..., None] * _GAUSS5_WEIGHTS, H)
+        # Sums of -0.0 terms only: einsum starts from +0.0 and keeps it.
+        assert np.signbit(H.real[H.real == 0]).any() and (expected.real == 0).any()
+        assert got.tobytes() == expected.tobytes()
+
+
 def reference_U(f, edges):
     """U_n of one partition (n + 1,): one expm_stack over its cells, then
     their ordered product."""
@@ -261,9 +300,10 @@ def test_U_lambda_sums_an_exact_window_in_a_few_expm_calls(monkeypatch):
     calls = []
     expm = path_sum.expm_stack
 
-    def counted(A):
+    def counted(A, *pade):
+        # The kernel hands each Pade class it has taken to expm_stack.
         calls.append(len(A))
-        return expm(A)
+        return expm(A, *pade)
 
     monkeypatch.setattr(path_sum, "expm_stack", counted)
     res = U_lambda(builtin_family("two_level_driven"), PathSumConfig(lam=40.0, t=1.0))
@@ -722,6 +762,100 @@ def test_monte_carlo_blocks_of_uneven_size(monkeypatch):
     # 2^14 entries over 5 * 54 nodes of 2 x 2 entries: 15 trials per block.
     assert path_sum._gap_chunk(20.0) == 54
     assert sizes == [15] * 6 + [13]
+
+
+def per_row_entries(fam, edges):
+    """Generator entries _U_batch counts for one row of an edge batch."""
+    n = np.shape(edges)[-1] - 1
+    return n * 5 * path_sum._panels(n) * fam.dim ** 2
+
+
+def assert_samples_are_each_trials_U_n(fam, cfg):
+    """Every Monte Carlo sample has the bits of its own trial's U_n, or of the
+    n = 0 term for a trial with no bubble; returns the bubble counts."""
+    samples, counts = path_sum._trial_samples(fam, cfg)
+    assert samples.shape == (cfg.trials, fam.dim, fam.dim)
+    for k in range(cfg.trials):
+        arrivals = one_gap_at_a_time(cfg, trial_rng(cfg.seed, k))
+        assert counts[k] == len(arrivals)
+        expected = (U_n(fam, midpoint_edges(fam.a, fam.a + cfg.t, fam.a + arrivals)).U
+                    if len(arrivals) else path_sum._U_for_count(fam, cfg.t, 0))
+        assert samples[k].tobytes() == expected.tobytes()
+    res = monte_carlo_U(fam, cfg)
+    assert res.U.tobytes() == samples.mean(axis=0).tobytes()
+    return counts
+
+
+MC_FAMILIES = [builtin_family("damped_two_level", interval=(0.5, 2.0)),
+               builtin_family("random_smooth", (3, 3, 0.2), interval=(-1.0, 1.0))]
+
+
+@pytest.mark.parametrize("fam", MC_FAMILIES, ids=lambda f: f"d{f.dim}")
+def test_monte_carlo_samples_are_each_trials_U_n(fam):
+    for lam, trials in ((0.5, 150), (20.0, 150)):
+        counts = assert_samples_are_each_trials_U_n(
+            fam, PathSumConfig(lam=lam, t=1.0, trials=trials, seed=31))
+        if lam < 1:
+            assert {0, 1} <= set(counts.tolist())
+        else:
+            assert counts.min() >= 8 and len(set(counts.tolist())) >= 10
+
+
+@pytest.mark.parametrize("fam", MC_FAMILIES, ids=lambda f: f"d{f.dim}")
+def test_monte_carlo_blocks_split_batches_between_chunks(monkeypatch, fam):
+    budget = 2 ** 11
+    blocks, batches, chunks = [], [], []
+    arrival_blocks, U_batch, U_chunk = (path_sum._arrival_blocks, path_sum._U_batch,
+                                        path_sum._U_chunk)
+
+    def recorded_blocks(cfg, trials, per_block):
+        for first, rows in arrival_blocks(cfg, trials, per_block):
+            blocks.append(len(rows))
+            yield first, rows
+
+    def recorded_batch(f, partitions):
+        batches.append([np.shape(e) for e in partitions])
+        return U_batch(f, partitions)
+
+    def recorded_chunk(f, chunk):
+        chunks.append([(len(r), per_row_entries(f, r)) for r in chunk])
+        return U_chunk(f, chunk)
+
+    monkeypatch.setattr(path_sum, "_BLOCK_ENTRIES", 2 ** 15)
+    monkeypatch.setattr(path_sum, "_BATCH_ENTRIES", budget)
+    cfg = PathSumConfig(lam=6.0, t=1.0, trials=230, seed=8)
+    assert_samples_are_each_trials_U_n(fam, cfg)
+    monkeypatch.setattr(path_sum, "_arrival_blocks", recorded_blocks)
+    monkeypatch.setattr(path_sum, "_U_batch", recorded_batch)
+    monkeypatch.setattr(path_sum, "_U_chunk", recorded_chunk)
+    path_sum._trial_samples(fam, cfg)
+    # Several trial blocks, each one _U_batch call over its bubble counts.
+    assert len(blocks) >= 3 and len(batches) == len(blocks)
+    # Some (B, n + 1) batch is larger than a chunk, and no chunk overflows
+    # unless it holds a single row.
+    assert any(shape[0] * per_row_entries(fam, np.empty(shape)) > budget
+               for shapes in batches for shape in shapes)
+    for chunk in chunks:
+        assert sum(b * e for b, e in chunk) <= budget or chunk == [(1, chunk[0][1])]
+
+
+def test_U_n_transient_memory_is_a_few_cell_stacks():
+    # 20,000 cells: the cell stack alone is 1.3 MB at d = 2 and 2.9 MB at
+    # d = 3.  The sweeps and exponentials run in slices, so the call holds
+    # the cells, their exponentials and a product level at a time.
+    for fam in (builtin_family("damped_two_level"),
+                builtin_family("random_smooth", (3, 3, 0.2))):
+        edges = make_partition(0.0, 1.0, 20000)
+        cells = 20000 * fam.dim ** 2 * 16
+        U_n(fam, edges)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            U_n(fam, edges)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * cells
 
 
 def test_batched_U_n_matches_row_by_row():
