@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import (ConfigError, ConsistencyError, DimensionError, DomainError,
                      ResourceError, SingularityError)
-from .linalg import MAX_DENSE_DIM, as_matrix, dissipativity
+from .linalg import MAX_DENSE_DIM, _owned_matrix, dissipativity
 from .quadrature import adaptive_quadrature, loglog_slope
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -28,7 +28,9 @@ class GeneratorFamily:
     `evaluate_batch` takes a time array (m,) and returns a stack (m, d, d)
     that depends on the times alone.  The series functions in `propagators`
     rely on this: they keep H(ts) of the last grid they built and reuse it
-    for later calls on the same family object.
+    for later calls on the same family object.  So a custom `evaluate_batch`
+    must not change its values; the families this package builds hold
+    read-only copies of their matrices.
     """
 
     a: float
@@ -94,8 +96,8 @@ def family_from_evaluator(evaluate, interval=(0.0, 1.0), name: str = "custom",
 
 
 def family_from_matrix(H, interval=(0.0, 1.0), name: str = "constant") -> GeneratorFamily:
-    """Constant family t -> H."""
-    A = as_matrix(H, "H")
+    """Constant family t -> H, on a read-only copy of H."""
+    A = _owned_matrix(H, "H")
 
     def batch(ts):
         return np.broadcast_to(A, (len(np.atleast_1d(ts)),) + A.shape).copy()

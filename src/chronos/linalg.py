@@ -47,6 +47,13 @@ def as_matrix(M, name: str = "matrix") -> np.ndarray:
     return A
 
 
+def _owned_matrix(M, name: str) -> np.ndarray:
+    """as_matrix as a read-only copy, which no caller's array aliases."""
+    A = as_matrix(M, name).copy()
+    A.flags.writeable = False
+    return A
+
+
 def hermitian_part(H) -> np.ndarray:
     A = as_matrix(H, "H")
     return 0.5 * (A + A.conj().T)
@@ -98,10 +105,6 @@ def yosida(H, z: float) -> np.ndarray:
     return z * (A @ resolvent(A, z))
 
 
-_ADJ_SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]])
-_PLANE_SIGN = _ADJ_SIGN[:, :, None]
-
-
 def _matmul(A: np.ndarray, B: np.ndarray, out=None) -> np.ndarray:
     """A @ B over stacks of square matrices, into `out` when given.
 
@@ -116,22 +119,6 @@ def _matmul(A: np.ndarray, B: np.ndarray, out=None) -> np.ndarray:
     return C
 
 
-def _solve(M: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """M^{-1} R over stacks of square matrices.
-
-    At d = 2 by the adjugate [[d, -b], [-c, a]] over the determinant, taken
-    straight from the entries; LAPACK, one call per matrix, otherwise.
-    Only for well-conditioned M, such as a Pade denominator.
-    """
-    if M.shape[-1] != 2:
-        return np.linalg.solve(M, R)
-    adj = M[..., ::-1, ::-1].swapaxes(-1, -2) * _ADJ_SIGN
-    det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
-    C = _matmul(adj, R)
-    C /= det[..., None, None]
-    return C
-
-
 def _plane_matmul(A: np.ndarray, B: np.ndarray, out=None) -> np.ndarray:
     """_matmul of 2 x 2 stacks held batch-last, as (2, 2, N) planes: the same
     products and sums, each over one long inner loop."""
@@ -140,8 +127,13 @@ def _plane_matmul(A: np.ndarray, B: np.ndarray, out=None) -> np.ndarray:
     return C
 
 
+_PLANE_SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None]
+
+
 def _plane_solve(M: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """_solve of 2 x 2 stacks held as (2, 2, N) planes."""
+    """M^{-1} R over 2 x 2 stacks held as (2, 2, N) planes: the adjugate
+    [[d, -b], [-c, a]] over the determinant, taken straight from the
+    entries.  Only for well-conditioned M, such as a Pade denominator."""
     adj = M[::-1, ::-1].swapaxes(0, 1) * _PLANE_SIGN
     det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
     C = _plane_matmul(adj, R)
@@ -165,12 +157,15 @@ def matrix_exp(M) -> np.ndarray:
 
 def _pade_choice(norm1: float) -> tuple:
     """(Pade degree, squarings) for a stack of largest 1-norm norm1; degree
-    0 for the zero stack, whose exponential is the identity."""
+    0 for the zero stack, whose exponential is the identity.  Finite entries
+    can still sum to an infinite norm, which raises RangeError."""
     if norm1 == 0.0:
         return 0, 0
     degree = next((m for m in (3, 5, 7, 9) if norm1 <= _PADE_THETA[m]), 13)
     if not norm1 > _PADE_THETA[13]:
         return degree, 0
+    if norm1 == np.inf:
+        raise RangeError("matrix exponential overflowed: the 1-norm is infinite")
     return degree, int(np.ceil(np.log2(norm1 / _PADE_THETA[13])))
 
 
@@ -253,7 +248,7 @@ def expm_stack(A: np.ndarray, _pade=None) -> np.ndarray:
                                       _plane_matmul, _plane_solve).transpose(2, 0, 1)
         else:
             E[i:i + step] = _pade_exp(piece * scale if s else piece, eye,
-                                      degree, s, _matmul, _solve)
+                                      degree, s, _matmul, np.linalg.solve)
     return E.reshape(A.shape)
 
 

@@ -143,14 +143,6 @@ def _edges(edges) -> np.ndarray:
     return edges
 
 
-def _cell_generators(f: GeneratorFamily, edges: np.ndarray) -> np.ndarray:
-    """_cell_stack of edges (..., n + 1) as cells (..., n, d, d); leading axes
-    are a batch of partitions."""
-    edges = _edges(edges)
-    A = _cell_stack(f, [edges.reshape(-1, edges.shape[-1])])
-    return A.reshape(edges.shape[:-1] + (edges.shape[-1] - 1, f.dim, f.dim))
-
-
 # Generator entries (Gauss nodes times d^2) of one chunk of _U_batch.  The
 # sweeps and exponentials of a chunk run in slices of _SLICE_ENTRIES, so
 # this bounds only the chunk's cell stacks (a fifth of it or less) and sets

@@ -15,8 +15,9 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .families import GeneratorFamily, classify_evaluator
+from .linalg import _owned_matrix
 # Not called here, but the perfbench tracer rebinds expm_stack in this module.
-from .linalg import as_matrix, expm_stack  # noqa: F401
+from .linalg import expm_stack  # noqa: F401
 from .path_sum import U_n, _U_for_count, _U_for_counts, poisson_mixture
 from .propagators import (DysonExpansion, PropagatorResult, _as_int,
                           dyson_expansion, product_integral)
@@ -34,8 +35,10 @@ class SMatrixConfig:
     envelope: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        H0 = as_matrix(self.H0, "H0")
-        V = as_matrix(self.V, "V")
+        # Read-only copies: the Dyson ladder of _series_family cannot then
+        # go stale when the caller's arrays change.
+        H0 = _owned_matrix(self.H0, "H0")
+        V = _owned_matrix(self.V, "V")
         if H0.shape != V.shape:
             raise ConfigError(f"H0 {H0.shape} and V {V.shape} differ in shape")
         if np.linalg.norm(H0 - H0.conj().T, 2) > 1e-12:
@@ -71,7 +74,9 @@ def _eigen_frame(cfg: SMatrixConfig) -> tuple[GeneratorFamily, Callable]:
     With H0 = W diag(E) W^H the generator is elementwise,
     G_eig(t)_ab = (-i/hbar) envelope(t) e^{i(E_a - E_b)t/hbar} (W^H V W)_ab,
     and W G_eig(t) W^H = G(t).  Since exp(W X W^H) = W exp(X) W^H, any
-    product of cell exponentials built from G_eig rotates back once.
+    product of cell exponentials built from G_eig rotates back once.  The
+    family keeps the default commutativity label, which nothing here reads;
+    interaction_generator classifies its own.
     """
     evals, W = np.linalg.eigh(cfg.H0)
     Vr = (-1j / cfg.hbar) * (W.conj().T @ cfg.V @ W)
@@ -85,10 +90,8 @@ def _eigen_frame(cfg: SMatrixConfig) -> tuple[GeneratorFamily, Callable]:
         out *= np.conj(phase, out=phase)[:, None, :]
         return out
 
-    a, b = -cfg.T, cfg.T
     fam = GeneratorFamily(
-        a=a, b=b, dim=cfg.dim, evaluate_batch=batch,
-        commutativity_class=classify_evaluator(batch, a, b),
+        a=-cfg.T, b=cfg.T, dim=cfg.dim, evaluate_batch=batch,
         dissipative=bool(np.linalg.norm(cfg.V - cfg.V.conj().T, 2) <= 1e-12),
         name="interaction_eigen")
     return fam, lambda M: W @ M @ W.conj().T
@@ -98,7 +101,9 @@ def interaction_generator(cfg: SMatrixConfig) -> GeneratorFamily:
     """G(t) = (-i/hbar) envelope(t) e^{i H0 t/hbar} V e^{-i H0 t/hbar} on [-T, T]."""
     fam, rotate = _eigen_frame(cfg)
     return replace(fam, name="interaction",
-                   evaluate_batch=lambda ts: rotate(fam.evaluate_batch(ts)))
+                   evaluate_batch=lambda ts: rotate(fam.evaluate_batch(ts)),
+                   commutativity_class=classify_evaluator(fam.evaluate_batch,
+                                                          fam.a, fam.b))
 
 
 def oracle_S(cfg: SMatrixConfig, tol: float = 1e-10) -> PropagatorResult:

@@ -402,7 +402,7 @@ def test_run_rejects_every_key_the_experiment_does_not_read(tmp_path_factory,
 
 # Small magnitudes keep every run cheap; the extremes still overflow.
 _NUMBERS = st.one_of(st.integers(-2, 9), st.floats(-5.0, 5.0),
-                     st.sampled_from([0.0, 64, 1e-300, 1e300, -1e300]))
+                     st.sampled_from([0.0, 64, 1e-300, 1e300, -1e300, 1.5e308]))
 _TEXTS = st.one_of(st.text("abcdefghijklmnopqrstuvwxyz_.-", max_size=8),
                    st.sampled_from(["", "constant", "random_smooth",
                                     "damped_two_level", "on", "off"]))
@@ -536,6 +536,22 @@ def test_run_singular_yosida_step_exits_1_without_traceback(tmp_path, experiment
     assert "Traceback" not in done.stderr
     assert done.stderr.splitlines() == [
         "invariant violation: zI - H(t) is singular at z=10.0"]
+    assert not out.exists()
+
+
+def test_run_overflowing_norm_exits_1_without_traceback(tmp_path):
+    # Every entry is finite, but the 1-norm of -i H(t) sums past 1.8e308.
+    out = tmp_path / "ovf.csv"
+    cfg = write(tmp_path / "ovf.cfg",
+                "experiment = yosida\nfamily.name = two_level_driven\n"
+                f"family.params = 1.5e308, 1.5e308, 1\noutput = {out}\n")
+    src = os.path.dirname(os.path.dirname(chronos.__file__))
+    done = subprocess.run([sys.executable, "-m", "chronos.cli", "run", cfg],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("invariant violation: ")
     assert not out.exists()
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,7 +8,7 @@ from chronos import linalg
 from chronos.errors import DimensionError, DomainError, RangeError
 from chronos.linalg import (_PADE_COEFFS, _PADE_THETA, _SLICE_ENTRIES,
                             DissipativityReport, _accumulate, _matmul,
-                            _norms1, _pade_choice, _pade_classes, _solve,
+                            _norms1, _pade_choice, _pade_classes, _plane_solve,
                             dissipativity, expm_stack, hermitian_part,
                             matrix_exp, operator_norm, random_dissipative,
                             resolvent, yosida)
@@ -200,8 +202,11 @@ def test_stack_kernels_match_numpy(d, n):
     # Well-conditioned systems (cond <= 4), as a Pade denominator is.
     M = np.eye(d) + (0.25 / np.sqrt(d)) * stack()
     ref = np.linalg.solve(M, B)
-    assert np.all(np.linalg.norm(_solve(M, B) - ref, axis=(1, 2))
+    assert np.all(np.linalg.norm(reference_solve(M, B) - ref, axis=(1, 2))
                   <= 1e-14 * np.linalg.norm(ref, axis=(1, 2)))
+    if d == 2:
+        planes = _plane_solve(M.transpose(1, 2, 0), B.transpose(1, 2, 0))
+        assert planes.transpose(2, 0, 1).tobytes() == reference_solve(M, B).tobytes()
 
 
 def test_expm_stack_semigroup_property():
@@ -224,6 +229,19 @@ def test_contraction_semigroup_norm_bound():
         H = random_dissipative(rng, 4)
         for tau in (0.1, 1.0, 10.0):
             assert operator_norm(matrix_exp(tau * H)) <= 1.0 + 1e-12
+
+
+def reference_solve(M, R):
+    """M^{-1} R over (N, d, d) stacks: at d = 2 by the adjugate
+    [[d, -b], [-c, a]] over the determinant, the arithmetic of
+    linalg._plane_solve; LAPACK otherwise."""
+    if M.shape[-1] != 2:
+        return np.linalg.solve(M, R)
+    adj = M[..., ::-1, ::-1].swapaxes(-1, -2) * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+    C = _matmul(adj, R)
+    C /= det[..., None, None]
+    return C
 
 
 def reference_expm(A, pade=None):
@@ -261,7 +279,7 @@ def reference_expm(A, pade=None):
         V = _accumulate(np.multiply(eye, b[0]),
                         ((b[2 * k], P) for k, P in enumerate(powers[1:], 1)), tmp)
     AU = _matmul(A, U, out=tmp)
-    E = _solve(np.subtract(V, AU, out=U), np.add(V, AU, out=V))
+    E = reference_solve(np.subtract(V, AU, out=U), np.add(V, AU, out=V))
     spare = U
     for _ in range(s):
         E, spare = _matmul(E, E, out=spare), E
@@ -320,9 +338,12 @@ def test_expm_stack_keeps_shapes_and_the_zero_stack():
 def test_expm_stack_overflow_in_any_slice_raises(d):
     per_slice = _SLICE_ENTRIES // d ** 2
     n = 3 * per_slice
-    for k in (0, per_slice + 7, n - 1):
+    # 800 I overflows in the squarings; 1e308 entries are finite, but their
+    # column sums, the 1-norm, are not.
+    for k, big in itertools.product((0, per_slice + 7, n - 1),
+                                    (800.0 * np.eye(d), np.full((d, d), 1e308))):
         A = np.full((n, d, d), 0.01 + 0.0j)
-        A[k] = 800.0 * np.eye(d)
+        A[k] = big
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(RangeError):
                 reference_expm(A)
@@ -356,6 +377,8 @@ def test_pade_classes_match_the_scalar_rule():
     kinds, label = _pade_classes(norms)
     assert len(set(kinds)) == len(kinds) and label.shape == norms.shape
     assert [kinds[k] for k in label.tolist()] == [_pade_choice(x) for x in norms.tolist()]
+    with pytest.raises(RangeError):
+        _pade_classes(np.array([1.0, np.inf]))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 8, 64])

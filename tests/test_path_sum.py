@@ -18,13 +18,14 @@ from chronos.families import (SIGMA_X, SIGMA_Z, GeneratorFamily, builtin_family,
                               integrate_family)
 from chronos.linalg import _pade_choice, expm_stack, matrix_exp, operator_norm
 from chronos.film import midpoint_edges
-from chronos.path_sum import (PathSumConfig, U_lambda, U_n, _cell_generators,
-                              bubble_counts, conditional_single_bubble_check,
-                              make_partition, monte_carlo_U, poisson_mixture,
-                              poisson_truncation, poisson_weight, sample_bubbles,
-                              stieltjes_form, trial_rng)
+from chronos.path_sum import (PathSumConfig, U_lambda, U_n, bubble_counts,
+                              conditional_single_bubble_check, make_partition,
+                              monte_carlo_U, poisson_mixture, poisson_truncation,
+                              poisson_weight, sample_bubbles, stieltjes_form,
+                              trial_rng)
 from chronos.propagators import ordered_product, product_integral
 from chronos.quadrature import _GAUSS5_NODES, _GAUSS5_WEIGHTS, loglog_slope
+from helpers import cell_generators
 
 
 def test_config_validation():
@@ -91,20 +92,20 @@ def test_partition_validation():
 def test_cell_generator_constant_family():
     fam = family_from_matrix(-1j * SIGMA_Z)
     edges = make_partition(0.0, 1.0, 4)
-    A = _cell_generators(fam, edges)
+    A = cell_generators(fam, edges)
     for j, width in enumerate(np.diff(edges)):
         assert np.allclose(A[j], width * (-1j * SIGMA_Z), atol=1e-12)
 
 
 def test_cell_generator_linear_family():
     fam = family_from_evaluator(lambda t: t * SIGMA_X)
-    A = _cell_generators(fam, np.array([0.25, 0.75]))
+    A = cell_generators(fam, np.array([0.25, 0.75]))
     assert np.allclose(A[0], 0.25 * SIGMA_X, atol=1e-12)
 
 
 def test_cell_generators_sum_to_full_integral():
     fam = builtin_family("two_level_driven")
-    total = _cell_generators(fam, make_partition(0.0, 1.0, 7)).sum(axis=0)
+    total = cell_generators(fam, make_partition(0.0, 1.0, 7)).sum(axis=0)
     assert np.linalg.norm(total - integrate_family(fam, 0.0, 1.0), 2) <= 2e-10
 
 
@@ -113,7 +114,7 @@ def test_cell_generators_reject_cells_outside_the_family():
     with pytest.raises(DomainError):
         U_n(fam, make_partition(0.0, 3.0, 4))
     with pytest.raises(DomainError):
-        _cell_generators(fam, np.array([-0.5, 0.5, 1.0]))
+        cell_generators(fam, np.array([-0.5, 0.5, 1.0]))
     with pytest.raises(DomainError):
         U_n(fam, np.array([0.0, np.nan]))
     # Interior edges outside the family, out of order or NaN; a batch with
@@ -128,8 +129,8 @@ def test_cell_generators_reject_cells_outside_the_family():
 def test_cell_generators_take_a_list_and_zero_width_cells():
     fam = builtin_family("two_level_driven")
     edges = [0.0, 0.5, 0.5, 1.0]
-    A = _cell_generators(fam, edges)
-    assert np.array_equal(A, _cell_generators(fam, np.array(edges)))
+    A = cell_generators(fam, edges)
+    assert np.array_equal(A, cell_generators(fam, np.array(edges)))
     assert not A[1].any()
     assert U_n(fam, edges).step_count == 3
 
@@ -242,7 +243,7 @@ def test_U_batch_terms_are_bitwise_each_term_alone(name, params):
                                                  axis=-2)))) for e in edges}
     assert len(classes) >= 2
     for n, e, U in zip(ns, edges, batch):
-        assert path_sum._cell_generators(fam, e).tobytes() == \
+        assert cell_generators(fam, e).tobytes() == \
             reference_cells(fam, e).tobytes()
         assert U.tobytes() == reference_U(fam, e).tobytes()
         assert U.tobytes() == path_sum._U_for_count(fam, 1.0, n).tobytes()
@@ -865,7 +866,7 @@ def test_batched_U_n_matches_row_by_row():
     edges = np.array([midpoint_edges(0.0, cfg.t, r) for r in rows if len(r) == 3])
     batch = U_n(fam, edges)
     classes = {_pade_choice(float(np.max(np.sum(np.abs(A), axis=-2))))
-               for A in _cell_generators(fam, edges)}
+               for A in cell_generators(fam, edges)}
     assert len(classes) >= 2
     assert batch.U.shape == (len(edges), 2, 2)
     assert batch.step_count == 3 * len(edges)

@@ -457,6 +457,19 @@ def test_series_slot_matches_the_family_object():
         assert len(nodes) == before + built
 
 
+def test_series_slot_follows_a_matrix_family_after_the_caller_writes():
+    # The family owns a copy of H, so the slot keyed on the family object
+    # serves terms of the matrix the family still evaluates to.
+    H = -1j * np.array([[0, 1], [-1, 0]], complex)
+    fam = family_from_matrix(H)
+    dyson_expansion(fam, 0.0, 1.0, 2)
+    H[0, 0] = 5.0
+    assert fam(0.5)[0, 0] == 0.0
+    fresh = family_from_matrix(fam(0.5))
+    assert [T.tobytes() for T in dyson_expansion(fam, 0.0, 1.0, 2).terms] == \
+        [T.tobytes() for T in dyson_expansion(fresh, 0.0, 1.0, 2).terms]
+
+
 def test_series_grid_arrays_are_read_only():
     fam = builtin_family("two_level_driven")
     _, Hs, U, _ = propagators._series_grid(fam, 0.0, 1.0, 2, 64, 1.0)

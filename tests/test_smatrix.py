@@ -10,15 +10,15 @@ from chronos.families import (SIGMA_X, SIGMA_Z, GeneratorFamily,
                               integrate_family)
 from chronos.film import midpoint_edges
 from chronos.linalg import expm_stack, matrix_exp
-from chronos.path_sum import (U_n, _cell_generators, poisson_mixture,
-                              poisson_truncation)
-from chronos import propagators
+from chronos.path_sum import U_n, poisson_mixture, poisson_truncation
+from chronos import propagators, smatrix
 from chronos.propagators import dyson_expansion, ordered_product, product_integral
 from chronos.quadrature import loglog_slope
 from chronos.smatrix import (SMatrixConfig, S_lambda, S_n_experimental,
                              _eigen_frame, dyson_S_expansion,
                              energy_shift_identity, fixed_dt_S,
                              interaction_generator, oracle_S)
+from helpers import cell_generators
 
 
 def toy(coupling=0.3, T=2.0, lam=1.0):
@@ -89,7 +89,7 @@ def test_eigen_frame_products_match_reference():
         expected = U_n(ref, window_partition(cfg, n)).U
         assert np.max(np.abs(S_n_experimental(cfg, n) - expected)) <= 1e-12
     fixed = SMatrixConfig(H0=cfg.H0, V=cfg.V, T=cfg.T, lam=8.0)
-    A = _cell_generators(ref, np.linspace(-cfg.T, cfg.T, 17))
+    A = cell_generators(ref, np.linspace(-cfg.T, cfg.T, 17))
     expected = ordered_product(expm_stack(A))
     assert np.max(np.abs(fixed_dt_S(fixed) - expected)) <= 1e-12
     expected = product_integral(ref, -cfg.T, cfg.T).U
@@ -131,7 +131,7 @@ def test_S_lambda_is_bitwise_the_one_partition_formula(lam):
     def term(n):
         if n == 0:
             return rotate(matrix_exp(integrate_family(fam, -cfg.T, cfg.T)))
-        cells = _cell_generators(fam, window_partition(cfg, n))
+        cells = cell_generators(fam, window_partition(cfg, n))
         return rotate(ordered_product(expm_stack(cells)))
 
     ref = poisson_mixture(lambda ns: np.array([term(n) for n in ns]),
@@ -407,6 +407,52 @@ def test_dyson_S_ladder_shares_one_family_per_config(monkeypatch):
         assert exp.remainder.tobytes() == fresh[n].remainder.tobytes()
         assert [T.tobytes() for T in exp.terms] == [T.tobytes() for T in fresh[n].terms]
     assert len(steps) == 9
+
+
+def test_config_owns_its_matrices():
+    # Changing the caller's V after a first expansion changes neither the
+    # config nor its Dyson ladder.
+    V = 0.3 * SIGMA_X
+    cfg = SMatrixConfig(H0=SIGMA_Z, V=V, T=1.5)
+    dyson_S_expansion(cfg, 2, 256)
+    V[0, 1] = 5.0
+    for M in (cfg.H0, cfg.V):
+        with pytest.raises(ValueError):
+            M[0, 0] = 5.0
+    fresh = SMatrixConfig(H0=cfg.H0.copy(), V=cfg.V.copy(), T=cfg.T)
+    assert [T.tobytes() for T in dyson_S_expansion(cfg, 2, 256).terms] == \
+        [T.tobytes() for T in dyson_S_expansion(fresh, 2, 256).terms]
+
+
+def test_S_matrix_quantities_do_not_classify_the_generator(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("classify_evaluator was called")
+
+    cfg = toy(T=1.0, lam=2.0)
+    monkeypatch.setattr(smatrix, "classify_evaluator", refuse)
+    oracle_S(cfg)
+    S_lambda(cfg)
+    S_n_experimental(cfg, 3)
+    fixed_dt_S(cfg)
+    energy_shift_identity(cfg, 2)
+    with pytest.raises(AssertionError):
+        interaction_generator(cfg)
+
+
+_Q3 = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)))[0]
+
+
+@pytest.mark.parametrize("H0,V,label", [
+    (SIGMA_Z, 0.4 * SIGMA_Z, "commuting"),
+    (SIGMA_Z, 0.3 * SIGMA_X, "general"),
+    (SIGMA_Z, np.zeros((2, 2)), "constant"),
+    (_Q3 @ np.diag([1.0, 2.0, -0.5]) @ _Q3.T, _Q3 @ np.diag([0.3, -0.1, 0.2]) @ _Q3.T,
+     "commuting")])
+def test_interaction_generator_commutativity_class(H0, V, label):
+    for T in (1.0, 2.0):
+        cfg = SMatrixConfig(H0=H0, V=V, T=T)
+        assert interaction_generator(cfg).commutativity_class == label
+        assert _eigen_frame(cfg)[0].commutativity_class == "general"
 
 
 def test_first_order_term_insensitive_to_regularization():
