@@ -24,7 +24,7 @@ from .families import builtin_family, family_from_csv, integrate_family
 from .film import (FilmSpace, commutation_check, embed, exchange, residual_norm,
                    slot_operator_norm, verify_eq38)
 from .linalg import operator_norm
-from .path_sum import PathSumConfig, U_lambda, bubble_counts, monte_carlo_U
+from .path_sum import PathSumConfig, U_lambda, _bubble_counts_from, monte_carlo_U
 from .propagators import (CANCELLATION_FLOOR, asymptotic_probe, dyson_terms,
                           product_integral, yosida_propagator_convergence)
 from .smatrix import SMatrixConfig, S_lambda, oracle_S
@@ -258,10 +258,12 @@ def _experiment_monte_carlo(p, digest):
     t = _path_sum_horizon(p, fam)
     lam, draws = p["lambda"], p["count_draws"]
     ps = PathSumConfig(lam=lam, t=t, trials=p["trials"], seed=p["seed"])
-    counts = bubble_counts(ps, draws)
+    res = monte_carlo_U(fam, ps)
+    # The first trials' counts come with the samples; only the rest are drawn.
+    counts = np.concatenate([res.extras["counts"][:draws],
+                             _bubble_counts_from(ps, ps.trials, draws)])
     mean = float(counts.mean())
     sigma = float(np.sqrt(lam * t / draws))
-    res = monte_carlo_U(fam, ps)
     oracle = product_integral(fam, fam.a, fam.a + t, p["oracle_tol"]).U
     dist = float(np.linalg.norm(res.U - oracle, 2))
     report = Report(["stat", "value"], p["seed"], digest)

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import csv
+import math
+import numbers
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -21,6 +23,38 @@ _CLASSIFY_GRID = 10
 _COMMUTATOR_TOL = 1e-10
 
 
+class SeparableForm:
+    """H(t) = sum_k coeffs(t)[:, k] basis[k]: K scalar coefficient functions
+    times K fixed matrices.
+
+    `coeffs` maps times (m,) to coefficients (m, K); `basis` is held as a
+    read-only (K, d, d) copy.  `table` stacks the basis and the pairwise
+    commutators [B_k, B_l], k < l, in the order of the index arrays
+    `pairs = (k, l)`, as read-only (K + K(K - 1)/2, d, d) rows, built once
+    per form: a linear combination of them with coefficients
+    (m, K + K(K - 1)/2) is one matrix product (`combine`).
+    """
+
+    def __init__(self, coeffs: Callable[[np.ndarray], np.ndarray], basis):
+        B = np.array(basis, dtype=complex)
+        if B.ndim != 3 or B.shape[1] != B.shape[2] or not len(B):
+            raise DimensionError(f"basis must be (K, d, d) with K >= 1, got {B.shape}")
+        self.pairs = k, l = np.triu_indices(len(B), 1)
+        self.table = np.concatenate([B, B[k] @ B[l] - B[l] @ B[k]])
+        self.table.flags.writeable = False
+        self.coeffs = coeffs
+        self.basis = self.table[:len(B)]
+
+    def combine(self, C: np.ndarray) -> np.ndarray:
+        """sum_r C[:, r] table[r] for C (m, R), R <= len(table), as (m, d, d)."""
+        d = self.table.shape[-1]
+        rows = self.table[:C.shape[1]].reshape(C.shape[1], d * d)
+        return (C @ rows).reshape(len(C), d, d)
+
+    def evaluate(self, ts: np.ndarray) -> np.ndarray:
+        return self.combine(self.coeffs(np.atleast_1d(ts)))
+
+
 @dataclass(frozen=True)
 class GeneratorFamily:
     """A map t -> H(t) on [a, b] with commutativity and dissipativity labels.
@@ -31,15 +65,22 @@ class GeneratorFamily:
     for later calls on the same family object.  So a custom `evaluate_batch`
     must not change its values; the families this package builds hold
     read-only copies of their matrices.
+
+    A family may carry a `separable` form instead; `evaluate_batch` is then
+    its `evaluate`.  A family given both an `evaluate_batch` and a form that
+    it does not evaluate through (`dataclasses.replace(f, evaluate_batch=g)`)
+    drops the form, so no caller reads a form that `evaluate_batch` does not
+    follow.
     """
 
     a: float
     b: float
     dim: int
-    evaluate_batch: Callable[[np.ndarray], np.ndarray]
+    evaluate_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
     commutativity_class: str = "general"
     dissipative: bool = False
     name: str = "custom"
+    separable: Optional[SeparableForm] = None
 
     def __post_init__(self):
         if not self.a < self.b:
@@ -49,6 +90,17 @@ class GeneratorFamily:
         if self.commutativity_class not in ("constant", "commuting", "general"):
             raise ConfigError(
                 f"unknown commutativity class {self.commutativity_class!r}")
+        form = self.separable
+        if form is not None:
+            if form.basis.shape[1:] != (self.dim, self.dim):
+                raise DimensionError(f"basis {form.basis.shape} does not match "
+                                     f"dim {self.dim}")
+            if self.evaluate_batch is None:
+                object.__setattr__(self, "evaluate_batch", form.evaluate)
+            elif self.evaluate_batch != form.evaluate:
+                object.__setattr__(self, "separable", None)
+        if self.evaluate_batch is None:
+            raise ConfigError("a family needs evaluate_batch or a separable form")
 
     def __call__(self, t: float) -> np.ndarray:
         return self.evaluate_batch(np.array([float(t)]))[0]
@@ -158,34 +210,48 @@ def builtin_family(name: str, params: Sequence[float] = (),
                                commutativity_class="general",
                                dissipative=True, name=name)
     if name == "random_smooth":
-        seed = int(p[0]) if len(p) > 0 else 0
-        dim = int(p[1]) if len(p) > 1 else 3
-        gamma = p[2] if len(p) > 2 else 0.2
-        if seed < 0 or dim < 1:
-            raise ConfigError("random_smooth needs seed p0 >= 0 and dim p1 >= 1, "
-                              f"got {seed} and {dim}")
-        if dim > MAX_DENSE_DIM:
-            raise ResourceError(f"random_smooth dim p1 = {dim} exceeds the dense "
-                                f"cap of {MAX_DENSE_DIM}")
-        rng = np.random.default_rng(seed)
-
-        def herm():
-            X = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            X = 0.5 * (X + X.conj().T)
-            return X / max(np.linalg.norm(X, 2), 1e-12)
-
-        A0, A1, A2 = herm(), herm(), herm()
-
-        def batch(ts):
-            ts = np.atleast_1d(ts)
-            A = (A0[None] + np.sin(ts)[:, None, None] * A1[None]
-                 + np.cos(ts)[:, None, None] * A2[None])
-            return -1j * A - gamma * np.eye(dim)[None]
-
-        return GeneratorFamily(a=a, b=b, dim=dim, evaluate_batch=batch,
-                               commutativity_class="general",
-                               dissipative=True, name=name)
+        return _random_smooth(p, a, b)
     raise ConfigError(f"unknown builtin family {name!r}")
+
+
+def _integer_param(x, what: str) -> int:
+    """x as an int, for a parameter that config files hand over as a float."""
+    if not isinstance(x, numbers.Integral) and not float(x).is_integer():
+        raise ConfigError(f"random_smooth {what} must be an integer, got {x}")
+    return int(x)
+
+
+def _random_smooth(p: list, a: float, b: float) -> GeneratorFamily:
+    """-i (A0 + sin t A1 + cos t A2) - gamma I in separable form: coefficients
+    (1, sin t, cos t) of the basis (-i A0 - gamma I, -i A1, -i A2)."""
+    seed = _integer_param(p[0], "seed p0") if len(p) > 0 else 0
+    dim = _integer_param(p[1], "dim p1") if len(p) > 1 else 3
+    gamma = p[2] if len(p) > 2 else 0.2
+    if seed < 0 or dim < 1:
+        raise ConfigError("random_smooth needs seed p0 >= 0 and dim p1 >= 1, "
+                          f"got {seed} and {dim}")
+    if dim > MAX_DENSE_DIM:
+        raise ResourceError(f"random_smooth dim p1 = {dim} exceeds the dense "
+                            f"cap of {MAX_DENSE_DIM}")
+    if not math.isfinite(gamma):
+        raise ConfigError(f"random_smooth gamma p2 must be finite, got {gamma}")
+    rng = np.random.default_rng(seed)
+
+    def herm():
+        X = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        X = 0.5 * (X + X.conj().T)
+        return X / max(np.linalg.norm(X, 2), 1e-12)
+
+    basis = [-1j * herm() for _ in range(3)]
+    basis[0] -= gamma * np.eye(dim)
+
+    def coeffs(ts):
+        return np.stack([np.ones_like(ts), np.sin(ts), np.cos(ts)], axis=1)
+
+    # -i A(t) is skew-Hermitian, so H(t) + H(t)^* = -2 gamma I.
+    return GeneratorFamily(a=a, b=b, dim=dim, commutativity_class="general",
+                           dissipative=gamma >= 0, name="random_smooth",
+                           separable=SeparableForm(coeffs, basis))
 
 
 def family_from_csv(path, name: str = "tabulated") -> GeneratorFamily:

@@ -488,12 +488,14 @@ def sample_bubbles(cfg: PathSumConfig, rng: np.random.Generator) -> np.ndarray:
 _COUNT_BLOCK = 2 ** 14
 
 
-def _arrival_blocks(cfg: PathSumConfig, trials: int, per_block: int):
-    """(first trial, rows) per block of up to per_block trials k < trials:
-    row k - first holds the cumulative gaps of trial_rng(cfg.seed, k), bit for
-    bit, and every row reaches past t.  A block with a row that ends at or
-    before t is drawn again at twice the width: gaps and their sums run in
-    order, so its arrivals up to t equal those of sample_bubbles.
+def _arrival_blocks(cfg: PathSumConfig, trials: int, per_block: int,
+                   start: int = 0):
+    """(first trial, rows) per block of up to per_block trials start <= k <
+    trials: row k - first holds the cumulative gaps of trial_rng(cfg.seed,
+    k), bit for bit, and every row reaches past t.  A block with a row that
+    ends at or before t is drawn again at twice the width: gaps and their
+    sums run in order, so its arrivals up to t equal those of
+    sample_bubbles.
 
     One Philox is re-keyed per trial through its state setter, fed Python
     ints, which it reads faster than numpy scalars; each block's keys are
@@ -504,7 +506,7 @@ def _arrival_blocks(cfg: PathSumConfig, trials: int, per_block: int):
     if _as_int(trials, "trials") < 0:
         raise DomainError(f"need trials >= 0, got {trials}")
     keys = _trial_keys(cfg.seed, trials)
-    for k in ({0, trials - 1} if trials else ()):
+    for k in ({start, trials - 1} if trials > start else ()):
         expected = np.random.SeedSequence(
             entropy=cfg.seed, spawn_key=(k,)).generate_state(2, np.uint64)
         if not np.array_equal(keys[k], expected):
@@ -516,7 +518,7 @@ def _arrival_blocks(cfg: PathSumConfig, trials: int, per_block: int):
     state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": None},
              "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     m = _gap_chunk(cfg.lam * cfg.t)
-    for first in range(0, trials, per_block):
+    for first in range(start, trials, per_block):
         block, width = keys[first:first + per_block].tolist(), m
         while True:
             gaps = np.empty((len(block), width))
@@ -534,10 +536,16 @@ def _arrival_blocks(cfg: PathSumConfig, trials: int, per_block: int):
 def bubble_counts(cfg: PathSumConfig, trials: int) -> np.ndarray:
     """len(sample_bubbles(cfg, trial_rng(cfg.seed, k))) for k < trials,
     counted a block of about _COUNT_BLOCK gaps at a time."""
+    return _bubble_counts_from(cfg, 0, trials)
+
+
+def _bubble_counts_from(cfg: PathSumConfig, start: int,
+                        trials: int) -> np.ndarray:
+    """bubble_counts(cfg, trials)[start:], drawing trials start.. alone."""
     per_block = max(1, _COUNT_BLOCK // _gap_chunk(cfg.lam * cfg.t))
     return np.concatenate([np.zeros(0, dtype=int)] + [
         (rows <= cfg.t).sum(axis=1)
-        for _, rows in _arrival_blocks(cfg, trials, per_block)])
+        for _, rows in _arrival_blocks(cfg, trials, per_block, start)])
 
 
 def _check_trials(cfg: PathSumConfig):

@@ -13,6 +13,7 @@ import chronos
 from chronos.cli import (_COMMON, _FAMILY, _RUNNERS, emit_plot_script, main,
                          parse_config, run, selftest)
 from chronos.errors import ConfigError
+from chronos.path_sum import PathSumConfig, bubble_counts
 
 
 def write(path, text):
@@ -356,6 +357,31 @@ def test_run_prints_no_numpy_warning(tmp_path, capfd, text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("params", ["0, 2.5, 0.2", "1.7, 3, 0.2"])
+def test_run_random_smooth_params_that_are_not_integers(tmp_path, capsys, params):
+    out = tmp_path / "rs.csv"
+    cfg = write(tmp_path / "rs.cfg",
+                "experiment = dyson-convergence\nfamily.name = random_smooth\n"
+                f"family.params = {params}\norder = 1\noutput = {out}\n")
+    assert run(cfg) == 2
+    assert "must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("draws", [40, 100, 250])
+def test_run_monte_carlo_counts_are_bubble_counts(tmp_path, draws):
+    # The first trials' counts come from the samples, the rest are drawn:
+    # together they are bubble_counts over all draws, so the mean keeps its bits.
+    out = tmp_path / "mc.csv"
+    cfg = write(tmp_path / "mc.cfg",
+                f"experiment = monte-carlo\nlambda = 6\ntrials = 100\n"
+                f"count_draws = {draws}\nseed = 11\noutput = {out}\n")
+    assert run(cfg) == 0
+    rows = dict(line.split(",") for line in out.read_text().splitlines()[2:])
+    counts = bubble_counts(PathSumConfig(lam=6.0, t=1.0, trials=100, seed=11), draws)
+    assert rows["count_mean"] == repr(float(counts.mean()))
+
+
 def test_run_non_utf8_config_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "bin.cfg"
     cfg.write_bytes(b"experiment = asymptotic\n\xff\xfe = 1\n")
@@ -406,8 +432,10 @@ _NUMBERS = st.one_of(st.integers(-2, 9), st.floats(-5.0, 5.0),
 _TEXTS = st.one_of(st.text("abcdefghijklmnopqrstuvwxyz_.-", max_size=8),
                    st.sampled_from(["", "constant", "random_smooth",
                                     "damped_two_level", "on", "off"]))
+# family.params lists with a seed or dim that is not an integer, or both.
+_FAMILY_PARAMS = st.sampled_from(["0, 2.5, 0.2", "1.7, 3, 0.2", "2.5", "0.5, 1.5"])
 _CONFIG_VALUES = st.one_of(
-    _NUMBERS.map(str), _TEXTS,
+    _NUMBERS.map(str), _TEXTS, _FAMILY_PARAMS,
     st.lists(st.one_of(_NUMBERS.map(str), _TEXTS), max_size=5).map(", ".join))
 
 

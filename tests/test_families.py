@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -6,12 +7,13 @@ import pytest
 from chronos.errors import (ConfigError, DimensionError, DomainError,
                             ResourceError, SingularityError)
 from chronos.families import (SIGMA_X, SIGMA_Z, GeneratorFamily,
-                              builtin_family, derivative_probe,
+                              SeparableForm, builtin_family, derivative_probe,
                               family_from_csv, family_from_evaluator,
                               family_from_matrix, integrate_family,
                               integrate_family_with_estimate,
                               variance_integral, yosida_family, yosida_stack)
-from chronos.linalg import yosida
+from chronos.linalg import dissipativity, yosida
+from helpers import random_smooth_formula
 
 
 def test_constant_builtin_classification():
@@ -70,6 +72,87 @@ def test_zero_dimensional_family_rejected():
 def test_random_smooth_rejects_bad_seed_and_dim(params):
     with pytest.raises(ConfigError, match="seed p0 >= 0 and dim p1 >= 1"):
         builtin_family("random_smooth", params)
+
+
+@pytest.mark.parametrize("params", [(0, 2.5, 0.2), (1.7, 3, 0.2), (0.5,),
+                                    (float("nan"), 3), (0, float("inf"))])
+def test_random_smooth_rejects_seed_and_dim_that_are_not_integers(params):
+    with pytest.raises(ConfigError, match="must be an integer"):
+        builtin_family("random_smooth", params)
+
+
+@pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -float("inf")])
+def test_random_smooth_rejects_a_gamma_that_is_not_finite(gamma):
+    with pytest.raises(ConfigError, match="gamma p2 must be finite"):
+        builtin_family("random_smooth", (0, 3, gamma))
+
+
+def test_random_smooth_takes_integer_valued_floats():
+    # Config files hand every number over as a float.
+    ints = builtin_family("random_smooth", (5, 4, 0.2))
+    floats = builtin_family("random_smooth", (5.0, 4.0, 0.2))
+    assert floats.dim == 4
+    assert floats(0.3).tobytes() == ints(0.3).tobytes()
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.2, -0.2])
+def test_random_smooth_is_labelled_dissipative_exactly_when_gamma_is_not_negative(
+        gamma):
+    fam = builtin_family("random_smooth", (2, 3, gamma))
+    assert fam.dissipative == (gamma >= 0)
+    assert fam.dissipative == all(dissipativity(fam(t)).is_dissipative
+                                  for t in np.linspace(0.0, 1.0, 5))
+
+
+@pytest.mark.parametrize("seed,dim,gamma", [(0, 1, 0.2), (3, 2, 0.0), (7, 5, 0.3),
+                                            (1, 8, 1.5), (2, 17, 0.2)])
+def test_random_smooth_evaluates_the_closed_formula(seed, dim, gamma):
+    fam = builtin_family("random_smooth", (seed, dim, gamma))
+    ts = np.linspace(-7.0, 7.0, 301)
+    want = random_smooth_formula(seed, dim, gamma)(ts)
+    got = fam.evaluate_batch(ts)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_separable_form_holds_read_only_copies_and_its_commutators():
+    B = np.array([np.diag([1.0, -1.0]), SIGMA_X, -1j * SIGMA_Z], dtype=complex)
+    form = SeparableForm(lambda ts: np.stack([ts, ts ** 2, np.ones_like(ts)], 1), B)
+    B[0, 0, 0] = 9.0
+    assert form.basis[0, 0, 0] == 1.0
+    assert not form.basis.flags.writeable and not form.table.flags.writeable
+    k, l = np.triu_indices(3, 1)
+    for r, (i, j) in enumerate(zip(k, l)):
+        Bi, Bj = form.basis[i], form.basis[j]
+        assert np.max(np.abs(form.table[3 + r] - (Bi @ Bj - Bj @ Bi))) <= 1e-15
+    fam = GeneratorFamily(a=0.0, b=1.0, dim=2, separable=form)
+    assert fam.evaluate_batch == form.evaluate
+    assert np.allclose(fam(0.5), 0.5 * form.basis[0] + 0.25 * form.basis[1]
+                       + form.basis[2], rtol=0, atol=1e-15)
+
+
+def test_family_rejects_a_form_of_another_dimension_and_no_evaluator():
+    form = SeparableForm(lambda ts: np.ones((len(ts), 1)), [np.eye(2)])
+    with pytest.raises(DimensionError):
+        GeneratorFamily(a=0.0, b=1.0, dim=3, separable=form)
+    with pytest.raises(DimensionError):
+        SeparableForm(lambda ts: ts, np.eye(2))
+    with pytest.raises(ConfigError):
+        GeneratorFamily(a=0.0, b=1.0, dim=2)
+
+
+def test_replaced_evaluator_drops_the_separable_form():
+    fam = builtin_family("random_smooth", (4, 3, 0.2))
+    renamed = dataclasses.replace(fam, name="renamed")
+    assert renamed.separable is fam.separable
+    assert renamed(0.3).tobytes() == fam(0.3).tobytes()
+
+    def doubled(ts):
+        return 2.0 * fam.evaluate_batch(ts)
+
+    twice = dataclasses.replace(fam, evaluate_batch=doubled)
+    assert twice.separable is None and twice.evaluate_batch is doubled
+    assert np.array_equal(twice(0.3), 2.0 * fam(0.3))
 
 
 @pytest.mark.parametrize("dim", [4097, 100000])

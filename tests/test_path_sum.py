@@ -898,6 +898,25 @@ def test_bubble_counts_refill_and_block_edges(monkeypatch, chunk, block):
     assert_counts_match_per_trial_draws(PathSumConfig(lam=20.0, t=1.0, seed=9), 500)
 
 
+@pytest.mark.parametrize("start", [0, 1, 37, 499, 500, 600])
+def test_bubble_counts_from_a_trial_draw_only_later_trials(monkeypatch, start):
+    cfg = PathSumConfig(lam=20.0, t=1.0, seed=4)
+    whole = bubble_counts(cfg, 500)
+    keyed = []
+    blocks = path_sum._arrival_blocks
+
+    def recorded(*args):
+        for first, rows in blocks(*args):
+            keyed.extend(range(first, first + len(rows)))
+            yield first, rows
+
+    monkeypatch.setattr(path_sum, "_arrival_blocks", recorded)
+    tail = path_sum._bubble_counts_from(cfg, start, 500)
+    assert tail.dtype == whole.dtype
+    assert np.array_equal(tail, whole[start:])
+    assert keyed == list(range(start, 500))
+
+
 def test_bubble_counts_of_no_trials():
     cfg = PathSumConfig(lam=5.0, t=1.0)
     assert bubble_counts(cfg, 0).shape == (0,)

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 import sys
 import threading
@@ -25,6 +26,7 @@ from chronos.propagators import (CANCELLATION_FLOOR, asymptotic_probe,
                                  propagator_on_grid, remainder_310,
                                  remainder_42, taylor_partial_sum,
                                  yosida_propagator_convergence)
+from helpers import running_products
 
 
 def test_ordered_product_ordering():
@@ -151,6 +153,74 @@ def test_propagator_on_grid_rejects_grids_outside_its_domain(a, t, grid):
     fam = builtin_family("random_smooth")
     with pytest.raises(DomainError):
         propagator_on_grid(fam, a, t, grid)
+
+
+def _evaluated(fam):
+    """fam without its separable form: its Magnus steps take the commutator
+    of two evaluated stacks."""
+    return dataclasses.replace(fam, evaluate_batch=lambda ts: fam.evaluate_batch(ts))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 8])
+@pytest.mark.parametrize("w", [1.0, 0.7])
+@pytest.mark.parametrize("steps", [1, 16, 1024])
+def test_coefficient_magnus_steps_match_the_commutator_formula(dim, w, steps):
+    fam = builtin_family("random_smooth", (dim, dim, 0.3), interval=(-1.0, 2.0))
+    plain = _evaluated(fam)
+    assert fam.separable is not None and plain.separable is None
+    h = 3.0 / steps
+    left = -1.0 + h * np.arange(steps)
+    want = propagators._magnus_steps(plain, left, h, w)
+    got = propagators._magnus_steps(fam, left, h, w)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5])
+@pytest.mark.parametrize("grid", [1, 2, 3, 8, 64, 65, 1000, 1024, 1025])
+def test_propagator_on_grid_matches_the_running_product(dim, grid):
+    fam = builtin_family("random_smooth", (1, dim, 0.2))
+    path = propagator_on_grid(fam, 0.0, 1.0, grid, 0.8)
+    ts = np.linspace(0.0, 1.0, grid + 1)
+    want = running_products(propagators._magnus_steps(fam, ts[:-1], ts[1], 0.8))
+    assert path.shape == want.shape
+    assert np.array_equal(path[0], np.eye(dim))
+    assert np.max(np.abs(path - want)) <= 1e-13
+
+
+def test_magnus_after_a_collected_family_of_another_dimension():
+    # Each family holds its own commutator table, so a family built where a
+    # collected one lived (possibly at its id) never reads the old table.
+    small = builtin_family("random_smooth", (0, 4, 0.2))
+    assert product_integral(small, 0.0, 1.0).U.shape == (4, 4)
+    del small
+    gc.collect()
+    big = builtin_family("random_smooth", (0, 6, 0.2))
+    U = product_integral(big, 0.0, 1.0).U
+    assert U.shape == (6, 6)
+    assert np.linalg.norm(U - product_integral(_evaluated(big), 0.0, 1.0).U, 2) <= 1e-12
+
+
+def test_replaced_evaluator_is_what_the_propagators_follow():
+    fam = builtin_family("random_smooth", (2, 3, 0.2))
+
+    def doubled(ts):
+        return 2.0 * fam.evaluate_batch(ts)
+
+    twice = dataclasses.replace(fam, evaluate_batch=doubled)
+    assert np.linalg.norm(propagator_on_grid(twice, 0.0, 1.0, 64)[-1]
+                          - propagator_on_grid(fam, 0.0, 1.0, 64, 2.0)[-1], 2) <= 1e-13
+    assert np.linalg.norm(product_integral(twice, 0.0, 1.0).U
+                          - propagator_on_grid(fam, 0.0, 1.0, 1024, 2.0)[-1], 2) <= 1e-9
+    assert np.linalg.norm(dyson_expansion(twice, 0.0, 1.0, 2, 1.0, 64).terms[1]
+                          - 2.0 * dyson_expansion(fam, 0.0, 1.0, 2, 1.0, 64).terms[1],
+                          2) <= 1e-13
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
+def test_product_integral_tolerance_outside_its_domain(tol):
+    fam = builtin_family("two_level_driven")
+    with pytest.raises(DomainError, match="tol"):
+        product_integral(fam, 0.0, 1.0, tol)
 
 
 def rotating_field(delta, rabi, omega):
@@ -633,6 +703,40 @@ def test_asymptotic_probe_fits_only_norms_above_the_cancellation_floor():
     assert len(norms) == 5
     assert [r >= CANCELLATION_FLOOR for r in norms] == [True] * 3 + [False] * 2
     assert order == pytest.approx(6.987, abs=1e-3)
+
+
+_Q = np.diag([-1.0, -2.0]).astype(complex)
+_WS = [0.1, 0.05, 0.025, 0.0125]
+
+
+def test_taylor_partial_sum_order_that_is_not_an_integer():
+    with pytest.raises(DomainError, match="order"):
+        taylor_partial_sum(_Q, 1.5, 0.1)
+
+
+def test_taylor_partial_sum_negative_order():
+    with pytest.raises(DomainError, match="order"):
+        taylor_partial_sum(_Q, -1, 0.1)
+
+
+def test_remainder_310_order_that_is_not_an_integer():
+    with pytest.raises(DomainError, match="order"):
+        remainder_310(_Q, 1.5, 0.1)
+
+
+def test_asymptotic_probe_order_that_is_not_an_integer():
+    with pytest.raises(DomainError, match="order"):
+        asymptotic_probe(_Q, 1.5, _WS)
+
+
+def test_asymptotic_probe_negative_order():
+    with pytest.raises(DomainError, match="order"):
+        asymptotic_probe(_Q, -1, _WS)
+
+
+def test_yosida_propagator_convergence_needs_a_z():
+    with pytest.raises(DomainError):
+        yosida_propagator_convergence(builtin_family("two_level_driven"), 0.0, 1.0, [])
 
 
 def test_asymptotic_probe_validates_w_list():
