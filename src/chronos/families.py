@@ -6,13 +6,14 @@ import csv
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import (ConfigError, ConsistencyError, DimensionError, DomainError,
                      ResourceError, SingularityError)
-from .linalg import MAX_DENSE_DIM, _owned_matrix, dissipativity
+from .linalg import _SLICE_ENTRIES, MAX_DENSE_DIM, _owned_matrix, dissipativity
 from .quadrature import adaptive_quadrature, loglog_slope
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -27,32 +28,115 @@ class SeparableForm:
     """H(t) = sum_k coeffs(t)[:, k] basis[k]: K scalar coefficient functions
     times K fixed matrices.
 
-    `coeffs` maps times (m,) to coefficients (m, K); `basis` is held as a
-    read-only (K, d, d) copy.  `table` stacks the basis and the pairwise
-    commutators [B_k, B_l], k < l, in the order of the index arrays
-    `pairs = (k, l)`, as read-only (K + K(K - 1)/2, d, d) rows, built once
-    per form: a linear combination of them with coefficients
-    (m, K + K(K - 1)/2) is one matrix product (`combine`).
+    `coeffs` maps times (m,) to coefficients (m, K); a transposed view of a
+    batch-last (K, m) array is what the path-sum sweep reads fastest.
+    `basis` is a read-only (K, d, d) array.  `layers` holds the same sum
+    entry by entry: index and value, both (L, d^2), with H(t)_e =
+    sum_j coeffs(t)[index[j, e]] value[j, e] for each flat entry e.  A form
+    is built from either; the other is derived when first read, so a form
+    of disjoint supports (SeparableForm.from_layers) never holds K dense
+    matrices unless a caller asks for them.
+
+    `table` stacks the basis and the pairwise commutators [B_k, B_l], k < l,
+    in the order of the index arrays `pairs = (k, l)`, as read-only
+    (K + K(K - 1)/2, d, d) rows, built once per form when first read: a
+    linear combination of them with coefficients (m, K + K(K - 1)/2) is one
+    matrix product (`combine`).
     """
 
     def __init__(self, coeffs: Callable[[np.ndarray], np.ndarray], basis):
         B = np.array(basis, dtype=complex)
         if B.ndim != 3 or B.shape[1] != B.shape[2] or not len(B):
             raise DimensionError(f"basis must be (K, d, d) with K >= 1, got {B.shape}")
-        self.pairs = k, l = np.triu_indices(len(B), 1)
-        self.table = np.concatenate([B, B[k] @ B[l] - B[l] @ B[k]])
-        self.table.flags.writeable = False
-        self.coeffs = coeffs
-        self.basis = self.table[:len(B)]
+        B.flags.writeable = False
+        self.coeffs, self.basis = coeffs, B
+        self.terms, self.dim = B.shape[:2]
+
+    @classmethod
+    def from_layers(cls, coeffs: Callable[[np.ndarray], np.ndarray], terms: int,
+                    index, value) -> "SeparableForm":
+        """The form of `terms` coefficients with the given layers (see the
+        class), held as read-only copies."""
+        index, value = np.array(index, dtype=np.intp), np.array(value, dtype=complex)
+        dim = math.isqrt(index.shape[1]) if index.ndim == 2 else 0
+        if (not dim or dim * dim != index.shape[1] or value.shape != index.shape
+                or not len(index) or not 0 <= index.min() <= index.max() < terms):
+            raise DimensionError(f"layers {index.shape} and {value.shape} are not "
+                                 f"(L, d^2) with indices below {terms}")
+        form = cls.__new__(cls)
+        index.flags.writeable = value.flags.writeable = False
+        form.coeffs, form.terms, form.dim = coeffs, terms, dim
+        form.layers = index, value
+        return form
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        index, value = self.layers
+        B = np.zeros((self.terms, index.shape[1]), dtype=complex)
+        entries = np.arange(index.shape[1])
+        for k, v in zip(index, value):
+            B[k, entries] += v
+        B = B.reshape(-1, self.dim, self.dim)
+        B.flags.writeable = False
+        return B
+
+    @cached_property
+    def layers(self):
+        """(index, value) from the basis: index[:, e] lists the matrices
+        nonzero at entry e in increasing order, padded with zero values, so
+        L is the largest number of matrices nonzero at one entry: 1 for
+        disjoint supports, K for a dense basis."""
+        flat = self.basis.reshape(self.terms, -1)
+        nonzero = flat != 0
+        index = np.argsort(~nonzero, axis=0, kind="stable")
+        index = index[:max(1, int(nonzero.sum(axis=0).max()))]
+        return index, np.take_along_axis(flat, index, axis=0)
+
+    @cached_property
+    def pairs(self):
+        return np.triu_indices(self.terms, 1)
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        B, (k, l) = self.basis, self.pairs
+        table = np.concatenate([B, B[k] @ B[l] - B[l] @ B[k]])
+        table.flags.writeable = False
+        return table
 
     def combine(self, C: np.ndarray) -> np.ndarray:
         """sum_r C[:, r] table[r] for C (m, R), R <= len(table), as (m, d, d)."""
-        d = self.table.shape[-1]
-        rows = self.table[:C.shape[1]].reshape(C.shape[1], d * d)
-        return (C @ rows).reshape(len(C), d, d)
+        C = np.ascontiguousarray(C)
+        if len(C) == 1:
+            # A one-row product takes another BLAS path, with other bits;
+            # two rows give each row the bits it has in any larger batch.
+            return self.combine(np.concatenate([C, C]))[:1]
+        d, R = self.dim, C.shape[1]
+        rows = (self.basis if R <= self.terms else self.table)[:R]
+        return (C @ rows.reshape(R, d * d)).reshape(len(C), d, d)
 
     def evaluate(self, ts: np.ndarray) -> np.ndarray:
-        return self.combine(self.coeffs(np.atleast_1d(ts)))
+        """H at the times ts (m,), as (m, d, d): one product where every
+        entry takes all K terms, else assembled by layers, a slice of at
+        most _SLICE_ENTRIES coefficients or entries at a time."""
+        ts = np.atleast_1d(ts)
+        if len(self.layers[0]) >= self.terms:
+            return self.combine(self.coeffs(ts))
+        out = np.empty((len(ts), self.dim, self.dim), dtype=complex)
+        step = max(1, _SLICE_ENTRIES // max(self.terms, self.dim ** 2))
+        for i in range(0, len(ts), step):
+            self.assemble(self.coeffs(ts[i:i + step]).T, out[i:i + step])
+        return out
+
+    def assemble(self, I: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """sum_k I[k, :] basis[k] for batch-last coefficients I (K, c), into
+        out (c, d, d): one gather and multiply per layer, summed layer by
+        layer, entry by entry, so each matrix has the bits it has alone."""
+        index, value = self.layers
+        G = I[index[0]] * value[0][:, None]
+        for k, v in zip(index[1:], value[1:]):
+            G += I[k] * v[:, None]
+        out[...] = G.T.reshape(out.shape)
+        return out
 
 
 @dataclass(frozen=True)
@@ -92,8 +176,8 @@ class GeneratorFamily:
                 f"unknown commutativity class {self.commutativity_class!r}")
         form = self.separable
         if form is not None:
-            if form.basis.shape[1:] != (self.dim, self.dim):
-                raise DimensionError(f"basis {form.basis.shape} does not match "
+            if form.dim != self.dim:
+                raise DimensionError(f"form of dim {form.dim} does not match "
                                      f"dim {self.dim}")
             if self.evaluate_batch is None:
                 object.__setattr__(self, "evaluate_batch", form.evaluate)
@@ -246,7 +330,7 @@ def _random_smooth(p: list, a: float, b: float) -> GeneratorFamily:
     basis[0] -= gamma * np.eye(dim)
 
     def coeffs(ts):
-        return np.stack([np.ones_like(ts), np.sin(ts), np.cos(ts)], axis=1)
+        return np.stack([np.ones_like(ts), np.sin(ts), np.cos(ts)]).T
 
     # -i A(t) is skew-Hermitian, so H(t) + H(t)^* = -2 gamma I.
     return GeneratorFamily(a=a, b=b, dim=dim, commutativity_class="general",

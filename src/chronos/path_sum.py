@@ -76,30 +76,55 @@ def _gauss5_cells(f: GeneratorFamily, left: np.ndarray, widths: np.ndarray,
                   panels: int, out: np.ndarray) -> np.ndarray:
     """Integrals of H over the cells [left, left + widths], both (C,), into
     out (C, d, d): composite Gauss-5 with `panels` panels per cell, swept in
-    slices of at most _SLICE_ENTRIES Gauss-node entries, one evaluate_batch
-    call a slice.
+    slices of cells, one generator call a slice.
 
-    Each cell sums its weighted nodes one at a time, panel by panel, from
-    +0.0: np.einsum("cpq,cpqij->cij", weights, H) adds them in that order,
-    and the same sums over whole slices of cells keep its bits.
+    A family without a separable form sums H at the slice's nodes, in
+    slices of at most _SLICE_ENTRIES node entries (one cell when a cell has
+    more).  A family with a form sums its K coefficients at the nodes,
+    batch-last (K, cells), and assembles the cells from these integrals
+    (SeparableForm.assemble); its slices keep both the coefficients and the
+    cells within _SLICE_ENTRIES entries wherever one cell fits.
+
+    Each integral sums its weighted nodes one at a time, panel by panel,
+    from +0.0: np.einsum("cpq,cpqij->cij", weights, H) adds them in that
+    order, and the same sums over whole slices of cells keep its bits.
+    Every work array belongs to one slice.
     """
-    widths = widths[:, None]
-    sub = np.linspace(0.0, 1.0, panels + 1)
-    lo = left[:, None] + widths * sub[:-1]
-    half = 0.5 * (widths * (1.0 / panels))
-    mid = lo + half
-    step = max(1, _SLICE_ENTRIES // (5 * panels * f.dim ** 2))
+    form, d = f.separable, f.dim
+    sub = np.linspace(0.0, 1.0, panels + 1)[:-1, None]
+    nodes = 5 * panels
+    if form is None:
+        step = _SLICE_ENTRIES // (nodes * d * d)
+    else:
+        step = _SLICE_ENTRIES // max(nodes * form.terms, d * d)
+    step = max(1, step)
     for i in range(0, len(out), step):
-        # Nodes ordered panel, node, cell, so that H[k] is node k of every cell.
-        m, h = mid[i:i + step].T[:, None], half[i:i + step].T
-        H = f.evaluate_batch((m + h[:, None] * _GAUSS5_NODES[:, None]).reshape(-1))
-        H = H.reshape((-1,) + out[i:i + step].shape)
-        w = (h * _GAUSS5_WEIGHTS[:, None])[..., None, None]
-        acc, term = out[i:i + step], np.empty(H.shape[1:], dtype=complex)
-        acc[...] = 0.0
-        for k in range(len(H)):
-            acc += np.multiply(H[k], w[k % 5], out=term)
+        x, width = left[i:i + step], widths[i:i + step]
+        half = 0.5 * (width * (1.0 / panels))
+        # Nodes ordered panel, node, cell: node k of every cell is row k of
+        # the generator values.
+        mid = (x + width * sub) + half
+        ts = (mid[:, None] + half * _GAUSS5_NODES[:, None]).reshape(-1)
+        w = half * _GAUSS5_WEIGHTS[:, None]
+        cells = out[i:i + step]
+        if form is None:
+            H = f.evaluate_batch(ts).reshape((nodes,) + cells.shape)
+            _node_sums(H, w[:, :, None, None], cells)
+        else:
+            C = form.coeffs(ts).T.reshape(-1, nodes, len(cells))
+            I = np.empty((len(C), len(cells)), dtype=complex)
+            form.assemble(_node_sums(C.transpose(1, 0, 2), w[:, None], I), cells)
     return out
+
+
+def _node_sums(values: np.ndarray, w: np.ndarray, acc: np.ndarray) -> np.ndarray:
+    """acc = sum_k values[k] w[k % 5] over the nodes k in order, from +0.0,
+    for w (5, ...).  (np.add.reduce would pick its order from the layout.)"""
+    terms = np.multiply(values.reshape((-1, 5) + values.shape[1:]), w, order="C")
+    acc[...] = 0.0
+    for term in terms.reshape(values.shape):
+        acc += term
+    return acc
 
 
 def _cat(arrays: list) -> np.ndarray:

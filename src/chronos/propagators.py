@@ -116,11 +116,17 @@ def _magnus_steps(f: GeneratorFamily, left: np.ndarray, h: float,
     Phys. Rep. 470 (2009).  On a separable family H = sum_k c_k B_k the
     commutator is sum_{k<l} (c_k(t2) c_l(t1) - c_l(t2) c_k(t1)) [B_k, B_l],
     so the exponent is one coefficient product with the family's table.
+    That costs K(K + 1)/2 d^2 multiply-adds a step, and two evaluated
+    stacks and their commutator about 2 (L + d) d^2 (L the form's layers),
+    so a form takes the table only where it is no dearer: random_smooth
+    (K = L = 3) and the d = 2 eigen frame do, the eigen frame of a generic
+    spectrum above d = 2 (K = d^2 - d + 1 gaps, one layer) does not.
     """
     c = np.sqrt(3.0) / 6.0
     t1, t2 = left + h * (0.5 - c), left + h * (0.5 + c)
     form = f.separable
-    if form is not None:
+    if form is not None and (form.terms * (form.terms + 1)
+                             <= 4 * (len(form.layers[0]) + f.dim)):
         C1, C2 = form.coeffs(t1), form.coeffs(t2)
         k, l = form.pairs
         return expm_stack(form.combine(np.concatenate([

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .families import GeneratorFamily, classify_evaluator
+from .families import GeneratorFamily, SeparableForm, classify_evaluator
 from .linalg import _owned_matrix
 # Not called here, but the perfbench tracer rebinds expm_stack in this module.
 from .linalg import expm_stack  # noqa: F401
@@ -74,26 +74,48 @@ def _eigen_frame(cfg: SMatrixConfig) -> tuple[GeneratorFamily, Callable]:
     With H0 = W diag(E) W^H the generator is elementwise,
     G_eig(t)_ab = (-i/hbar) envelope(t) e^{i(E_a - E_b)t/hbar} (W^H V W)_ab,
     and W G_eig(t) W^H = G(t).  Since exp(W X W^H) = W exp(X) W^H, any
-    product of cell exponentials built from G_eig rotates back once.  The
+    product of cell exponentials built from G_eig rotates back once.
+
+    The family is a separable form with one coefficient envelope(t)
+    e^{i omega t} per distinct gap omega = (E_a - E_b)/hbar of the nonzero
+    entries of W^H V W, zero included, on the entries of that gap alone, so
+    the supports are disjoint: one layer of (-i/hbar) W^H V W.  A gap's
+    phase is p_a conj(p_b) for its entry (a, b) of least b, from the d - 1
+    phases p_a = e^{i(E_a - E_0)t/hbar} and p_0 = 1, so a node costs at
+    most d - 1 cosines and sines, and a gap E_a - E_0 no product.  The
     family keeps the default commutativity label, which nothing here reads;
     interaction_generator classifies its own.
     """
     evals, W = np.linalg.eigh(cfg.H0)
     Vr = (-1j / cfg.hbar) * (W.conj().T @ cfg.V @ W)
+    d = cfg.dim
+    # Gap (a, b) at flat index b d + a, so that the first entry of a gap
+    # has the least b.  A zero entry takes any gap's coefficient.
+    gap = (evals[None, :] - evals[:, None]).ravel() / cfg.hbar
+    live = Vr.T.ravel() != 0
+    live[0] |= not live.any()
+    gaps, first = np.unique(gap[live], return_index=True)
+    b, a = np.divmod(np.flatnonzero(live)[first], d)
+    which = np.minimum(np.searchsorted(gaps, gap), len(gaps) - 1)
+    rates = (evals[1:] - evals[0]) / cfg.hbar
 
-    def batch(ts):
+    def coeffs(ts):
         ts = np.atleast_1d(ts)
-        phase = np.exp(1j * np.outer(ts / cfg.hbar, evals))
-        left = cfg.envelope_values(ts)[:, None] * phase
-        # One (len(ts), d, d) stack, scaled in place by the right phases.
-        out = np.multiply(left[:, :, None], Vr)
-        out *= np.conj(phase, out=phase)[:, None, :]
-        return out
+        phase = np.empty((d, len(ts)), dtype=complex)
+        phase[0] = 1.0
+        arg = np.multiply.outer(rates, ts)
+        np.cos(arg, out=phase.real[1:])
+        np.sin(arg, out=phase.imag[1:])
+        conj = phase.conj()
+        phase *= cfg.envelope_values(ts)
+        return np.multiply(phase[a], conj[b]).T
 
     fam = GeneratorFamily(
-        a=-cfg.T, b=cfg.T, dim=cfg.dim, evaluate_batch=batch,
+        a=-cfg.T, b=cfg.T, dim=d,
         dissipative=bool(np.linalg.norm(cfg.V - cfg.V.conj().T, 2) <= 1e-12),
-        name="interaction_eigen")
+        name="interaction_eigen", separable=SeparableForm.from_layers(
+            coeffs, len(gaps), which.reshape(d, d).T.reshape(1, -1),
+            Vr.reshape(1, -1)))
     return fam, lambda M: W @ M @ W.conj().T
 
 
@@ -148,9 +170,19 @@ def energy_shift_identity(cfg: SMatrixConfig, n: int) -> float:
     if _as_int(n, "n") < 0:
         raise DomainError(f"need n >= 0, got {n}")
     fam, _ = _eigen_frame(cfg)  # the residual's 2-norm is basis-independent
-    eye = np.eye(cfg.dim)
-    shifted = replace(fam, evaluate_batch=lambda ts: fam.evaluate_batch(ts)
-                      - cfg.lam * eye)
+    form = fam.separable
+
+    def coeffs(ts):
+        # Batch-last, as the eigen frame's own coefficients.
+        return np.concatenate([form.coeffs(ts).T, np.ones((1, len(ts)))]).T
+
+    # Its form plus -lambda I with a unit coefficient, as one more layer:
+    # both terms then take the same coefficient sweep.
+    index, value = form.layers
+    shifted = replace(fam, evaluate_batch=None, separable=SeparableForm.from_layers(
+        coeffs, form.terms + 1,
+        np.vstack([index, np.full(index.shape[1], form.terms)]),
+        np.vstack([value, -cfg.lam * np.eye(cfg.dim).reshape(1, -1)])))
     plain = _U_for_count(fam, 2.0 * cfg.T, n)
     damped = _U_for_count(shifted, 2.0 * cfg.T, n)
     return float(np.linalg.norm(np.exp(-2.0 * cfg.lam * cfg.T) * plain - damped, 2))

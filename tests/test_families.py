@@ -131,6 +131,56 @@ def test_separable_form_holds_read_only_copies_and_its_commutators():
                        + form.basis[2], rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("dim", [2, 3, 8])
+def test_random_smooth_values_do_not_depend_on_the_batch(dim):
+    fam = builtin_family("random_smooth", (1, dim, 0.2))
+    ts = np.linspace(0.0, 1.0, 600)
+    H = fam.evaluate_batch(ts)
+    for j, t in enumerate(ts):
+        assert fam(t).tobytes() == H[j].tobytes()
+
+
+@pytest.mark.parametrize("m", [2, 3, 17, 600])
+def test_combine_of_several_rows_is_the_plain_product(m):
+    # Only a one-row product is routed differently: the oracle's Magnus and
+    # series-grid stacks keep their bits.
+    form = builtin_family("random_smooth", (1, 5, 0.2)).separable
+    C = form.coeffs(np.linspace(0.0, 1.0, m))
+    want = np.ascontiguousarray(C) @ form.basis.reshape(3, 25)
+    assert form.combine(C).tobytes() == want.reshape(m, 5, 5).tobytes()
+    R = np.random.default_rng(m).standard_normal((m, 6)) + 0j
+    want = R @ form.table.reshape(6, 25)
+    assert form.combine(R).tobytes() == want.reshape(m, 5, 5).tobytes()
+
+
+def test_form_layers_and_assembly():
+    B = np.zeros((3, 2, 2), dtype=complex)
+    B[0, 0, 0], B[1, 0, 1], B[2, 1, 0] = 2.0, 1j, -1.0
+    B[0, 0, 1] = 3.0  # entry (0, 1) lies in two matrices, (1, 1) in none
+    form = SeparableForm(lambda ts: np.stack([ts, ts ** 2, np.ones_like(ts)]).T, B)
+    index, value = form.layers
+    assert index.shape == value.shape == (2, 4)
+    assert index[:, 1].tolist() == [0, 1] and value[:, 1].tolist() == [3.0, 1j]
+    assert value[1, [0, 2, 3]].tolist() == [0, 0, 0] and value[0, 3] == 0
+    ts = np.linspace(0.0, 1.0, 7)
+    want = np.einsum("mk,kij->mij", form.coeffs(ts), B)
+    got = form.assemble(form.coeffs(ts).T, np.empty((7, 2, 2), dtype=complex))
+    assert np.max(np.abs(got - want)) <= 1e-15
+    # Two layers of three matrices: evaluate assembles.
+    assert form.evaluate(ts).tobytes() == got.tobytes()
+    dense = builtin_family("random_smooth", (1, 3, 0.2)).separable
+    assert dense.layers[0].tolist() == [[0] * 9, [1] * 9, [2] * 9]
+    # The same form from its layers: the basis is derived, read-only.
+    again = SeparableForm.from_layers(form.coeffs, 3, index, value)
+    assert again.basis.tobytes() == form.basis.tobytes()
+    assert not again.basis.flags.writeable and not again.layers[1].flags.writeable
+    assert again.evaluate(ts).tobytes() == got.tobytes()
+    for bad in ((3, index[:, :3], value[:, :3]), (3, index, value[:1]),
+                (2, index, value), (3, index - 1, value)):
+        with pytest.raises(DimensionError):
+            SeparableForm.from_layers(form.coeffs, *bad)
+
+
 def test_family_rejects_a_form_of_another_dimension_and_no_evaluator():
     form = SeparableForm(lambda ts: np.ones((len(ts), 1)), [np.eye(2)])
     with pytest.raises(DimensionError):

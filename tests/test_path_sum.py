@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -13,9 +14,9 @@ import scipy.stats
 from chronos import path_sum
 from chronos.errors import (ConfigError, ConsistencyError, DomainError,
                             ResourceError)
-from chronos.families import (SIGMA_X, SIGMA_Z, GeneratorFamily, builtin_family,
-                              family_from_evaluator, family_from_matrix,
-                              integrate_family)
+from chronos.families import (SIGMA_X, SIGMA_Z, GeneratorFamily, SeparableForm,
+                              builtin_family, family_from_evaluator,
+                              family_from_matrix, integrate_family)
 from chronos.linalg import _pade_choice, expm_stack, matrix_exp, operator_norm
 from chronos.film import midpoint_edges
 from chronos.path_sum import (PathSumConfig, U_lambda, U_n, bubble_counts,
@@ -162,7 +163,9 @@ def test_U_n_second_order_convergence():
 
 def reference_cells(f, edges):
     """Cell integrals of edges (..., n + 1) by one plain formula: composite
-    Gauss-5 per cell on max(1, ceil(80 / 5n)) panels."""
+    Gauss-5 per cell on max(1, ceil(80 / 5n)) panels, of H, or for a family
+    with a separable form of its coefficients, then summed with the basis
+    term by term."""
     edges = np.asarray(edges)
     widths = np.diff(edges)[..., None]
     panels = max(1, -(-80 // (5 * (edges.shape[-1] - 1))))
@@ -171,9 +174,16 @@ def reference_cells(f, edges):
     width = widths * (1.0 / panels)
     mid = lo + 0.5 * width
     nodes = (mid[..., None] + 0.5 * width[..., None] * _GAUSS5_NODES).reshape(-1)
-    H = f.evaluate_batch(nodes).reshape(lo.shape + (5, f.dim, f.dim))
     w = 0.5 * width[..., None] * _GAUSS5_WEIGHTS
-    return np.einsum("...cpq,...cpqij->...cij", w, H)
+    form = f.separable
+    if form is None:
+        H = f.evaluate_batch(nodes).reshape(lo.shape + (5, f.dim, f.dim))
+        return np.einsum("...cpq,...cpqij->...cij", w, H)
+    C = form.coeffs(nodes).reshape(lo.shape + (5, -1))
+    I = functools.reduce(np.add, [w[..., 0, q, None] * C[..., p, q, :]
+                                  for p in range(panels) for q in range(5)], 0.0)
+    return functools.reduce(np.add, [I[..., k, None, None] * B
+                                     for k, B in enumerate(form.basis)])
 
 
 def signed_zero_family(d):
@@ -857,6 +867,68 @@ def test_U_n_transient_memory_is_a_few_cell_stacks():
         finally:
             tracemalloc.stop()
         assert peak <= 3 * cells
+
+
+def counted_form(fam, calls):
+    """fam with its separable form, recording the size of every coefficient
+    array its coeffs returns."""
+    form = fam.separable
+
+    def coeffs(ts):
+        C = form.coeffs(ts)
+        calls.append(C.size)
+        return C
+
+    return replace(fam, evaluate_batch=None,
+                   separable=SeparableForm(coeffs, form.basis))
+
+
+def test_U_n_at_d16_sweeps_many_cells_a_coefficient_call():
+    # A d = 16 cell has more Gauss-node entries (5 * 256) than a slice holds
+    # a fifth of, but its three coefficients take 15 entries a cell.
+    calls = []
+    fam = counted_form(builtin_family("random_smooth", (2, 16, 0.2)), calls)
+    U = U_n(fam, make_partition(0.0, 1.0, 200)).U
+    step = path_sum._SLICE_ENTRIES // max(5 * 3, 16 * 16)
+    assert len(calls) == -(-200 // step) == 13
+    assert max(calls) <= path_sum._SLICE_ENTRIES
+    plain = replace(fam, evaluate_batch=lambda ts: fam.evaluate_batch(ts))
+    assert np.max(np.abs(U - U_n(plain, make_partition(0.0, 1.0, 200)).U)) <= 1e-13
+
+
+SWEEP_FAMILIES = [builtin_family("two_level_driven"), signed_zero_family(3),
+                  builtin_family("random_smooth", (1, 2, 0.2)),
+                  builtin_family("random_smooth", (1, 8, 0.2))]
+
+
+@pytest.mark.parametrize("fam", SWEEP_FAMILIES,
+                         ids=lambda f: f"{f.name}-d{f.dim}")
+def test_sweeps_hold_no_work_array_above_a_slice(fam):
+    # Each generator call returns at most a slice, and a sweep over 40,000
+    # cells holds no more than a few slices at a time: no work array grows
+    # with the cells (a (cells,) float array alone is 320 kB).
+    sizes = []
+    if fam.separable is not None:
+        fam = counted_form(fam, sizes)
+    else:
+        fam = replace(fam, evaluate_batch=lambda ts, g=fam.evaluate_batch:
+                      sizes.append(len(ts) * fam.dim ** 2) or g(ts))
+    slice_bytes = 16 * path_sum._SLICE_ENTRIES
+    rng = np.random.default_rng(3)
+    for c, panels in ((40000, 1), (4000, 16)):
+        left = np.sort(rng.random(c)) * 0.5
+        widths = rng.random(c) * 0.5
+        out = np.empty((c, fam.dim, fam.dim), dtype=complex)
+        path_sum._gauss5_cells(fam, left, widths, panels, out)
+        sizes.clear()
+        tracemalloc.start()
+        try:
+            path_sum._gauss5_cells(fam, left, widths, panels, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert max(sizes) <= path_sum._SLICE_ENTRIES
+        assert peak <= 6 * slice_bytes
 
 
 def test_batched_U_n_matches_row_by_row():

@@ -11,7 +11,7 @@ from chronos.families import (SIGMA_X, SIGMA_Z, GeneratorFamily,
 from chronos.film import midpoint_edges
 from chronos.linalg import expm_stack, matrix_exp
 from chronos.path_sum import U_n, poisson_mixture, poisson_truncation
-from chronos import propagators, smatrix
+from chronos import path_sum, propagators, smatrix
 from chronos.propagators import dyson_expansion, ordered_product, product_integral
 from chronos.quadrature import loglog_slope
 from chronos.smatrix import (SMatrixConfig, S_lambda, S_n_experimental,
@@ -64,22 +64,57 @@ def test_interaction_generator_matches_reference():
     assert np.max(np.abs(got - reference_generator(cfg).evaluate_batch(ts))) <= 1e-14
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
-def test_eigen_frame_batch_is_bitwise_the_product_formula(d):
-    """The in-place stack equals left * Vr * conj(phase), bit for bit."""
-    rng = np.random.default_rng(d)
+def random_config(d, seed, **kw):
+    rng = np.random.default_rng(seed)
     X, Y = rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d))
-    cfg = SMatrixConfig(H0=X + X.conj().T, V=0.3 * (Y + Y.conj().T), T=1.5,
-                        hbar=0.7)
+    return SMatrixConfig(H0=X + X.conj().T, V=0.3 * (Y + Y.conj().T), **kw)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_eigen_frame_form_is_the_product_formula(d):
+    """One coefficient per distinct gap on disjoint supports, equal to
+    left * Vr * conj(phase) to a few ulps per radian of phase."""
+    cfg = random_config(d, d, T=1.5, hbar=0.7)
     evals, W = np.linalg.eigh(cfg.H0)
     Vr = (-1j / cfg.hbar) * (W.conj().T @ cfg.V @ W)
     ts = np.linspace(-cfg.T, cfg.T, 257)
     phase = np.exp(1j * np.outer(ts / cfg.hbar, evals))
     left = cfg.envelope_values(ts)[:, None] * phase
     expected = left[:, :, None] * Vr * phase.conj()[:, None, :]
+    form = _eigen_frame(cfg)[0].separable
+    assert len(form.basis) == len(np.unique(evals[:, None] - evals)) == d * d - d + 1
+    assert np.count_nonzero(form.basis, axis=0).max() == 1
+    assert np.array_equal(form.basis.sum(axis=0), Vr)
+    assert len(form.layers[0]) == 1
     got = _eigen_frame(cfg)[0].evaluate_batch(ts)
     assert got.shape == expected.shape
-    assert got.tobytes() == expected.tobytes()
+    radians = np.max(np.abs(evals)) * cfg.T / cfg.hbar
+    assert np.all(np.abs(got - expected)
+                  <= 4 * np.finfo(float).eps * (1 + radians) * np.abs(expected))
+
+
+def test_eigen_frame_takes_one_term_per_gap_of_its_nonzero_entries():
+    # Equally spaced levels: d = 5 has the nine gaps -4 .. 4, and hopping
+    # couples only the gaps -1 and 1; V = 0 keeps one term.
+    J = np.eye(5, k=1)
+    X = np.random.default_rng(5).standard_normal((5, 5))
+    H0 = np.diag([2.0, 1.0, 0.0, -1.0, -2.0])
+    ts = np.linspace(-1.0, 1.0, 33)
+    for V, terms in ((X + X.T, 9), (0.3 * (J + J.T), 2), (0 * J, 1)):
+        cfg = SMatrixConfig(H0=H0, V=V, T=1.0)
+        assert _eigen_frame(cfg)[0].separable.terms == terms
+        want = reference_generator(cfg).evaluate_batch(ts)
+        got = interaction_generator(cfg).evaluate_batch(ts)
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_eigen_frame_values_do_not_depend_on_the_batch(d):
+    fam, _ = _eigen_frame(random_config(d, 40 + d, T=1.0))
+    ts = np.linspace(-1.0, 1.0, 600)
+    H = fam.evaluate_batch(ts)
+    for j, t in enumerate(ts):
+        assert fam(t).tobytes() == H[j].tobytes()
 
 
 def test_eigen_frame_products_match_reference():
@@ -309,6 +344,22 @@ def test_energy_shift_identity_many_orders():
     cfg = toy(lam=1.5)
     for n in (1, 4, 12, 20):
         assert energy_shift_identity(cfg, n) <= 1e-12
+
+
+def test_energy_shift_terms_share_the_coefficient_sweep(monkeypatch):
+    # The node sweep sums (nodes, cells, d, d) generator values, the
+    # coefficient sweep (nodes, K, cells) coefficients.
+    sums, node_sums = [], path_sum._node_sums
+
+    def recorded(values, w, acc):
+        sums.append(values.ndim)
+        return node_sums(values, w, acc)
+
+    monkeypatch.setattr(path_sum, "_node_sums", recorded)
+    for cfg in (toy(lam=1.5), random_three_level()):
+        for n in (1, 4, 12):
+            assert energy_shift_identity(cfg, n) <= 1e-12
+    assert sums and set(sums) == {3}
 
 
 def test_energy_shift_scalar_sanity():
