@@ -5,9 +5,9 @@ from __future__ import annotations
 import csv
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -143,12 +143,9 @@ class SeparableForm:
 class GeneratorFamily:
     """A map t -> H(t) on [a, b] with commutativity and dissipativity labels.
 
-    `evaluate_batch` takes a time array (m,) and returns a stack (m, d, d)
-    that depends on the times alone.  The series functions in `propagators`
-    rely on this: they keep H(ts) of the last grid they built and reuse it
-    for later calls on the same family object.  So a custom `evaluate_batch`
-    must not change its values; the families this package builds hold
-    read-only copies of their matrices.
+    `evaluate_batch` takes a time array (m,) and returns a stack (m, d, d).
+    `breaks` are interior times, strictly increasing inside (a, b), where H
+    may have a kink (a table's rows); the Dyson series puts panel edges there.
 
     A family may carry a `separable` form instead; `evaluate_batch` is then
     its `evaluate`.  A family given both an `evaluate_batch` and a form that
@@ -165,10 +162,19 @@ class GeneratorFamily:
     dissipative: bool = False
     name: str = "custom"
     separable: Optional[SeparableForm] = None
+    breaks: Tuple[float, ...] = ()
 
     def __post_init__(self):
         if not self.a < self.b:
             raise ConfigError(f"need a < b, got [{self.a}, {self.b}]")
+        try:
+            breaks = tuple(map(float, self.breaks))
+        except (TypeError, ValueError):
+            breaks = (math.nan,)
+        if not all(s < t for s, t in zip((self.a, *breaks), (*breaks, self.b))):
+            raise ConfigError(f"breaks {self.breaks!r} are not numbers strictly "
+                              f"increasing inside ({self.a}, {self.b})")
+        object.__setattr__(self, "breaks", breaks)
         if self.dim < 1:
             raise DimensionError(f"need dim >= 1, got {self.dim}")
         if self.commutativity_class not in ("constant", "commuting", "general"):
@@ -342,7 +348,7 @@ def family_from_csv(path, name: str = "tabulated") -> GeneratorFamily:
     """Tabulated family with linear interpolation.
 
     Columns: t, re(h_11), im(h_11), ... in row-major entry order; header
-    row required.
+    row required.  The interior rows' times are the family's breaks.
     """
     try:
         with open(path, newline="") as fh:
@@ -382,7 +388,8 @@ def family_from_csv(path, name: str = "tabulated") -> GeneratorFamily:
                          + 1j * np.interp(query, ts, flat[:, k].imag))
         return out.reshape(len(query), dim, dim)
 
-    return family_from_evaluator(None, (ts[0], ts[-1]), name=name, batch=batch)
+    return replace(family_from_evaluator(None, (ts[0], ts[-1]), name=name,
+                                         batch=batch), breaks=ts[1:-1])
 
 
 def yosida_stack(H: np.ndarray, z: float) -> np.ndarray:
@@ -406,7 +413,7 @@ def yosida_family(f: GeneratorFamily, z: float) -> GeneratorFamily:
     return GeneratorFamily(a=f.a, b=f.b, dim=f.dim, evaluate_batch=batch,
                            commutativity_class=f.commutativity_class,
                            dissipative=f.dissipative,
-                           name=f"{f.name}_yosida{z:g}")
+                           name=f"{f.name}_yosida{z:g}", breaks=f.breaks)
 
 
 def _check_interval(f: GeneratorFamily, s: float, t: float):

@@ -8,23 +8,37 @@ from __future__ import annotations
 
 import math
 import operator
-import threading
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebint, chebvander
 
 from .errors import ConsistencyError, ConvergenceError, DomainError, RangeError
 from .families import (GeneratorFamily, _check_interval, integrate_family,
                        yosida_family)
 from .linalg import _matmul, as_matrix, expm_stack, matrix_exp, operator_norm
-from .quadrature import _cumulative_simpson_into, loglog_slope, panel_nodes
+from .quadrature import loglog_slope, panel_nodes
 
 MAX_HALVINGS = 24
 XI_PANELS = 32  # Gauss-5 panels of the xi-integral in remainder_310
 # Norms below this are lost to cancellation: the asymptotic probe fits only
 # the residuals at or above it, and Yosida gaps all below it count as exact.
 CANCELLATION_FLOOR = 1e-13
+
+# A Dyson-series panel holds _DEGREE + 1 Chebyshev-Lobatto nodes, from
+# -1 to 1.  _TO_CHEBYSHEV maps values at the nodes to the Chebyshev
+# coefficients of their interpolant, and _INTEGRATE to the integral of that
+# interpolant from -1, at the nodes (row 0 is the empty integral).
+_DEGREE = 16
+_LOBATTO = -np.cos(np.pi * np.arange(_DEGREE + 1) / _DEGREE)
+_TO_CHEBYSHEV = np.linalg.inv(chebvander(_LOBATTO, _DEGREE))
+_INTEGRATE = (chebvander(_LOBATTO, _DEGREE + 1)
+              @ chebint(np.eye(_DEGREE + 1), lbnd=-1) @ _TO_CHEBYSHEV)
+_INTEGRATE[0] = 0.0
+_LOBATTO.flags.writeable = _TO_CHEBYSHEV.flags.writeable = _INTEGRATE.flags.writeable = False
+_TAIL_TOL = 1e-14  # trailing Chebyshev coefficients, relative to max|H|
+_SOLVE_ENTRIES = 2 ** 18  # matrix entries of one batched collocation solve
 
 
 @dataclass(frozen=True)
@@ -190,38 +204,6 @@ def exp_propagator(Q, w: float) -> PropagatorResult:
     return PropagatorResult(U=matrix_exp(w * Q))
 
 
-# The series grid of the last dyson_expansion call, as (f, key, (h, H(ts),
-# U_w(ts), chains)), or None, so a ladder of orders on one family builds
-# H(ts) and U_w(ts) once and runs each K iteration once.  The slot is read
-# once per call and its arrays are never written, so concurrent callers see
-# a whole entry or none.  The chains are its one mutable part: a caller
-# reads, extends and copies them out while it holds _chain_lock.
-_grid_slot = None
-_chain_lock = threading.Lock()
-
-
-class _Chains:
-    """The two running K chains of one series grid: the term stack K^m[I]
-    with T_0..T_m, and the remainder stack K^j[U_w] with its unscaled
-    values K^j[U_w](t), j = 1..len(rem).  A stack is allocated when the
-    first order that needs it arrives."""
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.clear()
-
-    def clear(self):
-        self.terms = [np.eye(self.dim, dtype=complex)]
-        self.rem = []
-        self.term_stack = self.rem_stack = None
-
-
-def _read_only(x: np.ndarray) -> np.ndarray:
-    x = x.view()
-    x.flags.writeable = False
-    return x
-
-
 def _as_int(x, name: str) -> int:
     try:
         return operator.index(x)
@@ -232,39 +214,6 @@ def _as_int(x, name: str) -> int:
 def _check_order(n):
     if _as_int(n, "order") < 0:
         raise DomainError(f"order must be >= 0, got {n}")
-
-
-def _series_grid(f: GeneratorFamily, a: float, t: float, n: int, grid: int,
-                 w: float):
-    """Uniform grid ts = linspace(a, t, grid + 1) of the iterated integrals,
-    validated on every call: (h, H(ts), U_w(ts), chains), the arrays
-    read-only and U_w None at w = 0.  The grid and the _Chains of the last
-    (f, a, t, grid, w) stay in one slot: f matches by identity, and a, t and
-    w by their exact bits.  A miss empties the slot before it builds, so the
-    old grid and chains are freed before the new grid is built, and a build
-    that raises leaves the slot empty.  dyson_expansion extends the chains
-    in place, under _chain_lock."""
-    global _grid_slot
-    if not w >= 0:
-        raise DomainError(f"need w >= 0, got {w}")
-    _check_order(n)
-    grid = _as_int(grid, "grid")
-    if grid < 64:
-        raise DomainError(f"grid must be >= 64, got {grid}")
-    _check_interval(f, a, t)
-    key = (float(a).hex(), float(t).hex(), grid, float(w).hex())
-    slot = _grid_slot
-    if slot is not None and slot[0] is f and slot[1] == key:
-        return slot[2]
-    _grid_slot = slot = None
-    # U before H(ts): the stacks that U's build frees then hold H(ts) and,
-    # on later hits, the callers' work arrays, so a hit grows no heap (with
-    # glibc malloc, 480 -> 0 minor faults per d = 8, grid 1024 hit).
-    U = _read_only(propagator_on_grid(f, a, t, grid, w)) if w else None
-    Hs = f.evaluate_batch(np.linspace(a, t, grid + 1))
-    arrays = ((t - a) / grid, _read_only(Hs), U, _Chains(f.dim))
-    _grid_slot = (f, key, arrays)
-    return arrays
 
 
 def dyson_terms(f: GeneratorFamily, a: float, t: float, n: int,
@@ -315,42 +264,109 @@ def remainder_42(f: GeneratorFamily, a: float, t: float, n: int, w: float,
     return dyson_expansion(f, a, t, n, w, grid).remainder
 
 
+def _panel_values(f: GeneratorFamily, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """H at the Chebyshev-Lobatto nodes of the panels [lo_p, hi_p], as
+    (P, _DEGREE + 1, d, d); each panel's end nodes are its edges exactly."""
+    nodes = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * _LOBATTO
+    nodes[:, 0], nodes[:, -1] = lo, hi
+    return f.evaluate_batch(nodes.ravel()).reshape(len(lo), -1, f.dim, f.dim)
+
+
+def _series_panels(f: GeneratorFamily, a: float, t: float, grid: int):
+    """Half-widths (P,) and H at the nodes, (P, _DEGREE + 1, d, d), of the
+    Dyson-series panels of [a, t], which depend on H alone.  From the pieces
+    between the family's breaks, each round halves a panel where the last
+    two Chebyshev coefficients of H exceed _TAIL_TOL max|H| (or are NaN),
+    and cuts it into as many parts (a power of two) as ||H||_F L <= 1 asks,
+    ||H||_F >= ||H||_2 the largest at its nodes; H is evaluated on new
+    panels only.  At most grid // _DEGREE panels: a round past the cap only
+    halves, and one still past it is not taken; breaks that outnumber the
+    cap are not used."""
+    cap = grid // _DEGREE
+    cuts = [s for s in f.breaks if a < s < t]
+    edges = np.array([a, *(cuts if len(cuts) < cap else ()), t], dtype=float)
+    H = _panel_values(f, edges[:-1], edges[1:])
+    while True:
+        flat = H.reshape(H.shape[0], H.shape[1], -1)
+        tail = np.max(np.abs(_TO_CHEBYSHEV[-2:] @ flat), axis=(1, 2))
+        reach = np.diff(edges) * np.max(np.linalg.norm(flat, axis=-1), axis=1)
+        resolved = (tail <= _TAIL_TOL * np.max(np.abs(H))) & (reach <= 1.0)
+        halvings = np.where(resolved, 0, 1)
+        far = (reach > 2.0) & (reach < math.inf)
+        halvings[far] = np.ceil(np.log2(reach[far]))
+        parts = 2 ** np.minimum(halvings, cap.bit_length())
+        parts = parts if parts.sum() <= cap else np.minimum(parts, 2)
+        if parts.sum() == len(parts) or parts.sum() > cap:
+            return 0.5 * np.diff(edges), H
+        edges = np.append(np.concatenate([
+            np.linspace(lo, hi, k + 1)[:-1]
+            for lo, hi, k in zip(edges, edges[1:], parts)]), edges[-1])
+        cut = np.repeat(parts > 1, parts)
+        H = np.repeat(H, parts, axis=0)
+        H[cut] = _panel_values(f, edges[:-1][cut], edges[1:][cut])
+
+
+def _K(half: np.ndarray, H: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """(K g)(s) = int_a^s H g at the nodes, from g at the nodes (or one
+    matrix): (L/2) S (H g) on a panel plus the end values of those before."""
+    Y = _INTEGRATE @ np.matmul(H, G).reshape(H.shape[0], H.shape[1], -1)
+    Y *= half[:, None, None]
+    Y[1:] += np.cumsum(Y[:-1, -1], axis=0)[:, None]
+    return Y.reshape(H.shape)
+
+
+def _series_propagator(half: np.ndarray, H: np.ndarray, w: float) -> np.ndarray:
+    """U_w at the nodes, solving U = I + w K[U]: on each panel the collocation
+    system (I - w (L/2) S (x) H) Z = 1 (x) I gives the propagator Z from its
+    left edge (batched in _SOLVE_ENTRIES), and U at the left edges is the
+    running product of the Z at the right edges."""
+    P, m, d = H.shape[:3]
+    size = m * d
+    Z = np.empty_like(H)
+    rhs = np.tile(np.eye(d, dtype=complex), (m, 1))
+    # Row (i, a) is (-w L/2) S[i, j] H_j[a, b] over columns (j, b), innermost.
+    rows = H.transpose(0, 2, 1, 3).reshape(P, 1, d, size)
+    coeffs = np.repeat((-w * half[:, None, None]) * _INTEGRATE, d, axis=2)[:, :, None]
+    step = max(1, _SOLVE_ENTRIES // (size * size))
+    for i in range(0, P, step):
+        M = (coeffs[i:i + step] * rows[i:i + step]).reshape(-1, size, size)
+        M.reshape(len(M), -1)[:, ::size + 1] += 1.0
+        Z[i:i + step] = np.linalg.solve(M, rhs).reshape(-1, m, d, d)
+    return np.matmul(Z, _prefix_products(Z[:, -1])[:-1, None])
+
+
 def dyson_expansion(f: GeneratorFamily, a: float, t: float, n: int, w: float = 1.0,
                     grid: int = 1024) -> DysonExpansion:
-    """Terms T_0..T_n and the exact remainder w^{n+1} K^{n+1}[U_w](t), from
-    the iteration of (K g)(s) = int_a^s H(u) g(u) du by cumulative Simpson on
-    the series grid.  Both chains continue where the last call on the same
-    grid left them, so a ladder of orders runs each K iteration once."""
-    h, Hs, U, chains = _series_grid(f, a, t, n, grid, w)
-    with _chain_lock:
-        rem_steps = n + 1 - len(chains.rem) if w else 0
-        if rem_steps > 0 or n >= len(chains.terms):
-            W = np.empty((grid + 1, f.dim, f.dim), complex)
-            work = np.empty_like(W[1:])
-        try:
-            for _ in range(rem_steps):
-                V = chains.rem_stack
-                if V is None:
-                    V = chains.rem_stack = np.empty_like(W)
-                np.matmul(Hs, V if chains.rem else U, out=W)
-                _cumulative_simpson_into(W, h, V, work)
-                chains.rem.append(V[-1].copy())
-            while n >= len(chains.terms):
-                V = chains.term_stack
-                if V is None:
-                    V = chains.term_stack = np.empty_like(W)
-                    V[...] = chains.terms[0]
-                np.matmul(Hs, V, out=W)
-                _cumulative_simpson_into(W, h, V, work)
-                chains.terms.append(V[-1].copy())
-        except BaseException:
-            # A step cut short (an error raised under np.errstate, an
-            # interrupt) leaves its stack half-written: start both over.
-            chains.clear()
-            raise
-        terms = [T.copy() for T in chains.terms[:n + 1]]
-        R = (w ** (n + 1)) * chains.rem[n] if w else np.zeros_like(terms[0])
-    return DysonExpansion(terms=terms, remainder=R)
+    """Terms T_0..T_n = K^k[I](t) and the exact remainder R =
+    w^{n+1} K^{n+1}[U_w](t) of the time-ordered series of w H on [a, t],
+    with (K g)(s) = int_a^s H(u) g(u) du taken on the Chebyshev-Lobatto
+    nodes of the series panels by the spectral integration matrix S
+    (Greengard, SIAM J. Numer. Anal. 28 (1991); Trefethen, Approximation
+    Theory and Approximation Practice, ch. 19).  U_w at the nodes solves
+    U = I + w K[U] directly, so sum_k w^k T_k + R = U_w(t) holds by
+    construction, to rounding; the closure is therefore checked against the
+    independent product_integral oracle.  The panels depend on H, not on w,
+    so the terms have the same bits at every w; `grid` (an integer >= 64)
+    caps them at grid // _DEGREE, at most grid + 1 distinct nodes."""
+    if not w >= 0:
+        raise DomainError(f"need w >= 0, got {w}")
+    _check_order(n)
+    grid = _as_int(grid, "grid")
+    if grid < 64:
+        raise DomainError(f"grid must be >= 64, got {grid}")
+    _check_interval(f, a, t)
+    half, H = _series_panels(f, a, t, grid)
+    G = np.eye(f.dim, dtype=complex)
+    terms = [G]
+    for _ in range(n):
+        G = _K(half, H, G)
+        terms.append(G[-1, -1].copy())
+    if not w:
+        return DysonExpansion(terms=terms, remainder=np.zeros_like(terms[0]))
+    G = _series_propagator(half, H, w)
+    for _ in range(n + 1):
+        G = _K(half, H, G)
+    return DysonExpansion(terms=terms, remainder=(w ** (n + 1)) * G[-1, -1])
 
 
 def asymptotic_probe(Q, n: int, w_list: Sequence[float]):

@@ -71,39 +71,20 @@ def cumulative_simpson_uniform(values: np.ndarray, h: float) -> np.ndarray:
     `values` has shape (m+1, ...) with samples at x_0 .. x_m spaced by h.
     Each panel is integrated with the quadratic through its three nearest
     sample points, matching composite Simpson on even prefixes.  Returns a
-    new array of the same shape whose entry 0 is zero; the work runs in
-    `_cumulative_simpson_into`, which callers that repeat it on one grid
-    use with their own buffers.
+    new array of the same shape whose entry 0 is zero.
     """
     f = np.asarray(values)
-    out = np.empty(f.shape, np.result_type(f, 1.0))
-    _cumulative_simpson_into(f, h, out, np.empty_like(out[1:]))
-    return out
-
-
-def _cumulative_simpson_into(f: np.ndarray, h: float, out: np.ndarray,
-                             work: np.ndarray) -> np.ndarray:
-    """`cumulative_simpson_uniform(f, h)` written into `out`.
-
-    `out` has the shape of `f` and `work` that of `f[1:]`; neither may
-    overlap `f`.  `work` holds the panel increments and `out[2:]` is scratch
-    until their running sum overwrites it, so no stack is allocated, and
-    every operation and its order match the plain formula bit for bit.
-    """
     m = f.shape[0] - 1
-    out[0] = 0.0
+    out = np.zeros(f.shape, np.result_type(f, 1.0))
     if m == 0:
         return out
     if m == 1:
         out[1] = 0.5 * h * (f[0] + f[1])
         return out
-    inc = work[:-1]
-    np.multiply(f[0:-2], 5.0, out=inc)
-    inc += np.multiply(f[1:-1], 8.0, out=out[2:])
-    inc -= f[2:]
-    inc *= h / 12.0
-    work[-1] = (h / 12.0) * (-f[-3] + 8.0 * f[-2] + 5.0 * f[-1])
-    np.cumsum(work, axis=0, out=out[1:])
+    inc = np.empty_like(out[1:])
+    inc[:-1] = (h / 12.0) * (5.0 * f[0:-2] + 8.0 * f[1:-1] - f[2:])
+    inc[-1] = (h / 12.0) * (-f[-3] + 8.0 * f[-2] + 5.0 * f[-1])
+    out[1:] = np.cumsum(inc, axis=0)
     return out
 
 

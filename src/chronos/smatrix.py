@@ -8,7 +8,6 @@ minimal-time-step regularization and the exact-order expansion.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,8 +34,8 @@ class SMatrixConfig:
     envelope: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        # Read-only copies: the Dyson ladder of _series_family cannot then
-        # go stale when the caller's arrays change.
+        # Read-only copies: a config keeps its values when the caller's
+        # arrays change.
         H0 = _owned_matrix(self.H0, "H0")
         V = _owned_matrix(self.V, "V")
         if H0.shape != V.shape:
@@ -59,13 +58,6 @@ class SMatrixConfig:
     @property
     def dim(self) -> int:
         return self.H0.shape[0]
-
-    @cached_property
-    def _series_family(self) -> GeneratorFamily:
-        # One interaction family per config, built on first use: the Dyson
-        # orders of one config then share the series slot of propagators,
-        # which matches families by identity.
-        return interaction_generator(self)
 
 
 def _eigen_frame(cfg: SMatrixConfig) -> tuple[GeneratorFamily, Callable]:
@@ -209,8 +201,11 @@ def dyson_S_expansion(cfg: SMatrixConfig, n: int,
     """Order-n expansion of S with the exact remainder.
 
     The interaction generator already carries (-i/hbar)^k into the k-th
-    term; partial sum plus remainder reproduces the oracle S.  Every call on
-    one config runs on the same family, so a ladder of orders extends the
-    series chains instead of restarting them.
+    term; partial sum plus remainder reproduces the oracle S.  The series
+    runs in the H0 eigenbasis, and each term and the remainder are rotated
+    back once.
     """
-    return dyson_expansion(cfg._series_family, -cfg.T, cfg.T, n, 1.0, grid)
+    fam, rotate = _eigen_frame(cfg)
+    exp = dyson_expansion(fam, -cfg.T, cfg.T, n, 1.0, grid)
+    return DysonExpansion(terms=[rotate(T) for T in exp.terms],
+                          remainder=rotate(exp.remainder))

@@ -335,6 +335,25 @@ def test_family_csv_round_trip(tmp_path):
         assert np.linalg.norm(loaded(t) - fam(t), 2) <= 1e-6
 
 
+def test_family_csv_breaks_at_its_interior_rows(tmp_path):
+    path = tmp_path / "family.csv"
+    header = "t," + ",".join(f"c{k}" for k in range(8))
+    path.write_text(header + "\n" + "".join(
+        f"{t},{t},0,0,0,0,0,-{t},0\n" for t in (0.0, 0.25, 0.7, 1.0)))
+    fam = family_from_csv(path)
+    assert fam.breaks == (0.25, 0.7)
+    assert yosida_family(fam, 100.0).breaks == fam.breaks
+    assert builtin_family("two_level_driven").breaks == ()
+
+
+@pytest.mark.parametrize("breaks", [(0.5, 0.2), (0.3, 0.3), (0.0,), (1.0,), (1.5,),
+                                    (-0.5,), (float("nan"),), ("x",), 0.5, None])
+def test_malformed_breaks_are_a_config_error(breaks):
+    fam = builtin_family("two_level_driven")
+    with pytest.raises(ConfigError, match="breaks"):
+        dataclasses.replace(fam, breaks=breaks)
+
+
 def test_family_csv_rejects_bad_column_count(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("t,a,b,c\n0,1,2,3\n1,1,2,3\n")

@@ -1,5 +1,7 @@
 """Every private module-level function and class of the library has a caller
-in the library: a helper that only tests reach is dead code."""
+in the library: a helper that only tests reach is dead code.  And no module
+rebinds its own globals or imports threading, so no call leaves state behind
+for the next."""
 
 import ast
 import os
@@ -41,3 +43,18 @@ def test_private_definitions_are_used_in_the_library():
     unused = sorted(f"{module}: {name}" for module, name in private
                     if name not in used)
     assert unused == []
+
+
+def test_no_module_rebinds_globals_or_imports_threading():
+    found = []
+    for module, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Global):
+                found.append(f"{module}:{node.lineno}: global {', '.join(node.names)}")
+            elif isinstance(node, ast.Import):
+                found += [f"{module}:{node.lineno}: import {a.name}" for a in node.names
+                          if a.name.split(".")[0] == "threading"]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0 and \
+                    (node.module or "").split(".")[0] == "threading":
+                found.append(f"{module}:{node.lineno}: from {node.module} import ...")
+    assert found == []

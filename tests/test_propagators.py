@@ -4,7 +4,6 @@ import math
 import sys
 import threading
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -12,11 +11,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chronos import propagators
-from chronos.errors import ConvergenceError, DomainError, RangeError
+from chronos.errors import ConvergenceError, DomainError
 from chronos.families import (SIGMA_X, SIGMA_Y, SIGMA_Z, GeneratorFamily,
-                              builtin_family, family_from_evaluator,
-                              family_from_matrix, integrate_family,
-                              yosida_family)
+                              builtin_family, family_from_csv,
+                              family_from_evaluator, family_from_matrix,
+                              integrate_family, yosida_family)
 from chronos.linalg import matrix_exp, operator_norm, random_dissipative
 from chronos.propagators import (CANCELLATION_FLOOR, asymptotic_probe,
                                  dyson_expansion,
@@ -405,6 +404,67 @@ def test_dyson_expansion_closes_on_oracle_order_one():
         assert np.linalg.norm(closure - oracle, 2) <= 1e-8
 
 
+def _closure(exp, U) -> float:
+    return float(np.linalg.norm(exp.partial_sum() + exp.remainder - U, 2))
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_dyson_closure_on_random_smooth_is_at_rounding(dim):
+    # The terms and remainder close on the series' own U_w by construction;
+    # the oracle at tol 1e-12 checks that U_w.
+    fam = builtin_family("random_smooth", (12345, dim, 0.2))
+    oracle = product_integral(fam, fam.a, fam.b, 1e-12).U
+    for n in range(5):
+        assert _closure(dyson_expansion(fam, fam.a, fam.b, n), oracle) <= 1e-12
+
+
+def _table_family(path, ts):
+    """A 2 x 2 family tabulated at ts and interpolated linearly between."""
+    cols = ["t"] + [f"{p}_h{e}" for e in range(4) for p in ("re", "im")]
+    lines = [",".join(cols)]
+    for t in ts:
+        H = -1j * (np.cos(2 * np.pi * t) * SIGMA_Z + np.sin(5 * t) * SIGMA_X) - 0.1 * np.eye(2)
+        lines.append(",".join(repr(float(v)) for v in [t] + [
+            x for entry in H.ravel() for x in (entry.real, entry.imag)]))
+    path.write_text("\n".join(lines) + "\n")
+    return family_from_csv(path)
+
+
+def test_dyson_closure_on_a_tabulated_family_uses_its_breaks(tmp_path):
+    ts = np.linspace(0.0, 1.0, 21)
+    fam = _table_family(tmp_path / "table.csv", ts)
+    assert fam.breaks == tuple(ts[1:-1])
+    # H is linear between rows, so the oracle runs row by row.
+    oracle = np.eye(2)
+    for s, t in zip(ts, ts[1:]):
+        oracle = product_integral(fam, s, t, 1e-12).U @ oracle
+    for n in range(5):
+        assert _closure(dyson_expansion(fam, 0.0, 1.0, n), oracle) <= 1e-11
+
+
+def test_series_collocation_in_slices_keeps_the_bits(monkeypatch):
+    fam = builtin_family("random_smooth", (3, 4, 0.2), interval=(0.0, 4.0))
+    whole = dyson_expansion(fam, 0.0, 4.0, 2)
+    monkeypatch.setattr(propagators, "_SOLVE_ENTRIES", 1)
+    sliced = dyson_expansion(fam, 0.0, 4.0, 2)
+    assert sliced.remainder.tobytes() == whole.remainder.tobytes()
+
+
+# On the kinked family below, the cumulative Simpson rule on grid + 1
+# uniform points closed to 1.58e-5 (grid 64) and 6.24e-8 (grid 1024).
+@pytest.mark.parametrize("grid,simpson", [(64, 1.6e-5), (1024, 6.3e-8)])
+def test_dyson_series_on_a_kink_that_no_break_marks(grid, simpson):
+    fam = family_from_evaluator(None, batch=lambda ts: -1j * (
+        np.abs(np.atleast_1d(ts) - 1 / 3)[:, None, None] * SIGMA_X + SIGMA_Z))
+    assert fam.breaks == ()
+    oracle = (product_integral(fam, 1 / 3, 1.0, 1e-12).U
+              @ product_integral(fam, 0.0, 1 / 3, 1e-12).U)
+    for n in range(5):
+        exp = dyson_expansion(fam, 0.0, 1.0, n, 1.0, grid)
+        assert all(np.all(np.isfinite(x)) for x in (*exp.terms, exp.remainder))
+        assert _closure(exp, oracle) <= simpson
+
+
 @pytest.mark.parametrize("grid", [0, 10, 63, 64.5])
 def test_series_grid_below_64_is_a_domain_error(grid):
     fam = builtin_family("two_level_driven")
@@ -505,28 +565,6 @@ def test_series_calls_in_any_sequence_match_uncached_calls(order):
         assert _series_bytes(fam, _SERIES_CALLS[k]) == _UNCACHED[k]
 
 
-def test_series_slot_matches_the_family_object():
-    nodes = []
-
-    def counted(fam):
-        def batch(ts):
-            nodes.append(len(ts))
-            return fam.evaluate_batch(ts)
-        return dataclasses.replace(fam, evaluate_batch=batch)
-
-    fam = counted(builtin_family("random_smooth", (0, 2, 0.2)))
-    dyson_expansion(fam, 0.0, 1.0, 1, grid=64)
-    built = len(nodes)
-    dyson_expansion(fam, 0.0, 1.0, 3, grid=64)
-    assert len(nodes) == built
-    rebuilt = dataclasses.replace(fam)
-    assert rebuilt == fam
-    for twin in (rebuilt, counted(builtin_family("random_smooth", (0, 2, 0.2)))):
-        before = len(nodes)
-        dyson_expansion(twin, 0.0, 1.0, 3, grid=64)
-        assert len(nodes) == before + built
-
-
 def test_series_slot_follows_a_matrix_family_after_the_caller_writes():
     # The family owns a copy of H, so the slot keyed on the family object
     # serves terms of the matrix the family still evaluates to.
@@ -540,15 +578,6 @@ def test_series_slot_follows_a_matrix_family_after_the_caller_writes():
         [T.tobytes() for T in dyson_expansion(fresh, 0.0, 1.0, 2).terms]
 
 
-def test_series_grid_arrays_are_read_only():
-    fam = builtin_family("two_level_driven")
-    _, Hs, U, _ = propagators._series_grid(fam, 0.0, 1.0, 2, 64, 1.0)
-    for x in (Hs, U):
-        with pytest.raises(ValueError):
-            x[0] = 0.0
-    assert propagator_on_grid(fam, 0.0, 1.0, 64).flags.writeable
-
-
 def test_writing_into_series_results_changes_no_later_call():
     fam = builtin_family("random_smooth", (1, 3, 0.2))
     exp = dyson_expansion(fam, 0.0, 1.0, 2, 0.7, 64)
@@ -559,74 +588,6 @@ def test_writing_into_series_results_changes_no_later_call():
         x[...] = np.nan
     again = dyson_expansion(fam, 0.0, 1.0, 2, 0.7, 64)
     assert [T.tobytes() for T in again.terms] + [again.remainder.tobytes()] == expected
-
-
-def test_a_series_call_that_raises_leaves_the_slot_empty():
-    dyson_expansion(builtin_family("two_level_driven"), 0.0, 1.0, 1, grid=64)
-    chains = weakref.ref(propagators._grid_slot[2][3])
-    hot = family_from_matrix(1e6 * np.eye(2))
-    for _ in range(2):
-        with pytest.raises(RangeError), np.errstate(all="ignore"):
-            dyson_expansion(hot, 0.0, 1.0, 1, grid=64)
-        assert propagators._grid_slot is None
-        assert chains() is None
-
-
-def test_a_ladder_runs_each_K_iteration_once(monkeypatch):
-    # Orders 0..4 at w > 0 take 5 remainder and 4 term iterations, in any
-    # call order; a fresh family object starts both chains over.
-    steps = []
-    simpson = propagators._cumulative_simpson_into
-
-    def counted(*args):
-        steps.append(None)
-        return simpson(*args)
-
-    monkeypatch.setattr(propagators, "_cumulative_simpson_into", counted)
-    for orders in ((0, 1, 2, 3, 4), (4, 0, 2, 1, 3), (4,)):
-        fam = builtin_family("random_smooth", (0, 3, 0.2))
-        before = len(steps)
-        for n in orders:
-            dyson_expansion(fam, fam.a, fam.b, n, 1.0, 64)
-        assert len(steps) - before == 9
-        for n in range(5):
-            remainder_42(fam, fam.a, fam.b, n, 1.0, 64)
-        assert len(steps) - before == 9
-
-
-def test_a_slot_miss_frees_the_old_chains_before_building():
-    fam = builtin_family("random_smooth", (0, 8, 0.2))
-    for n in range(5):
-        dyson_expansion(fam, fam.a, fam.b, n)
-    chains = propagators._grid_slot[2][3]
-    stacks = [weakref.ref(chains.term_stack), weakref.ref(chains.rem_stack)]
-    del chains
-    alive = []
-    other = builtin_family("random_smooth", (1, 8, 0.2))
-
-    def batch(ts):
-        alive.append([ref() is not None for ref in stacks])
-        return other.evaluate_batch(ts)
-
-    dyson_expansion(dataclasses.replace(other, evaluate_batch=batch),
-                    other.a, other.b, 4)
-    assert alive and not any(map(any, alive))
-
-
-def test_a_K_step_cut_short_leaves_no_half_written_chain(monkeypatch):
-    expected = _ladder_bytes(builtin_family("random_smooth", (0, 3, 0.2)), 1.0, 64)
-    fam = builtin_family("random_smooth", (0, 3, 0.2))
-    dyson_expansion(fam, fam.a, fam.b, 1, 1.0, 64)
-
-    def cut(f, h, out, work):
-        out[...] = 0.0
-        raise FloatingPointError("overflow encountered in cumsum")
-
-    monkeypatch.setattr(propagators, "_cumulative_simpson_into", cut)
-    with pytest.raises(FloatingPointError):
-        dyson_expansion(fam, fam.a, fam.b, 3, 1.0, 64)
-    monkeypatch.undo()
-    assert _ladder_bytes(fam, 1.0, 64) == expected
 
 
 def _ladder_bytes(fam, w, grid):
