@@ -211,9 +211,11 @@ def _as_int(x, name: str) -> int:
         raise DomainError(f"{name} must be an integer, got {x!r}") from None
 
 
-def _check_order(n):
-    if _as_int(n, "order") < 0:
+def _check_order(n) -> int:
+    n = _as_int(n, "order")
+    if n < 0:
         raise DomainError(f"order must be >= 0, got {n}")
+    return n
 
 
 def dyson_terms(f: GeneratorFamily, a: float, t: float, n: int,
@@ -272,16 +274,21 @@ def _panel_values(f: GeneratorFamily, lo: np.ndarray, hi: np.ndarray) -> np.ndar
     return f.evaluate_batch(nodes.ravel()).reshape(len(lo), -1, f.dim, f.dim)
 
 
-def _series_panels(f: GeneratorFamily, a: float, t: float, grid: int):
+def _series_panels(f: GeneratorFamily, a: float, t: float, grid: int, w: float):
     """Half-widths (P,) and H at the nodes, (P, _DEGREE + 1, d, d), of the
-    Dyson-series panels of [a, t], which depend on H alone.  From the pieces
-    between the family's breaks, each round halves a panel where the last
-    two Chebyshev coefficients of H exceed _TAIL_TOL max|H| (or are NaN),
-    and cuts it into as many parts (a power of two) as ||H||_F L <= 1 asks,
-    ||H||_F >= ||H||_2 the largest at its nodes; H is evaluated on new
-    panels only.  At most grid // _DEGREE panels: a round past the cap only
-    halves, and one still past it is not taken; breaks that outnumber the
-    cap are not used."""
+    Dyson-series panels of [a, t] for the weight w.  From the pieces between
+    the family's breaks, each round halves a panel where the last two
+    Chebyshev coefficients of H exceed _TAIL_TOL max|H| (or are NaN), and
+    cuts it into as many parts (a power of two) as ||H||_F L max(w, 1) <= 2
+    asks, ||H||_F >= ||H||_2 the largest at its nodes; H is evaluated on new
+    panels only.  U_w grows like e^{w ||H|| L x / 2} on a panel, and the
+    degree-16 interpolant of that truncates at about (w ||H||_F L / 4)^17 /
+    17!, 2e-20 at w ||H||_F L = 2; the floor of 1 on w keeps the panels, and
+    so the terms, the same at every w <= 1.  At most grid // _DEGREE panels:
+    a round past the cap only halves, and one still past it is not taken;
+    breaks that outnumber the cap are not used.  At the cap, a panel with
+    w ||H||_F L > 4 (truncation above rounding) is a RangeError when w > 0;
+    one that only fails the tail rule is used as it is."""
     cap = grid // _DEGREE
     cuts = [s for s in f.breaks if a < s < t]
     edges = np.array([a, *(cuts if len(cuts) < cap else ()), t], dtype=float)
@@ -290,13 +297,20 @@ def _series_panels(f: GeneratorFamily, a: float, t: float, grid: int):
         flat = H.reshape(H.shape[0], H.shape[1], -1)
         tail = np.max(np.abs(_TO_CHEBYSHEV[-2:] @ flat), axis=(1, 2))
         reach = np.diff(edges) * np.max(np.linalg.norm(flat, axis=-1), axis=1)
-        resolved = (tail <= _TAIL_TOL * np.max(np.abs(H))) & (reach <= 1.0)
+        need = (0.5 * max(w, 1.0)) * reach
+        resolved = (tail <= _TAIL_TOL * np.max(np.abs(H))) & (need <= 1.0)
         halvings = np.where(resolved, 0, 1)
-        far = (reach > 2.0) & (reach < math.inf)
-        halvings[far] = np.ceil(np.log2(reach[far]))
+        far = (need > 2.0) & (need < math.inf)
+        halvings[far] = np.ceil(np.log2(need[far]))
         parts = 2 ** np.minimum(halvings, cap.bit_length())
         parts = parts if parts.sum() <= cap else np.minimum(parts, 2)
         if parts.sum() == len(parts) or parts.sum() > cap:
+            worst = w * np.max(reach)
+            if worst > 4.0:
+                raise RangeError(
+                    f"the Dyson series is unresolved at w = {w}: grid = {grid} "
+                    f"caps it at {cap} panels, and one has w ||H||_F L = "
+                    f"{worst:.3g} > 4; raise grid")
             return 0.5 * np.diff(edges), H
         edges = np.append(np.concatenate([
             np.linspace(lo, hi, k + 1)[:-1]
@@ -316,22 +330,28 @@ def _K(half: np.ndarray, H: np.ndarray, G: np.ndarray) -> np.ndarray:
 
 
 def _series_propagator(half: np.ndarray, H: np.ndarray, w: float) -> np.ndarray:
-    """U_w at the nodes, solving U = I + w K[U]: on each panel the collocation
-    system (I - w (L/2) S (x) H) Z = 1 (x) I gives the propagator Z from its
-    left edge (batched in _SOLVE_ENTRIES), and U at the left edges is the
-    running product of the Z at the right edges."""
+    """U_w at the nodes, solving U = I + w K[U]: on each panel the propagator
+    Z from its left edge is I at node 0 (row 0 of S is zero), and at nodes
+    1..16 solves the collocation system (I - c S[1:, 1:] (x) H_{1..16}) Z =
+    1 (x) I + c S[1:, 0] (x) H_0, c = w L/2, of 16 d unknowns (batched in
+    _SOLVE_ENTRIES); U at the left edges is the running product of the Z at
+    the right edges."""
     P, m, d = H.shape[:3]
-    size = m * d
+    size = (m - 1) * d
+    c = w * half
     Z = np.empty_like(H)
-    rhs = np.tile(np.eye(d, dtype=complex), (m, 1))
-    # Row (i, a) is (-w L/2) S[i, j] H_j[a, b] over columns (j, b), innermost.
-    rows = H.transpose(0, 2, 1, 3).reshape(P, 1, d, size)
-    coeffs = np.repeat((-w * half[:, None, None]) * _INTEGRATE, d, axis=2)[:, :, None]
+    Z[:, 0] = np.eye(d)
+    rhs = (c[:, None, None, None] * _INTEGRATE[1:, 0, None, None]) * H[:, :1]
+    rhs += np.eye(d)
+    rhs = rhs.reshape(P, size, d)
+    # Row (i, a) is -c S[i, j] H_j[a, b] over columns (j, b), innermost, i, j >= 1.
+    rows = H[:, 1:].transpose(0, 2, 1, 3).reshape(P, 1, d, size)
+    coeffs = np.repeat(-c[:, None, None] * _INTEGRATE[1:, 1:], d, axis=2)[:, :, None]
     step = max(1, _SOLVE_ENTRIES // (size * size))
     for i in range(0, P, step):
         M = (coeffs[i:i + step] * rows[i:i + step]).reshape(-1, size, size)
         M.reshape(len(M), -1)[:, ::size + 1] += 1.0
-        Z[i:i + step] = np.linalg.solve(M, rhs).reshape(-1, m, d, d)
+        Z[i:i + step, 1:] = np.linalg.solve(M, rhs[i:i + step]).reshape(-1, m - 1, d, d)
     return np.matmul(Z, _prefix_products(Z[:, -1])[:-1, None])
 
 
@@ -345,17 +365,24 @@ def dyson_expansion(f: GeneratorFamily, a: float, t: float, n: int, w: float = 1
     Theory and Approximation Practice, ch. 19).  U_w at the nodes solves
     U = I + w K[U] directly, so sum_k w^k T_k + R = U_w(t) holds by
     construction, to rounding; the closure is therefore checked against the
-    independent product_integral oracle.  The panels depend on H, not on w,
-    so the terms have the same bits at every w; `grid` (an integer >= 64)
-    caps them at grid // _DEGREE, at most grid + 1 distinct nodes."""
-    if not w >= 0:
-        raise DomainError(f"need w >= 0, got {w}")
-    _check_order(n)
+    independent product_integral oracle.  The panels are sized for
+    max(w, 1) (see _series_panels), so the terms have the same bits at every
+    w <= 1 and refine with w above it; `grid` (an integer >= 64) caps them at
+    grid // _DEGREE, at most grid + 1 distinct nodes.  w must be finite and
+    >= 0 (DomainError); a w^{n+1} that overflows, or a w > 0 whose U_w the
+    capped panels cannot resolve, is a RangeError."""
+    if not 0 <= w < math.inf:
+        raise DomainError(f"w must be finite and >= 0, got {w}")
+    n = _check_order(n)
     grid = _as_int(grid, "grid")
     if grid < 64:
         raise DomainError(f"grid must be >= 64, got {grid}")
     _check_interval(f, a, t)
-    half, H = _series_panels(f, a, t, grid)
+    try:
+        scale = float(w) ** (n + 1)
+    except OverflowError:
+        raise RangeError(f"w^(n + 1) overflows at w = {w}, n = {n}") from None
+    half, H = _series_panels(f, a, t, grid, w)
     G = np.eye(f.dim, dtype=complex)
     terms = [G]
     for _ in range(n):
@@ -366,7 +393,7 @@ def dyson_expansion(f: GeneratorFamily, a: float, t: float, n: int, w: float = 1
     G = _series_propagator(half, H, w)
     for _ in range(n + 1):
         G = _K(half, H, G)
-    return DysonExpansion(terms=terms, remainder=(w ** (n + 1)) * G[-1, -1])
+    return DysonExpansion(terms=terms, remainder=scale * G[-1, -1])
 
 
 def asymptotic_probe(Q, n: int, w_list: Sequence[float]):

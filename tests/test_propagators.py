@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chronos import propagators
-from chronos.errors import ConvergenceError, DomainError
+from chronos.errors import ConvergenceError, DomainError, RangeError
 from chronos.families import (SIGMA_X, SIGMA_Y, SIGMA_Z, GeneratorFamily,
                               builtin_family, family_from_csv,
                               family_from_evaluator, family_from_matrix,
@@ -25,6 +25,7 @@ from chronos.propagators import (CANCELLATION_FLOOR, asymptotic_probe,
                                  propagator_on_grid, remainder_310,
                                  remainder_42, taylor_partial_sum,
                                  yosida_propagator_convergence)
+from chronos.smatrix import SMatrixConfig, _eigen_frame
 from helpers import running_products
 
 
@@ -327,7 +328,7 @@ def test_dyson_terms_validation():
                           propagator_on_grid(fam, 0.0, 1.0, 8))
 
 
-@pytest.mark.parametrize("w", [-1.0, math.nan])
+@pytest.mark.parametrize("w", [-1.0, math.nan, math.inf])
 def test_series_weight_below_0_or_nan_is_a_domain_error(w):
     fam = builtin_family("two_level_driven")
     for call in (lambda: remainder_42(fam, 0.0, 1.0, 2, w),
@@ -448,6 +449,92 @@ def test_series_collocation_in_slices_keeps_the_bits(monkeypatch):
     monkeypatch.setattr(propagators, "_SOLVE_ENTRIES", 1)
     sliced = dyson_expansion(fam, 0.0, 4.0, 2)
     assert sliced.remainder.tobytes() == whole.remainder.tobytes()
+
+
+@pytest.mark.parametrize("dim", [4, 6, 8])
+@pytest.mark.parametrize("seed", [12345, 777])
+def test_series_at_w_up_to_1_solves_2_panels_of_16_d_unknowns(monkeypatch, seed, dim):
+    # ||H||_F L is 2.2-2.9 on these families: 2 panels under ||H||_F L <= 2,
+    # each solving for its 16 nodes past node 0, whose value I is known.
+    fam = builtin_family("random_smooth", (seed, dim, 0.2))
+    solve, shapes = np.linalg.solve, []
+
+    def spy(M, rhs):
+        shapes.append((M.shape, rhs.shape))
+        return solve(M, rhs)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    for w in (0.5, 1.0):
+        dyson_expansion(fam, fam.a, fam.b, 2, w)
+    size = 16 * dim
+    assert shapes == [((2, size, size), (2, size, dim))] * 2
+
+
+def _hopping_frame():
+    # The d = 5, T = 8 hopping model of the S-matrix closure tests.
+    J = np.eye(5, k=1)
+    cfg = SMatrixConfig(H0=np.diag([2.0, 1.0, 0.0, -1.0, -2.0]),
+                        V=0.3 * (J + J.T), T=8.0)
+    return _eigen_frame(cfg)[0]
+
+
+_SPLIT_FAMILIES = [lambda d=d: builtin_family("random_smooth", (12345, d, 0.2))
+                   for d in (2, 4, 8)] + [_hopping_frame]
+
+
+@pytest.mark.parametrize("make", _SPLIT_FAMILIES, ids=["d2", "d4", "d8", "eigen_d5_T8"])
+def test_dyson_terms_obey_chens_identity(make):
+    # T_k[a, b] = sum_j T_j[m, b] T_{k-j}[a, m]: each side on its own panels.
+    fam = make()
+    a, b = fam.a, fam.b
+    m = a + 0.37 * (b - a)
+    whole = dyson_terms(fam, a, b, 5).terms
+    left = dyson_terms(fam, a, m, 5).terms
+    right = dyson_terms(fam, m, b, 5).terms
+    for k in range(6):
+        split = sum(right[j] @ left[k - j] for j in range(k + 1))
+        assert np.linalg.norm(whole[k] - split, 2) <= 1e-14 * np.linalg.norm(whole[k], 2)
+
+
+@pytest.mark.parametrize("make", _SPLIT_FAMILIES, ids=["d2", "d4", "d8", "eigen_d5_T8"])
+@pytest.mark.parametrize("w", [0.5, 1.0, 4.0, 8.0])
+def test_series_propagator_composes_across_a_split(make, w):
+    # I + R at order 0 is U_w[t, s]; U_w[b, a] = U_w[b, m] U_w[m, a].
+    fam = make()
+    a, b = fam.a, fam.b
+    m = a + 0.37 * (b - a)
+
+    def U(s, t):
+        return np.eye(fam.dim) + dyson_expansion(fam, s, t, 0, w).remainder
+
+    whole = U(a, b)
+    assert np.linalg.norm(whole - U(m, b) @ U(a, m), 2) <= 1e-12 * np.linalg.norm(whole, 2)
+
+
+def test_series_unresolved_at_the_grid_cap_is_a_range_error():
+    # Past w ||H||_F L = 4 on a panel the truncation exceeds rounding.
+    big = family_from_matrix(1e6 * np.eye(2))
+    driven = builtin_family("two_level_driven")
+    for call in (lambda: dyson_expansion(big, 0.0, 1.0, 2, 1.0, 64),
+                 lambda: remainder_42(big, 0.0, 1.0, 2, 1.0, 64),
+                 lambda: dyson_expansion(driven, 0.0, 1.0, 2, 1e8)):
+        with pytest.raises(RangeError, match="grid"):
+            call()
+    # Terms alone never raise: w = 0 asks nothing of U_w.
+    for exp in (dyson_terms(big, 0.0, 1.0, 2, 64),
+                dyson_expansion(big, 0.0, 1.0, 2, 0.0, 64),
+                dyson_terms(driven, 0.0, 1.0, 2)):
+        assert all(np.all(np.isfinite(T)) for T in exp.terms)
+
+
+@pytest.mark.parametrize("fam", [builtin_family("two_level_driven"),
+                                 family_from_matrix(np.zeros((2, 2)))],
+                         ids=["driven", "zero"])
+def test_series_weight_whose_power_overflows_is_a_range_error(fam):
+    for call in (lambda: remainder_42(fam, 0.0, 1.0, 2, 1e300),
+                 lambda: dyson_expansion(fam, 0.0, 1.0, 2, 1e300)):
+        with pytest.raises(RangeError):
+            call()
 
 
 # On the kinked family below, the cumulative Simpson rule on grid + 1
