@@ -54,7 +54,7 @@ _PARSERS = {int: int, float: float, str: str,
             bool: lambda text: {"on": True, "off": False}[text],
             tuple: lambda text: tuple(float(x) for x in text.split(",") if x.strip())}
 # Least admissible value of each integer key.
-_LEAST = {"order": 0, "grid": 64, "base_dim": 1, "slots": 1, "seed": 0,
+_LEAST = {"order": 0, "base_dim": 1, "slots": 1, "seed": 0,
           "count_draws": 1, "trials": 100}
 
 
@@ -150,7 +150,7 @@ def _experiment_dyson(p, digest):
     fam = _get_family(p)
     n = p["order"]
     oracle = product_integral(fam, fam.a, fam.b, p["oracle_tol"]).U
-    expn = dyson_terms(fam, fam.a, fam.b, n, p["grid"])
+    expn = dyson_terms(fam, fam.a, fam.b, n)
     ts = np.linspace(fam.a, fam.b, 65)
     M = max(np.linalg.norm(H, 2) for H in fam.evaluate_batch(ts))
     span = fam.b - fam.a
@@ -286,7 +286,7 @@ _LAMBDAS = (10.0, 100.0, 1000.0)
 # its default; any other key is a config error.
 _RUNNERS = {
     "dyson-convergence": (_experiment_dyson, {
-        "order": 5, "oracle_tol": 1e-10, "grid": 1024, **_FAMILY}),
+        "order": 5, "oracle_tol": 1e-10, **_FAMILY}),
     "asymptotic": (_experiment_asymptotic, {
         "q.diag": tuple, "order": 1,
         "sweep.w": (0.1, 0.05, 0.025, 0.0125, 0.00625), **_FAMILY}),

@@ -165,8 +165,8 @@ class GeneratorFamily:
     breaks: Tuple[float, ...] = ()
 
     def __post_init__(self):
-        if not self.a < self.b:
-            raise ConfigError(f"need a < b, got [{self.a}, {self.b}]")
+        if not -math.inf < self.a < self.b < math.inf:
+            raise ConfigError(f"need finite a < b, got [{self.a}, {self.b}]")
         try:
             breaks = tuple(map(float, self.breaks))
         except (TypeError, ValueError):
@@ -175,8 +175,8 @@ class GeneratorFamily:
             raise ConfigError(f"breaks {self.breaks!r} are not numbers strictly "
                               f"increasing inside ({self.a}, {self.b})")
         object.__setattr__(self, "breaks", breaks)
-        if self.dim < 1:
-            raise DimensionError(f"need dim >= 1, got {self.dim}")
+        if not isinstance(self.dim, numbers.Integral) or self.dim < 1:
+            raise DimensionError(f"need an integer dim >= 1, got {self.dim!r}")
         if self.commutativity_class not in ("constant", "commuting", "general"):
             raise ConfigError(
                 f"unknown commutativity class {self.commutativity_class!r}")

@@ -39,6 +39,7 @@ _INTEGRATE[0] = 0.0
 _LOBATTO.flags.writeable = _TO_CHEBYSHEV.flags.writeable = _INTEGRATE.flags.writeable = False
 _TAIL_TOL = 1e-14  # trailing Chebyshev coefficients, relative to max|H|
 _SOLVE_ENTRIES = 2 ** 18  # matrix entries of one batched collocation solve
+_MAX_PANELS = 64  # series panels, unless the pieces between breaks are more
 
 
 @dataclass(frozen=True)
@@ -218,16 +219,18 @@ def _check_order(n) -> int:
     return n
 
 
-def dyson_terms(f: GeneratorFamily, a: float, t: float, n: int,
-                grid: int = 1024) -> DysonExpansion:
-    """Iterated time-ordered integrals T_0..T_n via forward recursion:
-    the terms of dyson_expansion at w = 0."""
-    return DysonExpansion(terms=dyson_expansion(f, a, t, n, 0.0, grid).terms)
+def dyson_terms(f: GeneratorFamily, a: float, t: float, n: int) -> DysonExpansion:
+    """Iterated time-ordered integrals T_0..T_n = K^k[I](t) by spectral
+    integration on the series panels: the terms of dyson_expansion at w = 0."""
+    return DysonExpansion(terms=dyson_expansion(f, a, t, n, 0.0).terms)
 
 
-def taylor_partial_sum(Q: np.ndarray, n: int, w: float) -> np.ndarray:
-    """sum_{k=0}^n (wQ)^k / k!"""
+def taylor_partial_sum(Q, n: int, w: float) -> np.ndarray:
+    """sum_{k=0}^n (wQ)^k / k!, for a finite w."""
+    Q = as_matrix(Q, "Q")
     _check_order(n)
+    if not math.isfinite(w):
+        raise DomainError(f"w must be finite, got {w}")
     d = Q.shape[0]
     term = np.eye(d, dtype=complex)
     total = term.copy()
@@ -244,8 +247,8 @@ def remainder_310(Q, n: int, w: float) -> np.ndarray:
     sum_{k<=n} (wQ)^k/k! + R = exp(wQ) for any square Q.
     """
     Q = as_matrix(Q, "Q")
-    if not w >= 0:
-        raise DomainError(f"need w >= 0, got {w}")
+    if not 0 <= w < math.inf:
+        raise DomainError(f"w must be finite and >= 0, got {w}")
     _check_order(n)
     if w == 0:
         return np.zeros_like(Q)
@@ -256,14 +259,14 @@ def remainder_310(Q, n: int, w: float) -> np.ndarray:
     return np.tensordot(weight, Qp[None] @ E, axes=(0, 0))
 
 
-def remainder_42(f: GeneratorFamily, a: float, t: float, n: int, w: float,
-                 grid: int = 1024) -> np.ndarray:
+def remainder_42(f: GeneratorFamily, a: float, t: float, n: int,
+                 w: float) -> np.ndarray:
     """Exact remainder R of the time-ordered series after order n, as in
     dyson_expansion: sum_{k<=n} w^k T_k + R reproduces the propagator U_w of
     w H(t) (exp(wQ) for commuting families), from the iterated integral
     equation R = w^{n+1} K^{n+1}[U_w](t) with (K g)(s) = int_a^s H(u) g(u) du.
     """
-    return dyson_expansion(f, a, t, n, w, grid).remainder
+    return dyson_expansion(f, a, t, n, w).remainder
 
 
 def _panel_values(f: GeneratorFamily, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -274,7 +277,7 @@ def _panel_values(f: GeneratorFamily, lo: np.ndarray, hi: np.ndarray) -> np.ndar
     return f.evaluate_batch(nodes.ravel()).reshape(len(lo), -1, f.dim, f.dim)
 
 
-def _series_panels(f: GeneratorFamily, a: float, t: float, grid: int, w: float):
+def _series_panels(f: GeneratorFamily, a: float, t: float, w: float):
     """Half-widths (P,) and H at the nodes, (P, _DEGREE + 1, d, d), of the
     Dyson-series panels of [a, t] for the weight w.  From the pieces between
     the family's breaks, each round halves a panel where the last two
@@ -284,14 +287,13 @@ def _series_panels(f: GeneratorFamily, a: float, t: float, grid: int, w: float):
     panels only.  U_w grows like e^{w ||H|| L x / 2} on a panel, and the
     degree-16 interpolant of that truncates at about (w ||H||_F L / 4)^17 /
     17!, 2e-20 at w ||H||_F L = 2; the floor of 1 on w keeps the panels, and
-    so the terms, the same at every w <= 1.  At most grid // _DEGREE panels:
-    a round past the cap only halves, and one still past it is not taken;
-    breaks that outnumber the cap are not used.  At the cap, a panel with
-    w ||H||_F L > 4 (truncation above rounding) is a RangeError when w > 0;
-    one that only fails the tail rule is used as it is."""
-    cap = grid // _DEGREE
-    cuts = [s for s in f.breaks if a < s < t]
-    edges = np.array([a, *(cuts if len(cuts) < cap else ()), t], dtype=float)
+    so the terms, the same at every w <= 1.  At most _MAX_PANELS panels, or
+    the pieces if more: a round past the cap only halves, and one still past
+    it is not taken.  At the cap, a panel with w ||H||_F L > 4 (truncation
+    above rounding) is a RangeError when w > 0; one that only fails the tail
+    rule is used as it is."""
+    edges = np.array([a, *(s for s in f.breaks if a < s < t), t], dtype=float)
+    cap = max(_MAX_PANELS, len(edges) - 1)
     H = _panel_values(f, edges[:-1], edges[1:])
     while True:
         flat = H.reshape(H.shape[0], H.shape[1], -1)
@@ -308,9 +310,8 @@ def _series_panels(f: GeneratorFamily, a: float, t: float, grid: int, w: float):
             worst = w * np.max(reach)
             if worst > 4.0:
                 raise RangeError(
-                    f"the Dyson series is unresolved at w = {w}: grid = {grid} "
-                    f"caps it at {cap} panels, and one has w ||H||_F L = "
-                    f"{worst:.3g} > 4; raise grid")
+                    f"the Dyson series is unresolved at w = {w}: at its cap "
+                    f"of {cap} panels one has w ||H||_F L = {worst:.3g} > 4")
             return 0.5 * np.diff(edges), H
         edges = np.append(np.concatenate([
             np.linspace(lo, hi, k + 1)[:-1]
@@ -355,8 +356,8 @@ def _series_propagator(half: np.ndarray, H: np.ndarray, w: float) -> np.ndarray:
     return np.matmul(Z, _prefix_products(Z[:, -1])[:-1, None])
 
 
-def dyson_expansion(f: GeneratorFamily, a: float, t: float, n: int, w: float = 1.0,
-                    grid: int = 1024) -> DysonExpansion:
+def dyson_expansion(f: GeneratorFamily, a: float, t: float, n: int,
+                    w: float = 1.0) -> DysonExpansion:
     """Terms T_0..T_n = K^k[I](t) and the exact remainder R =
     w^{n+1} K^{n+1}[U_w](t) of the time-ordered series of w H on [a, t],
     with (K g)(s) = int_a^s H(u) g(u) du taken on the Chebyshev-Lobatto
@@ -366,23 +367,19 @@ def dyson_expansion(f: GeneratorFamily, a: float, t: float, n: int, w: float = 1
     U = I + w K[U] directly, so sum_k w^k T_k + R = U_w(t) holds by
     construction, to rounding; the closure is therefore checked against the
     independent product_integral oracle.  The panels are sized for
-    max(w, 1) (see _series_panels), so the terms have the same bits at every
-    w <= 1 and refine with w above it; `grid` (an integer >= 64) caps them at
-    grid // _DEGREE, at most grid + 1 distinct nodes.  w must be finite and
-    >= 0 (DomainError); a w^{n+1} that overflows, or a w > 0 whose U_w the
-    capped panels cannot resolve, is a RangeError."""
+    max(w, 1) and have an edge at every break (see _series_panels), so the
+    terms have the same bits at every w <= 1 and refine with w above it.
+    w must be finite and >= 0 (DomainError); a w^{n+1} that overflows, or a
+    w > 0 whose U_w the capped panels cannot resolve, is a RangeError."""
     if not 0 <= w < math.inf:
         raise DomainError(f"w must be finite and >= 0, got {w}")
     n = _check_order(n)
-    grid = _as_int(grid, "grid")
-    if grid < 64:
-        raise DomainError(f"grid must be >= 64, got {grid}")
     _check_interval(f, a, t)
     try:
         scale = float(w) ** (n + 1)
     except OverflowError:
         raise RangeError(f"w^(n + 1) overflows at w = {w}, n = {n}") from None
-    half, H = _series_panels(f, a, t, grid, w)
+    half, H = _series_panels(f, a, t, w)
     G = np.eye(f.dim, dtype=complex)
     terms = [G]
     for _ in range(n):

@@ -196,8 +196,7 @@ def fixed_dt_S(cfg: SMatrixConfig) -> np.ndarray:
     return rotate(U_n(fam, np.linspace(-cfg.T, cfg.T, m + 1)).U)
 
 
-def dyson_S_expansion(cfg: SMatrixConfig, n: int,
-                      grid: int = 1024) -> DysonExpansion:
+def dyson_S_expansion(cfg: SMatrixConfig, n: int) -> DysonExpansion:
     """Order-n expansion of S with the exact remainder.
 
     The interaction generator already carries (-i/hbar)^k into the k-th
@@ -206,6 +205,6 @@ def dyson_S_expansion(cfg: SMatrixConfig, n: int,
     back once.
     """
     fam, rotate = _eigen_frame(cfg)
-    exp = dyson_expansion(fam, -cfg.T, cfg.T, n, 1.0, grid)
+    exp = dyson_expansion(fam, -cfg.T, cfg.T, n, 1.0)
     return DysonExpansion(terms=[rotate(T) for T in exp.terms],
                           remainder=rotate(exp.remainder))

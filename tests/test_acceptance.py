@@ -112,7 +112,7 @@ def test_criterion_4_series_vs_oracle(report):
     h = 1.0 / grid
     fam_c = builtin_family("scalar_commuting")
     Q = integrate_family(fam_c, 0.0, 1.0)
-    exp_c = dyson_terms(fam_c, 0.0, 1.0, 5, grid)
+    exp_c = dyson_terms(fam_c, 0.0, 1.0, 5)
     worst_collapse = max(
         np.linalg.norm(T - np.linalg.matrix_power(Q, k) / math.factorial(k), 2)
         for k, T in enumerate(exp_c.terms))
@@ -123,7 +123,7 @@ def test_criterion_4_series_vs_oracle(report):
     for name in ("two_level_driven", "random_smooth"):
         fam = builtin_family(name)
         oracle = product_integral(fam, 0.0, 1.0, 1e-10).U
-        exp = dyson_terms(fam, 0.0, 1.0, 5, grid)
+        exp = dyson_terms(fam, 0.0, 1.0, 5)
         ts = np.linspace(0.0, 1.0, 101)
         M = max(np.linalg.norm(H, 2) for H in fam.evaluate_batch(ts))
         partial = np.zeros_like(oracle)

@@ -168,7 +168,6 @@ def test_run_smatrix_sweep_three_level(tmp_path):
     ("asymptotic", "sweep.w = 0.1, w"),
     ("asymptotic", "seed = s"),
     ("dyson-convergence", "interval = 0, x"),
-    ("dyson-convergence", "grid = 1e3"),
     ("dyson-convergence", "family.params = p"),
     ("yosida", "sweep.z = 10, z"),
     ("lambda-sweep", "horizon = h"),
@@ -232,7 +231,6 @@ def test_run_path_sum_away_from_time_0(tmp_path, capsys, experiment):
     ("film-verify", "slots = 0"),
     ("film-verify", "z = -1"),
     ("dyson-convergence", "order = -1"),
-    ("dyson-convergence", "grid = 10"),
     ("yosida", "sweep.z = -5, 10"),
     ("asymptotic", "sweep.w = -0.1, 0.05"),
     ("asymptotic", "order = -2"),
@@ -520,6 +518,16 @@ def test_run_dyson_convergence(tmp_path):
     for line in lines[2:]:
         _, tail, bound = line.split(",")
         assert float(tail) <= float(bound) + 1e-12
+
+
+def test_run_dyson_convergence_reads_no_grid(tmp_path, capsys):
+    # The series sizes its own panels; the old cap on them is no key.
+    out = tmp_path / "d.csv"
+    cfg = write(tmp_path / "d.cfg", f"experiment = dyson-convergence\n"
+                                    f"grid = 1024\noutput = {out}\n")
+    assert run(cfg) == 2
+    assert "dyson-convergence reads no key grid (line 2)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_asymptotic_fits_only_residuals_above_cancellation(tmp_path, capfd):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -66,6 +67,29 @@ def test_zero_dimensional_family_rejected():
     with pytest.raises(DimensionError):
         GeneratorFamily(a=0.0, b=1.0, dim=0,
                         evaluate_batch=lambda ts: np.zeros((len(ts), 0, 0)))
+
+
+@pytest.mark.parametrize("interval", [(0.0, math.inf), (-math.inf, 1.0),
+                                      (-math.inf, math.inf), (0.0, math.nan)])
+def test_family_on_an_infinite_interval_is_a_config_error(interval):
+    with pytest.raises(ConfigError, match="finite"):
+        builtin_family("two_level_driven", interval=interval)
+    with pytest.raises(ConfigError, match="finite"):
+        GeneratorFamily(a=interval[0], b=interval[1], dim=2,
+                        evaluate_batch=lambda ts: np.zeros((len(ts), 2, 2)))
+
+
+@pytest.mark.parametrize("dim", [2.5, 2.0, "2", None])
+def test_family_dim_that_is_not_an_integer_is_a_dimension_error(dim):
+    with pytest.raises(DimensionError, match="integer"):
+        GeneratorFamily(a=0.0, b=1.0, dim=dim,
+                        evaluate_batch=lambda ts: np.zeros((len(ts), 2, 2)))
+
+
+def test_family_dim_may_be_a_numpy_integer():
+    fam = GeneratorFamily(a=0.0, b=1.0, dim=np.int64(2),
+                          evaluate_batch=lambda ts: np.zeros((len(ts), 2, 2)))
+    assert fam.dim == 2
 
 
 @pytest.mark.parametrize("params", [[0, 0], [0, -2], [-1, 2]])
@@ -142,8 +166,8 @@ def test_random_smooth_values_do_not_depend_on_the_batch(dim):
 
 @pytest.mark.parametrize("m", [2, 3, 17, 600])
 def test_combine_of_several_rows_is_the_plain_product(m):
-    # Only a one-row product is routed differently: the oracle's Magnus and
-    # series-grid stacks keep their bits.
+    # Only a one-row product is routed differently: the oracle's Magnus
+    # steps and the series' panel nodes keep their bits.
     form = builtin_family("random_smooth", (1, 5, 0.2)).separable
     C = form.coeffs(np.linspace(0.0, 1.0, m))
     want = np.ascontiguousarray(C) @ form.basis.reshape(3, 25)

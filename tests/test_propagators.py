@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chronos import propagators
-from chronos.errors import ConvergenceError, DomainError, RangeError
+from chronos.errors import ConvergenceError, DimensionError, DomainError, RangeError
 from chronos.families import (SIGMA_X, SIGMA_Y, SIGMA_Z, GeneratorFamily,
                               builtin_family, family_from_csv,
                               family_from_evaluator, family_from_matrix,
@@ -101,7 +101,7 @@ def test_super_intervals_hit_the_domain_guards(name, a, length, left, right):
     s, t = fam.a - left, fam.b + right
     for call in (lambda: integrate_family(fam, s, t),
                  lambda: product_integral(fam, s, t, 1e-8),
-                 lambda: dyson_expansion(fam, s, t, 2, grid=64)):
+                 lambda: dyson_expansion(fam, s, t, 2)):
         with pytest.raises(DomainError):
             call()
 
@@ -112,7 +112,7 @@ def test_super_intervals_hit_the_domain_guards(name, a, length, left, right):
 def test_sub_intervals_give_finite_values(name, a, length, u, v):
     fam = builtin_family(name, interval=(a, a + length))
     s, t = (fam.a + length * x for x in sorted((u, v)))
-    expn = dyson_expansion(fam, s, t, 2, grid=64)
+    expn = dyson_expansion(fam, s, t, 2)
     for value in (integrate_family(fam, s, t),
                   product_integral(fam, s, t, 1e-8).U,
                   expn.remainder, *expn.terms):
@@ -211,8 +211,8 @@ def test_replaced_evaluator_is_what_the_propagators_follow():
                           - propagator_on_grid(fam, 0.0, 1.0, 64, 2.0)[-1], 2) <= 1e-13
     assert np.linalg.norm(product_integral(twice, 0.0, 1.0).U
                           - propagator_on_grid(fam, 0.0, 1.0, 1024, 2.0)[-1], 2) <= 1e-9
-    assert np.linalg.norm(dyson_expansion(twice, 0.0, 1.0, 2, 1.0, 64).terms[1]
-                          - 2.0 * dyson_expansion(fam, 0.0, 1.0, 2, 1.0, 64).terms[1],
+    assert np.linalg.norm(dyson_expansion(twice, 0.0, 1.0, 2, 1.0).terms[1]
+                          - 2.0 * dyson_expansion(fam, 0.0, 1.0, 2, 1.0).terms[1],
                           2) <= 1e-13
 
 
@@ -315,15 +315,13 @@ def test_dyson_terms_validation():
     fam = builtin_family("two_level_driven")
     with pytest.raises(DomainError):
         dyson_terms(fam, 0.0, 1.0, -1)
-    with pytest.raises(DomainError):
-        dyson_terms(fam, 0.0, 1.0, 2, grid=32)
-    for n, grid in ((1.5, 64), (2.0, 64), (2, 64.0), (2, "64")):
+    for n in (1.5, 2.0, "2"):
         with pytest.raises(DomainError):
-            dyson_terms(fam, 0.0, 1.0, n, grid)
+            dyson_terms(fam, 0.0, 1.0, n)
     # numpy integers are integers
-    terms = dyson_terms(fam, 0.0, 1.0, np.int64(2), np.int32(64)).terms
+    terms = dyson_terms(fam, 0.0, 1.0, np.int64(2)).terms
     assert [T.tobytes() for T in terms] == [
-        T.tobytes() for T in dyson_terms(fam, 0.0, 1.0, 2, 64).terms]
+        T.tobytes() for T in dyson_terms(fam, 0.0, 1.0, 2).terms]
     assert np.array_equal(propagator_on_grid(fam, 0.0, 1.0, np.int64(8)),
                           propagator_on_grid(fam, 0.0, 1.0, 8))
 
@@ -419,28 +417,51 @@ def test_dyson_closure_on_random_smooth_is_at_rounding(dim):
         assert _closure(dyson_expansion(fam, fam.a, fam.b, n), oracle) <= 1e-12
 
 
-def _table_family(path, ts):
-    """A 2 x 2 family tabulated at ts and interpolated linearly between."""
+def _tabulated(path, ts, Hs):
+    """The 2 x 2 family with values Hs at the times ts, linear between."""
     cols = ["t"] + [f"{p}_h{e}" for e in range(4) for p in ("re", "im")]
     lines = [",".join(cols)]
-    for t in ts:
-        H = -1j * (np.cos(2 * np.pi * t) * SIGMA_Z + np.sin(5 * t) * SIGMA_X) - 0.1 * np.eye(2)
+    for t, H in zip(ts, Hs):
         lines.append(",".join(repr(float(v)) for v in [t] + [
             x for entry in H.ravel() for x in (entry.real, entry.imag)]))
     path.write_text("\n".join(lines) + "\n")
     return family_from_csv(path)
 
 
+def _table_family(path, ts):
+    return _tabulated(path, ts, [
+        -1j * (np.cos(2 * np.pi * t) * SIGMA_Z + np.sin(5 * t) * SIGMA_X) - 0.1 * np.eye(2)
+        for t in ts])
+
+
+def _row_by_row_oracle(fam, ts):
+    # H is linear between rows, so the oracle runs row by row.
+    U = np.eye(2)
+    for s, t in zip(ts, ts[1:]):
+        U = product_integral(fam, s, t, 1e-12).U @ U
+    return U
+
+
 def test_dyson_closure_on_a_tabulated_family_uses_its_breaks(tmp_path):
     ts = np.linspace(0.0, 1.0, 21)
     fam = _table_family(tmp_path / "table.csv", ts)
     assert fam.breaks == tuple(ts[1:-1])
-    # H is linear between rows, so the oracle runs row by row.
-    oracle = np.eye(2)
-    for s, t in zip(ts, ts[1:]):
-        oracle = product_integral(fam, s, t, 1e-12).U @ oracle
+    oracle = _row_by_row_oracle(fam, ts)
     for n in range(5):
         assert _closure(dyson_expansion(fam, 0.0, 1.0, n), oracle) <= 1e-11
+
+
+@pytest.mark.parametrize("rows", [66, 101, 401])
+def test_dyson_closure_on_a_table_with_more_rows_than_the_panel_cap(tmp_path, rows):
+    # Past 65 rows the pieces between breaks outnumber the 64-panel cap, and
+    # each piece is one panel, on which H is linear.
+    ts = np.linspace(0.0, 1.0, rows)
+    fam = _tabulated(tmp_path / "table.csv", ts,
+                     builtin_family("two_level_driven", (1, 1, 3)).evaluate_batch(ts))
+    assert len(propagators._series_panels(fam, 0.0, 1.0, 1.0)[0]) == rows - 1
+    oracle = _row_by_row_oracle(fam, ts)
+    for n in range(5):
+        assert _closure(dyson_expansion(fam, 0.0, 1.0, n), oracle) <= 1e-12
 
 
 def test_series_collocation_in_slices_keeps_the_bits(monkeypatch):
@@ -512,17 +533,18 @@ def test_series_propagator_composes_across_a_split(make, w):
 
 
 def test_series_unresolved_at_the_grid_cap_is_a_range_error():
-    # Past w ||H||_F L = 4 on a panel the truncation exceeds rounding.
+    # Past w ||H||_F L = 4 on a panel at the panel cap the truncation
+    # exceeds rounding.
     big = family_from_matrix(1e6 * np.eye(2))
     driven = builtin_family("two_level_driven")
-    for call in (lambda: dyson_expansion(big, 0.0, 1.0, 2, 1.0, 64),
-                 lambda: remainder_42(big, 0.0, 1.0, 2, 1.0, 64),
+    for call in (lambda: dyson_expansion(big, 0.0, 1.0, 2, 1.0),
+                 lambda: remainder_42(big, 0.0, 1.0, 2, 1.0),
                  lambda: dyson_expansion(driven, 0.0, 1.0, 2, 1e8)):
-        with pytest.raises(RangeError, match="grid"):
+        with pytest.raises(RangeError):
             call()
     # Terms alone never raise: w = 0 asks nothing of U_w.
-    for exp in (dyson_terms(big, 0.0, 1.0, 2, 64),
-                dyson_expansion(big, 0.0, 1.0, 2, 0.0, 64),
+    for exp in (dyson_terms(big, 0.0, 1.0, 2),
+                dyson_expansion(big, 0.0, 1.0, 2, 0.0),
                 dyson_terms(driven, 0.0, 1.0, 2)):
         assert all(np.all(np.isfinite(T)) for T in exp.terms)
 
@@ -537,30 +559,19 @@ def test_series_weight_whose_power_overflows_is_a_range_error(fam):
             call()
 
 
-# On the kinked family below, the cumulative Simpson rule on grid + 1
-# uniform points closed to 1.58e-5 (grid 64) and 6.24e-8 (grid 1024).
-@pytest.mark.parametrize("grid,simpson", [(64, 1.6e-5), (1024, 6.3e-8)])
-def test_dyson_series_on_a_kink_that_no_break_marks(grid, simpson):
+def test_dyson_series_on_a_kink_that_no_break_marks():
+    # The cumulative Simpson rule on 1,025 uniform points closed to 6.24e-8
+    # on this kinked family; its panels must do no worse.
+    simpson = 6.3e-8
     fam = family_from_evaluator(None, batch=lambda ts: -1j * (
         np.abs(np.atleast_1d(ts) - 1 / 3)[:, None, None] * SIGMA_X + SIGMA_Z))
     assert fam.breaks == ()
     oracle = (product_integral(fam, 1 / 3, 1.0, 1e-12).U
               @ product_integral(fam, 0.0, 1 / 3, 1e-12).U)
     for n in range(5):
-        exp = dyson_expansion(fam, 0.0, 1.0, n, 1.0, grid)
+        exp = dyson_expansion(fam, 0.0, 1.0, n, 1.0)
         assert all(np.all(np.isfinite(x)) for x in (*exp.terms, exp.remainder))
         assert _closure(exp, oracle) <= simpson
-
-
-@pytest.mark.parametrize("grid", [0, 10, 63, 64.5])
-def test_series_grid_below_64_is_a_domain_error(grid):
-    fam = builtin_family("two_level_driven")
-    for call in (lambda: dyson_terms(fam, 0.0, 1.0, 2, grid),
-                 lambda: remainder_42(fam, 0.0, 1.0, 2, 1.0, grid),
-                 lambda: remainder_42(fam, 0.0, 1.0, 2, 0.0, grid),
-                 lambda: dyson_expansion(fam, 0.0, 1.0, 2, 1.0, grid)):
-        with pytest.raises(DomainError):
-            call()
 
 
 @pytest.mark.parametrize("a,t", [(-5.0, 9.0), (0.0, 1.5), (-0.5, 0.5), (0.8, 0.2),
@@ -575,25 +586,26 @@ def test_series_outside_family_interval_is_a_domain_error(a, t):
 
 
 @pytest.mark.parametrize("dim", [2, 4, 8])
-@pytest.mark.parametrize("grid", [64, 1024])
-def test_dyson_expansion_is_terms_and_remainder_bit_for_bit(dim, grid):
+def test_dyson_expansion_is_terms_and_remainder_bit_for_bit(dim):
     # One H evaluation and shared work arrays change no bit of either half.
     fam = builtin_family("random_smooth", (dim, dim, 0.2))
     for n in (0, 1, 4):
-        terms = dyson_terms(fam, fam.a, fam.b, n, grid).terms
+        terms = dyson_terms(fam, fam.a, fam.b, n).terms
         for w in (0.7, 1.0):
-            exp = dyson_expansion(fam, fam.a, fam.b, n, w, grid)
+            exp = dyson_expansion(fam, fam.a, fam.b, n, w)
             assert [T.tobytes() for T in exp.terms] == [T.tobytes() for T in terms]
-            R = remainder_42(fam, fam.a, fam.b, n, w, grid)
+            R = remainder_42(fam, fam.a, fam.b, n, w)
             assert exp.remainder.tobytes() == R.tobytes()
 
 
 @pytest.mark.parametrize("warm,stacks", [(False, 10), (True, 4)],
                          ids=["cold", "warm"])
 def test_dyson_expansion_peak_memory_is_bounded_in_grid_stacks(warm, stacks):
-    # Work arrays are allocated once per call, not once per K iteration, and
-    # a call that finds its grid in the slot allocates only them.
-    dim, grid = 8, 1024
+    # Work arrays are allocated once per call, not once per K iteration.  A
+    # family used before (warm) has built the layers its separable form
+    # caches; a fresh one (cold) builds them in the call.  The bound counts
+    # stacks of 1,025 d x d matrices; this family takes 2 panels, 34 nodes.
+    dim, nodes = 8, 1025
     fam = builtin_family("random_smooth", (0, dim, 0.2))
     dyson_expansion(fam, fam.a, fam.b, 4)
     if not warm:
@@ -604,7 +616,7 @@ def test_dyson_expansion_peak_memory_is_bounded_in_grid_stacks(warm, stacks):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= stacks * (grid + 1) * dim * dim * 16
+    assert peak <= stacks * nodes * dim * dim * 16
 
 
 def _signed_family():
@@ -617,44 +629,44 @@ def _signed_family():
     return GeneratorFamily(a=-1.0, b=1.0, dim=2, evaluate_batch=batch)
 
 
-# (call, a, t, n, w, grid)
+# (call, a, t, n, w)
 _SERIES_CALLS = (
-    ("expansion", 0.0, 1.0, 4, 1.0, 64), ("expansion", 0.0, 1.0, 0, 1.0, 64),
-    ("remainder", 0.0, 1.0, 2, 1.0, 64), ("terms", 0.0, 1.0, 3, 0.0, 64),
-    ("expansion", 0.0, 1.0, 2, 0.7, 64), ("expansion", 0.0, 1.0, 2, 1.0, 1024),
-    ("remainder", 0.0, 1.0, 1, 0.7, 1024), ("expansion", 0.0, 1.0, 2, 0.0, 64),
-    ("expansion", -0.0, 1.0, 1, 1.0, 64), ("remainder", -0.0, 1.0, 1, 1.0, 64),
-    ("expansion", -1.0, 0.0, 1, 1.0, 64), ("expansion", -1.0, -0.0, 1, 1.0, 64),
-    ("terms", -1.0, -0.0, 1, 0.0, 64), ("terms", -1.0, 0.0, 1, 0.0, 64),
+    ("expansion", 0.0, 1.0, 4, 1.0), ("expansion", 0.0, 1.0, 0, 1.0),
+    ("remainder", 0.0, 1.0, 2, 1.0), ("terms", 0.0, 1.0, 3, 0.0),
+    ("expansion", 0.0, 1.0, 2, 0.7), ("expansion", 0.0, 1.0, 2, 1.0),
+    ("remainder", 0.0, 1.0, 1, 0.7), ("expansion", 0.0, 1.0, 2, 0.0),
+    ("expansion", -0.0, 1.0, 1, 1.0), ("remainder", -0.0, 1.0, 1, 1.0),
+    ("expansion", -1.0, 0.0, 1, 1.0), ("expansion", -1.0, -0.0, 1, 1.0),
+    ("terms", -1.0, -0.0, 1, 0.0), ("terms", -1.0, 0.0, 1, 0.0),
 )
 
 
 def _series_bytes(fam, call):
-    kind, a, t, n, w, grid = call
+    kind, a, t, n, w = call
     if kind == "remainder":
-        return [remainder_42(fam, a, t, n, w, grid).tobytes()]
+        return [remainder_42(fam, a, t, n, w).tobytes()]
     if kind == "terms":
-        return [T.tobytes() for T in dyson_terms(fam, a, t, n, grid).terms]
-    exp = dyson_expansion(fam, a, t, n, w, grid)
+        return [T.tobytes() for T in dyson_terms(fam, a, t, n).terms]
+    exp = dyson_expansion(fam, a, t, n, w)
     return [T.tobytes() for T in exp.terms] + [exp.remainder.tobytes()]
 
 
-_UNCACHED = [_series_bytes(_signed_family(), call) for call in _SERIES_CALLS]
+_ON_FRESH_FAMILIES = [_series_bytes(_signed_family(), call) for call in _SERIES_CALLS]
 
 
 @settings(max_examples=25, deadline=None)
 @given(order=st.permutations(range(len(_SERIES_CALLS))))
-def test_series_calls_in_any_sequence_match_uncached_calls(order):
-    # A fresh family never finds its grid in the slot, so _UNCACHED is the
-    # reference; one family object reuses the slot wherever the key repeats.
+def test_series_calls_in_any_sequence_match_calls_on_fresh_families(order):
+    # The series keeps nothing between calls: one family object, called in
+    # any order, gives each call the bits it has on a family of its own.
     fam = _signed_family()
     for k in order:
-        assert _series_bytes(fam, _SERIES_CALLS[k]) == _UNCACHED[k]
+        assert _series_bytes(fam, _SERIES_CALLS[k]) == _ON_FRESH_FAMILIES[k]
 
 
-def test_series_slot_follows_a_matrix_family_after_the_caller_writes():
-    # The family owns a copy of H, so the slot keyed on the family object
-    # serves terms of the matrix the family still evaluates to.
+def test_series_follows_a_matrix_family_after_the_caller_writes():
+    # The family owns a copy of H, so writing into the caller's array after
+    # a first call changes neither the family nor the terms it gives.
     H = -1j * np.array([[0, 1], [-1, 0]], complex)
     fam = family_from_matrix(H)
     dyson_expansion(fam, 0.0, 1.0, 2)
@@ -667,30 +679,30 @@ def test_series_slot_follows_a_matrix_family_after_the_caller_writes():
 
 def test_writing_into_series_results_changes_no_later_call():
     fam = builtin_family("random_smooth", (1, 3, 0.2))
-    exp = dyson_expansion(fam, 0.0, 1.0, 2, 0.7, 64)
+    exp = dyson_expansion(fam, 0.0, 1.0, 2, 0.7)
     expected = [T.tobytes() for T in exp.terms] + [exp.remainder.tobytes()]
     for x in (*exp.terms, exp.remainder,
-              remainder_42(fam, 0.0, 1.0, 2, 0.7, 64),
-              *dyson_terms(fam, 0.0, 1.0, 2, 64).terms):
+              remainder_42(fam, 0.0, 1.0, 2, 0.7),
+              *dyson_terms(fam, 0.0, 1.0, 2).terms):
         x[...] = np.nan
-    again = dyson_expansion(fam, 0.0, 1.0, 2, 0.7, 64)
+    again = dyson_expansion(fam, 0.0, 1.0, 2, 0.7)
     assert [T.tobytes() for T in again.terms] + [again.remainder.tobytes()] == expected
 
 
-def _ladder_bytes(fam, w, grid):
+def _ladder_bytes(fam, w):
     out = []
     for n in range(5):
-        exp = dyson_expansion(fam, fam.a, fam.b, n, w, grid)
+        exp = dyson_expansion(fam, fam.a, fam.b, n, w)
         out += [T.tobytes() for T in exp.terms] + [exp.remainder.tobytes()]
     return out
 
 
 def test_concurrent_ladders_on_one_family_match_a_serial_run():
     # More threads than cores start each round together; half take w = 1 and
-    # half w = 0.7, so threads both extend one chain and replace the slot
-    # under one another.
-    weights, threads, rounds, grid = (1.0, 0.7), 4, 8, 1024
-    serial = {w: _ladder_bytes(builtin_family("random_smooth", (2, 4, 0.2)), w, grid)
+    # half w = 0.7, so calls at both weights, on one family and its lazily
+    # built separable form, run under one another.
+    weights, threads, rounds = (1.0, 0.7), 4, 8
+    serial = {w: _ladder_bytes(builtin_family("random_smooth", (2, 4, 0.2)), w)
               for w in weights}
     fam = builtin_family("random_smooth", (2, 4, 0.2))
     start = threading.Barrier(threads)
@@ -700,7 +712,7 @@ def test_concurrent_ladders_on_one_family_match_a_serial_run():
         for r in range(rounds):
             w = weights[(k + r) % 2]
             start.wait(timeout=60)
-            matches.append(_ladder_bytes(fam, w, grid) == serial[w])
+            matches.append(_ladder_bytes(fam, w) == serial[w])
 
     pool = [threading.Thread(target=run, args=(k,)) for k in range(threads)]
     interval = sys.getswitchinterval()
@@ -765,6 +777,22 @@ def test_taylor_partial_sum_order_that_is_not_an_integer():
 def test_taylor_partial_sum_negative_order():
     with pytest.raises(DomainError, match="order"):
         taylor_partial_sum(_Q, -1, 0.1)
+
+
+def test_taylor_partial_sum_takes_a_nested_list():
+    Q = [[0, 1], [-1, 0]]
+    assert np.array_equal(taylor_partial_sum(Q, 2, 0.5),
+                          taylor_partial_sum(np.array(Q, dtype=complex), 2, 0.5))
+    with pytest.raises(DimensionError):
+        taylor_partial_sum([[0, 1]], 2, 0.5)
+
+
+@pytest.mark.parametrize("w", [math.inf, -math.inf, math.nan])
+def test_taylor_side_at_a_non_finite_weight_is_a_domain_error(w):
+    with pytest.raises(DomainError, match="finite"):
+        taylor_partial_sum(_Q, 2, w)
+    with pytest.raises(DomainError, match="finite"):
+        remainder_310(_Q, 2, w)
 
 
 def test_remainder_310_order_that_is_not_an_integer():

@@ -456,14 +456,14 @@ def test_config_owns_its_matrices():
     # config nor its Dyson ladder.
     V = 0.3 * SIGMA_X
     cfg = SMatrixConfig(H0=SIGMA_Z, V=V, T=1.5)
-    dyson_S_expansion(cfg, 2, 256)
+    dyson_S_expansion(cfg, 2)
     V[0, 1] = 5.0
     for M in (cfg.H0, cfg.V):
         with pytest.raises(ValueError):
             M[0, 0] = 5.0
     fresh = SMatrixConfig(H0=cfg.H0.copy(), V=cfg.V.copy(), T=cfg.T)
-    assert [T.tobytes() for T in dyson_S_expansion(cfg, 2, 256).terms] == \
-        [T.tobytes() for T in dyson_S_expansion(fresh, 2, 256).terms]
+    assert [T.tobytes() for T in dyson_S_expansion(cfg, 2).terms] == \
+        [T.tobytes() for T in dyson_S_expansion(fresh, 2).terms]
 
 
 def test_S_matrix_quantities_do_not_classify_the_generator(monkeypatch):
