@@ -348,7 +348,8 @@ def family_from_csv(path, name: str = "tabulated") -> GeneratorFamily:
     """Tabulated family with linear interpolation.
 
     Columns: t, re(h_11), im(h_11), ... in row-major entry order; header
-    row required.  The interior rows' times are the family's breaks.
+    row required, every cell a finite number.  The interior rows' times are
+    the family's breaks.
     """
     try:
         with open(path, newline="") as fh:
@@ -370,6 +371,8 @@ def family_from_csv(path, name: str = "tabulated") -> GeneratorFamily:
         except ValueError:
             raise ConfigError(
                 f"{path}, line {lineno}: non-numeric cell in {r}") from None
+        if not all(map(math.isfinite, values[-1])):
+            raise ConfigError(f"{path}, line {lineno}: non-finite cell in {r}")
     data = np.array(values)
     ncols = data.shape[1] - 1
     dim = int(round(np.sqrt(ncols / 2)))

@@ -271,34 +271,73 @@ def remainder_42(f: GeneratorFamily, a: float, t: float, n: int,
 
 def _panel_values(f: GeneratorFamily, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """H at the Chebyshev-Lobatto nodes of the panels [lo_p, hi_p], as
-    (P, _DEGREE + 1, d, d); each panel's end nodes are its edges exactly."""
+    (P, _DEGREE + 1, d, d); each panel's end nodes are its edges exactly.
+    A non-finite value is a RangeError that names the family and the node."""
     nodes = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * _LOBATTO
     nodes[:, 0], nodes[:, -1] = lo, hi
-    return f.evaluate_batch(nodes.ravel()).reshape(len(lo), -1, f.dim, f.dim)
+    H = f.evaluate_batch(nodes.ravel())
+    if not np.all(np.isfinite(H)):
+        bad = nodes.ravel()[~np.isfinite(H).all(axis=(-2, -1))][0]
+        raise RangeError(f"the generator of family {f.name!r} is non-finite "
+                         f"at t = {bad!r}")
+    return H.reshape(len(lo), -1, f.dim, f.dim)
+
+
+def _norm_bound(H: np.ndarray) -> np.ndarray:
+    """beta >= ||H||_2 for each matrix of a stack (..., d, d), at most
+    d^(1/64) ||H||_2: with s = max |H_ij| and X = H / s, ||X||_2^2 is the
+    spectral radius of the positive semidefinite G = X^H X, and that of
+    G^16 is at most ||G^16||_1 (any induced norm bounds it; Higham, Accuracy
+    and Stability of Numerical Algorithms, sec. 6), itself at most sqrt(d)
+    ||G^16||_2; so beta = s ||G^16||_1^(1/32), from four squarings.  X has
+    an entry of modulus 1, so ||G^16||_1 lies in [1, d^32.5] and neither
+    under- nor overflows.  s = 0 gives beta = 0; a non-finite H gives inf
+    or NaN, which no test passes."""
+    s = np.max(np.abs(H), axis=(-2, -1))
+    X = H / np.where((s > 0) & (s < math.inf), s, 1.0)[..., None, None]
+    G = np.matmul(X.conj().swapaxes(-2, -1), X)
+    for _ in range(4):
+        G = np.matmul(G, G)
+    r = np.max(np.sum(np.abs(G), axis=-2), axis=-1) ** (1 / 32)
+    return np.where(s < math.inf, s * r, s)
+
+
+def _reach(H: np.ndarray, width: np.ndarray, w: float) -> np.ndarray:
+    """L times a bound on ||H||_2 at the nodes of each panel of H (P, m, d,
+    d): ||H||_F, where max(w, 1) ||H||_F L <= 2 already holds, else the
+    tighter _norm_bound, which only those panels pay for."""
+    fro = np.linalg.norm(H.reshape(*H.shape[:2], -1), axis=-1)
+    reach = width * np.max(fro, axis=1)
+    loose = ~(max(w, 1.0) * reach <= 2.0)
+    if loose.any():
+        reach[loose] = width[loose] * np.max(_norm_bound(H[loose]), axis=1)
+    return reach
 
 
 def _series_panels(f: GeneratorFamily, a: float, t: float, w: float):
     """Half-widths (P,) and H at the nodes, (P, _DEGREE + 1, d, d), of the
     Dyson-series panels of [a, t] for the weight w.  From the pieces between
     the family's breaks, each round halves a panel where the last two
-    Chebyshev coefficients of H exceed _TAIL_TOL max|H| (or are NaN), and
-    cuts it into as many parts (a power of two) as ||H||_F L max(w, 1) <= 2
-    asks, ||H||_F >= ||H||_2 the largest at its nodes; H is evaluated on new
-    panels only.  U_w grows like e^{w ||H|| L x / 2} on a panel, and the
-    degree-16 interpolant of that truncates at about (w ||H||_F L / 4)^17 /
-    17!, 2e-20 at w ||H||_F L = 2; the floor of 1 on w keeps the panels, and
-    so the terms, the same at every w <= 1.  At most _MAX_PANELS panels, or
-    the pieces if more: a round past the cap only halves, and one still past
-    it is not taken.  At the cap, a panel with w ||H||_F L > 4 (truncation
-    above rounding) is a RangeError when w > 0; one that only fails the tail
-    rule is used as it is."""
+    Chebyshev coefficients of H exceed _TAIL_TOL max|H|, and cuts it into
+    as many parts (a power of two) as ||H||_2 L max(w, 1) <= 2 asks, with
+    ||H||_2 bounded from above at its nodes (_reach: ||H||_F first, and
+    _norm_bound, within d^(1/64) of ||H||_2, where ||H||_F fails); H, and
+    its bound, are evaluated on new panels only.  U_w grows like
+    e^{w ||H||_2 L x / 2} on a panel, and the degree-16 interpolant of that
+    truncates at about (w ||H||_2 L / 4)^17 / 17!, 2e-20 at w ||H||_2 L = 2;
+    the floor of 1 on w keeps the panels, and so the terms, the same at
+    every w <= 1.  At most _MAX_PANELS panels, or the pieces if more: a
+    round past the cap only halves, and one still past it is not taken.  At
+    the cap, a panel whose bound gives w ||H||_2 L > 4 (truncation above
+    rounding) is a RangeError when w > 0; one that only fails the tail rule
+    is used as it is."""
     edges = np.array([a, *(s for s in f.breaks if a < s < t), t], dtype=float)
     cap = max(_MAX_PANELS, len(edges) - 1)
     H = _panel_values(f, edges[:-1], edges[1:])
+    reach = _reach(H, np.diff(edges), w)
     while True:
         flat = H.reshape(H.shape[0], H.shape[1], -1)
         tail = np.max(np.abs(_TO_CHEBYSHEV[-2:] @ flat), axis=(1, 2))
-        reach = np.diff(edges) * np.max(np.linalg.norm(flat, axis=-1), axis=1)
         need = (0.5 * max(w, 1.0)) * reach
         resolved = (tail <= _TAIL_TOL * np.max(np.abs(H))) & (need <= 1.0)
         halvings = np.where(resolved, 0, 1)
@@ -311,14 +350,17 @@ def _series_panels(f: GeneratorFamily, a: float, t: float, w: float):
             if worst > 4.0:
                 raise RangeError(
                     f"the Dyson series is unresolved at w = {w}: at its cap "
-                    f"of {cap} panels one has w ||H||_F L = {worst:.3g} > 4")
+                    f"of {cap} panels one has w ||H||_2 L up to {worst:.3g} > 4")
             return 0.5 * np.diff(edges), H
         edges = np.append(np.concatenate([
             np.linspace(lo, hi, k + 1)[:-1]
             for lo, hi, k in zip(edges, edges[1:], parts)]), edges[-1])
         cut = np.repeat(parts > 1, parts)
+        new = _panel_values(f, edges[:-1][cut], edges[1:][cut])
         H = np.repeat(H, parts, axis=0)
-        H[cut] = _panel_values(f, edges[:-1][cut], edges[1:][cut])
+        H[cut] = new
+        reach = np.repeat(reach, parts)
+        reach[cut] = _reach(new, np.diff(edges)[cut], w)
 
 
 def _K(half: np.ndarray, H: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -369,8 +411,9 @@ def dyson_expansion(f: GeneratorFamily, a: float, t: float, n: int,
     independent product_integral oracle.  The panels are sized for
     max(w, 1) and have an edge at every break (see _series_panels), so the
     terms have the same bits at every w <= 1 and refine with w above it.
-    w must be finite and >= 0 (DomainError); a w^{n+1} that overflows, or a
-    w > 0 whose U_w the capped panels cannot resolve, is a RangeError."""
+    w must be finite and >= 0 (DomainError); a w^{n+1} that overflows, an H
+    that is not finite at a node, or a w > 0 whose U_w the capped panels
+    cannot resolve, is a RangeError."""
     if not 0 <= w < math.inf:
         raise DomainError(f"w must be finite and >= 0, got {w}")
     n = _check_order(n)

@@ -117,6 +117,21 @@ def test_run_malformed_family_csv_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "gone.csv").exists()
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_run_dyson_convergence_on_a_non_finite_family_csv_exits_2(tmp_path, capsys, cell):
+    header = "t," + ",".join(f"c{k}" for k in range(8))
+    table = write(tmp_path / "family.csv", f"{header}\n0,0,-1,0,0,0,0,0,1\n"
+                                           f"0.5,0,-1,{cell},0,0,0,0,1\n1,0,-1,0,0,0,0,0,1\n")
+    out = tmp_path / "d.csv"
+    cfg = write(tmp_path / "d.cfg", f"experiment = dyson-convergence\n"
+                                    f"family.csv = {table}\noutput = {out}\n")
+    assert run(cfg) == 2
+    err = capsys.readouterr().err
+    assert "line 3: non-finite cell" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_run_missing_config_file():
     assert run("/does/not/exist.cfg") == 2
 

@@ -386,7 +386,10 @@ def test_family_csv_rejects_bad_column_count(tmp_path):
 
 
 @pytest.mark.parametrize("row, why", [("1,0,0,0,x,0,0,0,0", "non-numeric"),
-                                      ("1,0,0,0,0,0,0,0", "8 columns")])
+                                      ("1,0,0,0,0,0,0,0", "8 columns"),
+                                      ("1,0,0,0,nan,0,0,0,0", "non-finite"),
+                                      ("1,0,0,0,inf,0,0,0,0", "non-finite"),
+                                      ("inf,0,0,0,0,0,0,0,0", "non-finite")])
 def test_family_csv_bad_row_names_the_line(tmp_path, row, why):
     path = tmp_path / "bad.csv"
     header = "t," + ",".join(f"c{k}" for k in range(8))

@@ -474,9 +474,9 @@ def test_series_collocation_in_slices_keeps_the_bits(monkeypatch):
 
 @pytest.mark.parametrize("dim", [4, 6, 8])
 @pytest.mark.parametrize("seed", [12345, 777])
-def test_series_at_w_up_to_1_solves_2_panels_of_16_d_unknowns(monkeypatch, seed, dim):
-    # ||H||_F L is 2.2-2.9 on these families: 2 panels under ||H||_F L <= 2,
-    # each solving for its 16 nodes past node 0, whose value I is known.
+def test_series_at_w_up_to_1_solves_1_panel_of_16_d_unknowns(monkeypatch, seed, dim):
+    # ||H||_F L is 2.2-2.9 on these families but ||H||_2 L is below 2: one
+    # panel, solving for its 16 nodes past node 0, whose value I is known.
     fam = builtin_family("random_smooth", (seed, dim, 0.2))
     solve, shapes = np.linalg.solve, []
 
@@ -488,7 +488,70 @@ def test_series_at_w_up_to_1_solves_2_panels_of_16_d_unknowns(monkeypatch, seed,
     for w in (0.5, 1.0):
         dyson_expansion(fam, fam.a, fam.b, 2, w)
     size = 16 * dim
-    assert shapes == [((2, size, size), (2, size, dim))] * 2
+    assert shapes == [((1, size, size), (1, size, dim))] * 2
+
+
+@pytest.mark.parametrize("dim", [4, 5, 6, 7, 8])
+def test_random_smooth_takes_1_panel_at_w_up_to_1(dim):
+    # max ||H||_2 L over seeds 0-299 is below 1.97 at d = 4-8, and the
+    # bound is within d^(1/64) of it.
+    for seed in range(50):
+        fam = builtin_family("random_smooth", (seed, dim, 0.2))
+        for w in (0.5, 1.0):
+            assert len(propagators._series_panels(fam, fam.a, fam.b, w)[0]) == 1
+
+
+def _norm_bound_cases():
+    rng = np.random.default_rng(29)
+    for d in range(1, 17):
+        Z = rng.standard_normal((8, d, d)) + 1j * rng.standard_normal((8, d, d))
+        yield f"gaussian_d{d}", Z
+        # Non-normal: a triangle with a large off-diagonal part.
+        yield f"triangular_d{d}", np.triu(Z) + 30.0 * np.triu(Z, 1)
+        u = rng.standard_normal((8, d, 1)) + 1j * rng.standard_normal((8, d, 1))
+        v = rng.standard_normal((8, 1, d)) + 1j * rng.standard_normal((8, 1, d))
+        yield f"rank1_d{d}", u @ v
+        yield f"jordan_d{d}", np.eye(d, k=1) + 0.5 * np.eye(d)
+        for scale in (1e150, 1e-150):
+            yield f"gaussian_d{d}_{scale:g}", scale * Z
+    yield "zero", np.zeros((3, 4, 4), dtype=complex)
+
+
+def test_norm_bound_is_above_the_largest_singular_value():
+    eps = 64 * np.finfo(float).eps
+    for name, H in _norm_bound_cases():
+        d = H.shape[-1]
+        beta = propagators._norm_bound(H)
+        sigma = np.linalg.svd(H, compute_uv=False)[..., 0]
+        assert np.all(np.isfinite(beta)), name
+        assert np.all(beta >= sigma * (1 - eps)), name
+        assert np.all(beta <= d ** (1 / 64) * sigma * (1 + eps)), name
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_panel_is_never_resolved(bad):
+    H = np.broadcast_to(np.eye(3, dtype=complex), (2, 17, 3, 3)).copy()
+    H[1, 5, 0, 2] = bad
+    with np.errstate(invalid="ignore"):
+        reach = propagators._reach(H, np.array([1e-300, 1e-300]), 1.0)
+    assert reach[0] == pytest.approx(np.sqrt(3) * 1e-300)
+    assert not reach[1] <= 1e300
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("w", [0.0, 1.0])
+def test_series_of_a_non_finite_generator_is_a_range_error(bad, w):
+    def batch(ts):
+        H = np.broadcast_to(-1j * SIGMA_X, (len(ts), 2, 2)).copy()
+        H[np.asarray(ts) > 0.5] = bad
+        return H
+
+    fam = GeneratorFamily(a=0.0, b=1.0, dim=2, evaluate_batch=batch, name="spoilt")
+    for call in (lambda: dyson_expansion(fam, 0.0, 1.0, 2, w),
+                 lambda: remainder_42(fam, 0.0, 1.0, 2, w),
+                 lambda: dyson_terms(fam, 0.0, 1.0, 2)):
+        with pytest.raises(RangeError, match="family 'spoilt' is non-finite"):
+            call()
 
 
 def _hopping_frame():
@@ -501,6 +564,39 @@ def _hopping_frame():
 
 _SPLIT_FAMILIES = [lambda d=d: builtin_family("random_smooth", (12345, d, 0.2))
                    for d in (2, 4, 8)] + [_hopping_frame]
+
+
+def _uniform_panels(panels):
+    def series_panels(f, a, t, w):
+        edges = np.linspace(a, t, panels + 1)
+        return 0.5 * np.diff(edges), propagators._panel_values(f, edges[:-1], edges[1:])
+    return series_panels
+
+
+_ACCURACY_FAMILIES = {
+    **{f"d{d}_{seed}": (lambda d=d, seed=seed: builtin_family("random_smooth", (seed, d, 0.2)))
+       for d in range(2, 9) for seed in (12345, 777)},
+    "eigen_d2_T2": lambda: _eigen_frame(SMatrixConfig(H0=SIGMA_Z, V=0.3 * SIGMA_X, T=2.0))[0],
+    "eigen_d5_T8": _hopping_frame,
+}
+
+
+@pytest.mark.parametrize("name", list(_ACCURACY_FAMILIES))
+def test_series_on_its_own_panels_matches_a_fine_uniform_reference(monkeypatch, name):
+    # Against the same series on 64 uniform panels (256 for the eigen
+    # frames, on [-T, T]), terms and remainders agree to rounding.  The
+    # reference rounds too: on the eigen frames it moves by about 1e-14
+    # from 256 to 512 panels.
+    fam = _ACCURACY_FAMILIES[name]()
+    fine = _uniform_panels(256 if name.startswith("eigen") else 64)
+    for w in (0.5, 1.0, 4.0):
+        for n in range(5):
+            got = dyson_expansion(fam, fam.a, fam.b, n, w)
+            with monkeypatch.context() as m:
+                m.setattr(propagators, "_series_panels", fine)
+                ref = dyson_expansion(fam, fam.a, fam.b, n, w)
+            for x, y in zip([*got.terms, got.remainder], [*ref.terms, ref.remainder]):
+                assert np.linalg.norm(x - y) <= 1e-14 * np.linalg.norm(y)
 
 
 @pytest.mark.parametrize("make", _SPLIT_FAMILIES, ids=["d2", "d4", "d8", "eigen_d5_T8"])
@@ -533,7 +629,7 @@ def test_series_propagator_composes_across_a_split(make, w):
 
 
 def test_series_unresolved_at_the_grid_cap_is_a_range_error():
-    # Past w ||H||_F L = 4 on a panel at the panel cap the truncation
+    # Past w ||H||_2 L = 4 on a panel at the panel cap the truncation
     # exceeds rounding.
     big = family_from_matrix(1e6 * np.eye(2))
     driven = builtin_family("two_level_driven")
@@ -604,7 +700,7 @@ def test_dyson_expansion_peak_memory_is_bounded_in_grid_stacks(warm, stacks):
     # Work arrays are allocated once per call, not once per K iteration.  A
     # family used before (warm) has built the layers its separable form
     # caches; a fresh one (cold) builds them in the call.  The bound counts
-    # stacks of 1,025 d x d matrices; this family takes 2 panels, 34 nodes.
+    # stacks of 1,025 d x d matrices; this family takes 1 panel, 17 nodes.
     dim, nodes = 8, 1025
     fam = builtin_family("random_smooth", (0, dim, 0.2))
     dyson_expansion(fam, fam.a, fam.b, 4)
