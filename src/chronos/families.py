@@ -21,7 +21,6 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 _CLASSIFY_GRID = 10
-_COMMUTATOR_TOL = 1e-10
 
 
 class SeparableForm:
@@ -105,22 +104,14 @@ class SeparableForm:
 
     def combine(self, C: np.ndarray) -> np.ndarray:
         """sum_r C[:, r] table[r] for C (m, R), R <= len(table), as (m, d, d)."""
-        C = np.ascontiguousarray(C)
-        if len(C) == 1:
-            # A one-row product takes another BLAS path, with other bits;
-            # two rows give each row the bits it has in any larger batch.
-            return self.combine(np.concatenate([C, C]))[:1]
         d, R = self.dim, C.shape[1]
-        rows = (self.basis if R <= self.terms else self.table)[:R]
-        return (C @ rows.reshape(R, d * d)).reshape(len(C), d, d)
+        return (np.ascontiguousarray(C) @ self.table[:R].reshape(R, d * d)
+                ).reshape(len(C), d, d)
 
     def evaluate(self, ts: np.ndarray) -> np.ndarray:
-        """H at the times ts (m,), as (m, d, d): one product where every
-        entry takes all K terms, else assembled by layers, a slice of at
-        most _SLICE_ENTRIES coefficients or entries at a time."""
+        """H at the times ts (m,), as (m, d, d), assembled by layers, a slice
+        of at most _SLICE_ENTRIES coefficients or entries at a time."""
         ts = np.atleast_1d(ts)
-        if len(self.layers[0]) >= self.terms:
-            return self.combine(self.coeffs(ts))
         out = np.empty((len(ts), self.dim, self.dim), dtype=complex)
         step = max(1, _SLICE_ENTRIES // max(self.terms, self.dim ** 2))
         for i in range(0, len(ts), step):
@@ -142,6 +133,9 @@ class SeparableForm:
 @dataclass(frozen=True)
 class GeneratorFamily:
     """A map t -> H(t) on [a, b] with commutativity and dissipativity labels.
+
+    The commutativity label is what the constructor declares; the default,
+    "general", is never wrong.
 
     `evaluate_batch` takes a time array (m,) and returns a stack (m, d, d).
     `breaks` are interior times, strictly increasing inside (a, b), where H
@@ -207,18 +201,6 @@ def _batch_from_scalar(evaluate: Callable[[float], np.ndarray]):
     return batch
 
 
-def classify_evaluator(batch, a: float, b: float) -> str:
-    """Sampled commutator classification on a 10x10 grid."""
-    ts = np.linspace(a, b, _CLASSIFY_GRID)
-    H = batch(ts)
-    if max(np.linalg.norm(H[i] - H[0], 2) for i in range(1, len(ts))) <= 1e-12:
-        return "constant"
-    comms = H[:, None] @ H[None, :] - H[None, :] @ H[:, None]
-    if np.max(np.abs(comms)) <= _COMMUTATOR_TOL:
-        return "commuting"
-    return "general"
-
-
 def _sampled_dissipative(batch, a: float, b: float) -> bool:
     ts = np.linspace(a, b, _CLASSIFY_GRID)
     return all(dissipativity(H).is_dissipative for H in batch(ts))
@@ -226,14 +208,14 @@ def _sampled_dissipative(batch, a: float, b: float) -> bool:
 
 def family_from_evaluator(evaluate, interval=(0.0, 1.0), name: str = "custom",
                           batch=None) -> GeneratorFamily:
-    """Wrap a scalar evaluator, classifying commutativity and dissipativity."""
+    """Wrap a scalar evaluator (or a batch one), labelled dissipative from
+    10 samples; its commutativity label is the default, "general"."""
     a, b = float(interval[0]), float(interval[1])
     if batch is None:
         batch = _batch_from_scalar(evaluate)
     dim = batch(np.array([a])).shape[-1]
     return GeneratorFamily(
         a=a, b=b, dim=dim, evaluate_batch=batch,
-        commutativity_class=classify_evaluator(batch, a, b),
         dissipative=_sampled_dissipative(batch, a, b), name=name)
 
 
@@ -397,8 +379,8 @@ def family_from_csv(path, name: str = "tabulated") -> GeneratorFamily:
 
 def yosida_stack(H: np.ndarray, z: float) -> np.ndarray:
     """Yosida approximants z H (zI-H)^{-1} over a stack (m, d, d)."""
-    if not z > 0:
-        raise DomainError(f"yosida requires z > 0, got z={z}")
+    if not 0 < z < math.inf:
+        raise DomainError(f"yosida requires a finite z > 0, got z={z}")
     d = H.shape[-1]
     try:
         R = np.linalg.solve(z * np.eye(d)[None] - H, np.broadcast_to(

@@ -7,6 +7,7 @@ arrays; all other modules build on these.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -37,11 +38,20 @@ _PADE_THETA = {
 }
 
 
+def _complex_array(M, name: str) -> np.ndarray:
+    """M as a complex array; a ragged or non-numeric M is a DimensionError."""
+    try:
+        return np.asarray(M, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise DimensionError(f"{name} is not a numeric array: {exc}") from None
+
+
 def as_matrix(M, name: str = "matrix") -> np.ndarray:
-    """Validate and return a square complex matrix with finite entries."""
-    A = np.asarray(M, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionError(f"{name} must be square, got shape {A.shape}")
+    """Validate and return a square complex matrix, d >= 1, with finite entries."""
+    A = _complex_array(M, name)
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or not len(A):
+        raise DimensionError(
+            f"{name} must be square with d >= 1, got shape {A.shape}")
     if not (np.all(np.isfinite(A.real)) and np.all(np.isfinite(A.imag))):
         raise DimensionError(f"{name} contains non-finite entries")
     return A
@@ -79,10 +89,10 @@ def dissipativity(H) -> DissipativityReport:
 
 
 def resolvent(H, z: float) -> np.ndarray:
-    """(zI - H)^{-1} for real z > 0."""
+    """(zI - H)^{-1} for real finite z > 0."""
     A = as_matrix(H, "H")
-    if not z > 0:
-        raise DomainError(f"resolvent requires z > 0, got z={z}")
+    if not 0 < z < np.inf:
+        raise DomainError(f"resolvent requires a finite z > 0, got z={z}")
     d = A.shape[0]
     M = z * np.eye(d) - A
     I = np.eye(d)
@@ -220,12 +230,13 @@ def expm_stack(A: np.ndarray, _pade=None) -> np.ndarray:
     in slices of at most _SLICE_ENTRIES entries, each matrix on its own bits;
     at d = 2 a slice runs as (2, 2, N) planes.
     """
-    A = np.asarray(A, dtype=complex)
-    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
-        raise DimensionError(f"expm_stack needs (..., d, d), got {A.shape}")
+    A = _complex_array(A, "expm_stack input")
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2] or not A.shape[-1]:
+        raise DimensionError(
+            f"expm_stack needs (..., d, d) with d >= 1, got {A.shape}")
     d = A.shape[-1]
     flat = A.reshape(-1, d, d)
-    step = max(1, _SLICE_ENTRIES // (d * d or 1))
+    step = max(1, _SLICE_ENTRIES // (d * d))
     bounds = range(0, len(flat), step)
     eye = np.eye(d, dtype=complex)
     if _pade is None:
@@ -299,6 +310,10 @@ def random_dissipative(rng: np.random.Generator, dim: int,
     Built as a skew-Hermitian part plus a negative-semidefinite Hermitian
     part, each with entries of order `scale`.
     """
+    if not isinstance(dim, numbers.Integral) or dim < 1:
+        raise DimensionError(f"need an integer dim >= 1, got {dim!r}")
+    if not (np.isfinite(margin) and np.isfinite(scale)):
+        raise DomainError(f"need a finite margin and scale, got {margin}, {scale}")
     X = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     skew = 0.5 * (X - X.conj().T)
     Y = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))

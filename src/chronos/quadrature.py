@@ -16,7 +16,6 @@ _GAUSS5_NODES, _GAUSS5_WEIGHTS = np.polynomial.legendre.leggauss(5)
 # until successive levels agree to 1e-12.
 PANELS = 64
 REFINEMENT_TOL = 1e-12
-MAX_DOUBLINGS = 20
 MAX_PANELS = 1 << 17
 
 
@@ -49,7 +48,7 @@ def adaptive_quadrature(f, a: float, b: float):
     current = fixed_quadrature(f, a, b, panels)
     if b == a:
         return current, 0.0, panels
-    for _ in range(MAX_DOUBLINGS):
+    while True:
         panels *= 2
         if panels > MAX_PANELS:
             raise QuadratureError(
@@ -60,9 +59,6 @@ def adaptive_quadrature(f, a: float, b: float):
         current = refined
         if estimate <= REFINEMENT_TOL:
             return current, estimate, panels
-    raise QuadratureError(
-        f"no convergence to {REFINEMENT_TOL:g} after {MAX_DOUBLINGS} "
-        f"panel doublings on [{a}, {b}]")
 
 
 def cumulative_simpson_uniform(values: np.ndarray, h: float) -> np.ndarray:

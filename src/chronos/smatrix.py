@@ -13,7 +13,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .families import GeneratorFamily, SeparableForm, classify_evaluator
+from .families import GeneratorFamily, SeparableForm
 from .linalg import _owned_matrix
 # Not called here, but the perfbench tracer rebinds expm_stack in this module.
 from .linalg import expm_stack  # noqa: F401
@@ -74,9 +74,7 @@ def _eigen_frame(cfg: SMatrixConfig) -> tuple[GeneratorFamily, Callable]:
     the supports are disjoint: one layer of (-i/hbar) W^H V W.  A gap's
     phase is p_a conj(p_b) for its entry (a, b) of least b, from the d - 1
     phases p_a = e^{i(E_a - E_0)t/hbar} and p_0 = 1, so a node costs at
-    most d - 1 cosines and sines, and a gap E_a - E_0 no product.  The
-    family keeps the default commutativity label, which nothing here reads;
-    interaction_generator classifies its own.
+    most d - 1 cosines and sines, and a gap E_a - E_0 no product.
     """
     evals, W = np.linalg.eigh(cfg.H0)
     Vr = (-1j / cfg.hbar) * (W.conj().T @ cfg.V @ W)
@@ -115,9 +113,7 @@ def interaction_generator(cfg: SMatrixConfig) -> GeneratorFamily:
     """G(t) = (-i/hbar) envelope(t) e^{i H0 t/hbar} V e^{-i H0 t/hbar} on [-T, T]."""
     fam, rotate = _eigen_frame(cfg)
     return replace(fam, name="interaction",
-                   evaluate_batch=lambda ts: rotate(fam.evaluate_batch(ts)),
-                   commutativity_class=classify_evaluator(fam.evaluate_batch,
-                                                          fam.a, fam.b))
+                   evaluate_batch=lambda ts: rotate(fam.evaluate_batch(ts)))
 
 
 def oracle_S(cfg: SMatrixConfig, tol: float = 1e-10) -> PropagatorResult:

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -688,6 +691,38 @@ def test_selftest_byte_identical(tmp_path):
     assert names == sorted(os.listdir(d2))
     for name in names:
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+PINNED = os.path.join(os.path.dirname(__file__), "data", "selftest_sha256.json")
+
+
+def _numerical_stack():
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}",
+            "machine": platform.machine()}
+
+
+@pytest.mark.parametrize("seed", [12345, 777])
+def test_selftest_bytes_match_the_pinned_digests(tmp_path, seed):
+    with open(PINNED) as fh:
+        pinned = json.load(fh)
+    stack = _numerical_stack()
+    made_on = {k: pinned[k] for k in stack}
+    if stack != made_on:
+        pytest.skip(f"digests were made on {made_on}, this is {stack}")
+    assert selftest(str(tmp_path), seed=seed) == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in sorted(os.listdir(tmp_path))}
+    assert got == pinned["sha256"][str(seed)]
+
+
+def test_pinned_digests_hash_to_the_published_listing():
+    # sha256 of the `sha256sum *` listing of the seed-12345 battery.
+    with open(PINNED) as fh:
+        digests = json.load(fh)["sha256"]["12345"]
+    listing = "".join(f"{h}  {name}\n" for name, h in sorted(digests.items()))
+    assert hashlib.sha256(listing.encode()).hexdigest() == (
+        "787d84f313510ffedbbf4894d012c7a6bd98b41afcc951bb99536a02128d5b7b")
 
 
 def test_main_dispatch(tmp_path, capsys):

@@ -164,10 +164,11 @@ def test_random_smooth_values_do_not_depend_on_the_batch(dim):
         assert fam(t).tobytes() == H[j].tobytes()
 
 
-@pytest.mark.parametrize("m", [2, 3, 17, 600])
+@pytest.mark.parametrize("m", [1, 2, 3, 17, 600])
 def test_combine_of_several_rows_is_the_plain_product(m):
-    # Only a one-row product is routed differently: the oracle's Magnus
-    # steps and the series' panel nodes keep their bits.
+    # combine is one product with the table's first R rows, the basis for
+    # R = K, at every m: only the oracle's Magnus steps call it, and
+    # evaluate assembles by layers.
     form = builtin_family("random_smooth", (1, 5, 0.2)).separable
     C = form.coeffs(np.linspace(0.0, 1.0, m))
     want = np.ascontiguousarray(C) @ form.basis.reshape(3, 25)
@@ -289,6 +290,28 @@ def test_yosida_stack_of_a_singular_step_names_z():
     H = np.broadcast_to(10.0 * np.eye(2, dtype=complex), (3, 2, 2))
     with pytest.raises(SingularityError, match="z=10"):
         yosida_stack(H, 10.0)
+
+
+def test_evaluator_family_of_a_nan_batch_is_a_chronos_error():
+    def batch(ts):
+        H = np.broadcast_to(-1j * SIGMA_Z, (len(ts), 2, 2)).copy()
+        H[ts > 0.5] = np.nan
+        return H
+
+    with pytest.raises(DimensionError, match="non-finite"):
+        family_from_evaluator(None, batch=batch)
+
+
+def test_evaluator_families_keep_the_general_label():
+    for fam in (family_from_evaluator(lambda t: -1j * SIGMA_Z),
+                family_from_evaluator(lambda t: -1j * t * SIGMA_Z)):
+        assert fam.commutativity_class == "general"
+
+
+@pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan, 0.0])
+def test_yosida_stack_needs_a_finite_positive_z(z):
+    with pytest.raises(DomainError, match="finite z > 0"):
+        yosida_stack(np.zeros((1, 2, 2), dtype=complex), z)
 
 
 def test_yosida_family_keeps_labels():

@@ -1,11 +1,13 @@
+import inspect
 import itertools
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import chronos
 from chronos import linalg
-from chronos.errors import DimensionError, DomainError, RangeError
+from chronos.errors import ChronosError, DimensionError, DomainError, RangeError
 from chronos.linalg import (_PADE_COEFFS, _PADE_THETA, _SLICE_ENTRIES,
                             DissipativityReport, _accumulate, _matmul,
                             _norms1, _pade_choice, _pade_classes, _plane_solve,
@@ -62,6 +64,50 @@ def test_as_matrix_rejects_non_square():
 def test_as_matrix_rejects_nan():
     with pytest.raises(DimensionError):
         operator_norm(np.array([[np.nan, 0], [0, 1]]))
+
+
+# Inputs outside every linalg callable's domain: ragged, empty, wrongly
+# shaped or non-finite matrices, non-finite or non-positive z, and bad sizes.
+_HOSTILE_MATRICES = {
+    "ragged": [[1, 2], [3]], "0x0": np.zeros((0, 0)), "3-D": np.ones((2, 2, 2)),
+    "2x3": np.ones((2, 3)), "scalar": 1.0, "nan": [[np.nan, 0], [0, 1]],
+    "nan 3x3": np.full((3, 3), np.nan), "+inf": [[np.inf, 0], [0, 1]],
+    "-inf 3x3": np.diag([1.0, -np.inf, 0.0])}
+_HOSTILE_Z = [np.nan, np.inf, -np.inf, 0.0, -1.0]
+_HOSTILE_CALLS = {
+    **{name: [(M,) for M in _HOSTILE_MATRICES.values()]
+       for name in ("operator_norm", "hermitian_part", "dissipativity",
+                    "matrix_exp", "expm_stack")},
+    **{name: [(M, 1.0) for M in _HOSTILE_MATRICES.values()]
+       + [(-np.eye(2), z) for z in _HOSTILE_Z]
+       for name in ("resolvent", "yosida")},
+    "random_dissipative": [(np.random.default_rng(0), *args) for args in (
+        (0,), (-1,), (2.5,), (np.nan,), (np.inf,), (2, np.nan), (2, 0.0, np.inf))],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HOSTILE_CALLS))
+def test_linalg_gives_a_finite_result_or_a_chronos_error(name):
+    leaks = []
+    for args in _HOSTILE_CALLS[name]:
+        try:
+            with np.errstate(all="ignore"):
+                out = getattr(linalg, name)(*args)
+        except ChronosError:
+            continue
+        except Exception as exc:
+            leaks.append(f"{args!r}: {type(exc).__name__}: {exc}")
+            continue
+        values = out.margin if isinstance(out, DissipativityReport) else out
+        if not np.all(np.isfinite(values)):
+            leaks.append(f"{args!r}: non-finite result")
+    assert not leaks, "\n".join(leaks)
+
+
+def test_hostile_table_covers_every_exported_linalg_function():
+    exported = {name for name, obj in vars(chronos).items()
+                if inspect.isfunction(obj) and obj.__module__ == "chronos.linalg"}
+    assert exported == set(_HOSTILE_CALLS)
 
 
 def test_dissipativity_negative_identity():

@@ -11,7 +11,7 @@ from chronos.families import (SIGMA_X, SIGMA_Z, GeneratorFamily,
 from chronos.film import midpoint_edges
 from chronos.linalg import expm_stack, matrix_exp
 from chronos.path_sum import U_n, poisson_mixture, poisson_truncation
-from chronos import path_sum, smatrix
+from chronos import path_sum
 from chronos.propagators import ordered_product, product_integral
 from chronos.quadrature import loglog_slope
 from chronos.smatrix import (SMatrixConfig, S_lambda, S_n_experimental,
@@ -250,7 +250,6 @@ def test_commuting_interaction_keeps_class():
     # [H0, V] = 0: conjugation leaves V fixed, H_I(t) = envelope(t) V.
     cfg = SMatrixConfig(H0=SIGMA_Z, V=0.4 * SIGMA_Z, T=1.0)
     fam = interaction_generator(cfg)
-    assert fam.commutativity_class in ("commuting", "constant")
     t = 0.37
     env = cfg.envelope_values(np.array([t]))[0]
     assert np.allclose(fam(t), -1j * env * 0.4 * SIGMA_Z, atol=1e-13)
@@ -464,38 +463,6 @@ def test_config_owns_its_matrices():
     fresh = SMatrixConfig(H0=cfg.H0.copy(), V=cfg.V.copy(), T=cfg.T)
     assert [T.tobytes() for T in dyson_S_expansion(cfg, 2).terms] == \
         [T.tobytes() for T in dyson_S_expansion(fresh, 2).terms]
-
-
-def test_S_matrix_quantities_do_not_classify_the_generator(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("classify_evaluator was called")
-
-    cfg = toy(T=1.0, lam=2.0)
-    monkeypatch.setattr(smatrix, "classify_evaluator", refuse)
-    oracle_S(cfg)
-    S_lambda(cfg)
-    S_n_experimental(cfg, 3)
-    fixed_dt_S(cfg)
-    energy_shift_identity(cfg, 2)
-    dyson_S_expansion(cfg, 2)
-    with pytest.raises(AssertionError):
-        interaction_generator(cfg)
-
-
-_Q3 = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)))[0]
-
-
-@pytest.mark.parametrize("H0,V,label", [
-    (SIGMA_Z, 0.4 * SIGMA_Z, "commuting"),
-    (SIGMA_Z, 0.3 * SIGMA_X, "general"),
-    (SIGMA_Z, np.zeros((2, 2)), "constant"),
-    (_Q3 @ np.diag([1.0, 2.0, -0.5]) @ _Q3.T, _Q3 @ np.diag([0.3, -0.1, 0.2]) @ _Q3.T,
-     "commuting")])
-def test_interaction_generator_commutativity_class(H0, V, label):
-    for T in (1.0, 2.0):
-        cfg = SMatrixConfig(H0=H0, V=V, T=T)
-        assert interaction_generator(cfg).commutativity_class == label
-        assert _eigen_frame(cfg)[0].commutativity_class == "general"
 
 
 def test_first_order_term_insensitive_to_regularization():
