@@ -697,8 +697,11 @@ PINNED = os.path.join(os.path.dirname(__file__), "data", "selftest_sha256.json")
 
 
 def _numerical_stack():
-    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
-    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}",
+    # numpy < 1.26 has no CONFIG; its BLAS then reads as unknown.
+    config = getattr(np.__config__, "CONFIG", {})
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    return {"numpy": np.__version__,
+            "blas": f"{blas.get('name')} {blas.get('version')}",
             "machine": platform.machine()}
 
 
