@@ -13,7 +13,8 @@ import numpy as np
 
 from .errors import (ConfigError, ConsistencyError, DimensionError, DomainError,
                      ResourceError, SingularityError)
-from .linalg import _SLICE_ENTRIES, MAX_DENSE_DIM, _owned_matrix, dissipativity
+from .linalg import (_SLICE_ENTRIES, MAX_DENSE_DIM, _complex_array, _owned_matrix,
+                     dissipativity)
 from .quadrature import adaptive_quadrature, loglog_slope
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -24,72 +25,33 @@ _CLASSIFY_GRID = 10
 
 
 class SeparableForm:
-    """H(t) = sum_k coeffs(t)[:, k] basis[k]: K scalar coefficient functions
-    times K fixed matrices.
+    """H(t) = sum_k coeffs(t)[:, k] B_k: `terms` = K scalar coefficient
+    functions times K fixed matrices, held entry by entry as layers.
 
     `coeffs` maps times (m,) to coefficients (m, K); a transposed view of a
     batch-last (K, m) array is what the path-sum sweep reads fastest.
-    `basis` is a read-only (K, d, d) array.  `layers` holds the same sum
-    entry by entry: index and value, both (L, d^2), with H(t)_e =
-    sum_j coeffs(t)[index[j, e]] value[j, e] for each flat entry e.  A form
-    is built from either; the other is derived when first read, so a form
-    of disjoint supports (SeparableForm.from_layers) never holds K dense
-    matrices unless a caller asks for them.
+    `layers` is (index, value), read-only copies, both (L, d^2), with
+    H(t)_e = sum_j coeffs(t)[index[j, e]] value[j, e] for each flat entry
+    e: L = 1 for matrices of disjoint supports, K for dense ones
+    (index[k] = k, value[k] = B_k).
 
-    `table` stacks the basis and the pairwise commutators [B_k, B_l], k < l,
-    in the order of the index arrays `pairs = (k, l)`, as read-only
-    (K + K(K - 1)/2, d, d) rows, built once per form when first read: a
-    linear combination of them with coefficients (m, K + K(K - 1)/2) is one
-    matrix product (`combine`).
+    `table` stacks the matrices B_k and their pairwise commutators
+    [B_k, B_l], k < l, in the order of the index arrays `pairs = (k, l)`, as
+    read-only (K + K(K - 1)/2, d, d) rows, built once per form when first
+    read: the one place a form is dense.
     """
 
-    def __init__(self, coeffs: Callable[[np.ndarray], np.ndarray], basis):
-        B = np.array(basis, dtype=complex)
-        if B.ndim != 3 or B.shape[1] != B.shape[2] or not len(B):
-            raise DimensionError(f"basis must be (K, d, d) with K >= 1, got {B.shape}")
-        B.flags.writeable = False
-        self.coeffs, self.basis = coeffs, B
-        self.terms, self.dim = B.shape[:2]
-
-    @classmethod
-    def from_layers(cls, coeffs: Callable[[np.ndarray], np.ndarray], terms: int,
-                    index, value) -> "SeparableForm":
-        """The form of `terms` coefficients with the given layers (see the
-        class), held as read-only copies."""
+    def __init__(self, coeffs: Callable[[np.ndarray], np.ndarray], terms: int,
+                 index, value):
         index, value = np.array(index, dtype=np.intp), np.array(value, dtype=complex)
         dim = math.isqrt(index.shape[1]) if index.ndim == 2 else 0
         if (not dim or dim * dim != index.shape[1] or value.shape != index.shape
                 or not len(index) or not 0 <= index.min() <= index.max() < terms):
             raise DimensionError(f"layers {index.shape} and {value.shape} are not "
                                  f"(L, d^2) with indices below {terms}")
-        form = cls.__new__(cls)
         index.flags.writeable = value.flags.writeable = False
-        form.coeffs, form.terms, form.dim = coeffs, terms, dim
-        form.layers = index, value
-        return form
-
-    @cached_property
-    def basis(self) -> np.ndarray:
-        index, value = self.layers
-        B = np.zeros((self.terms, index.shape[1]), dtype=complex)
-        entries = np.arange(index.shape[1])
-        for k, v in zip(index, value):
-            B[k, entries] += v
-        B = B.reshape(-1, self.dim, self.dim)
-        B.flags.writeable = False
-        return B
-
-    @cached_property
-    def layers(self):
-        """(index, value) from the basis: index[:, e] lists the matrices
-        nonzero at entry e in increasing order, padded with zero values, so
-        L is the largest number of matrices nonzero at one entry: 1 for
-        disjoint supports, K for a dense basis."""
-        flat = self.basis.reshape(self.terms, -1)
-        nonzero = flat != 0
-        index = np.argsort(~nonzero, axis=0, kind="stable")
-        index = index[:max(1, int(nonzero.sum(axis=0).max()))]
-        return index, np.take_along_axis(flat, index, axis=0)
+        self.coeffs, self.terms, self.dim = coeffs, terms, dim
+        self.layers = index, value
 
     @cached_property
     def pairs(self):
@@ -97,16 +59,16 @@ class SeparableForm:
 
     @cached_property
     def table(self) -> np.ndarray:
-        B, (k, l) = self.basis, self.pairs
+        index, value = self.layers
+        B = np.zeros((self.terms, index.shape[1]), dtype=complex)
+        entries = np.arange(index.shape[1])
+        for k, v in zip(index, value):
+            B[k, entries] += v
+        B = B.reshape(-1, self.dim, self.dim)
+        k, l = self.pairs
         table = np.concatenate([B, B[k] @ B[l] - B[l] @ B[k]])
         table.flags.writeable = False
         return table
-
-    def combine(self, C: np.ndarray) -> np.ndarray:
-        """sum_r C[:, r] table[r] for C (m, R), R <= len(table), as (m, d, d)."""
-        d, R = self.dim, C.shape[1]
-        return (np.ascontiguousarray(C) @ self.table[:R].reshape(R, d * d)
-                ).reshape(len(C), d, d)
 
     def evaluate(self, ts: np.ndarray) -> np.ndarray:
         """H at the times ts (m,), as (m, d, d), assembled by layers, a slice
@@ -119,7 +81,7 @@ class SeparableForm:
         return out
 
     def assemble(self, I: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """sum_k I[k, :] basis[k] for batch-last coefficients I (K, c), into
+        """sum_k I[k, :] B_k for batch-last coefficients I (K, c), into
         out (c, d, d): one gather and multiply per layer, summed layer by
         layer, entry by entry, so each matrix has the bits it has alone."""
         index, value = self.layers
@@ -196,7 +158,7 @@ class GeneratorFamily:
 
 def _batch_from_scalar(evaluate: Callable[[float], np.ndarray]):
     def batch(ts: np.ndarray) -> np.ndarray:
-        return np.stack([np.asarray(evaluate(float(t)), dtype=complex)
+        return np.stack([_complex_array(evaluate(float(t)), "evaluator value")
                          for t in np.atleast_1d(ts)])
     return batch
 
@@ -295,7 +257,8 @@ def _integer_param(x, what: str) -> int:
 
 def _random_smooth(p: list, a: float, b: float) -> GeneratorFamily:
     """-i (A0 + sin t A1 + cos t A2) - gamma I in separable form: coefficients
-    (1, sin t, cos t) of the basis (-i A0 - gamma I, -i A1, -i A2)."""
+    (1, sin t, cos t) of the matrices (-i A0 - gamma I, -i A1, -i A2), one
+    dense layer each."""
     seed = _integer_param(p[0], "seed p0") if len(p) > 0 else 0
     dim = _integer_param(p[1], "dim p1") if len(p) > 1 else 3
     gamma = p[2] if len(p) > 2 else 0.2
@@ -314,8 +277,8 @@ def _random_smooth(p: list, a: float, b: float) -> GeneratorFamily:
         X = 0.5 * (X + X.conj().T)
         return X / max(np.linalg.norm(X, 2), 1e-12)
 
-    basis = [-1j * herm() for _ in range(3)]
-    basis[0] -= gamma * np.eye(dim)
+    value = np.array([-1j * herm() for _ in range(3)]).reshape(3, -1)
+    value[0] -= gamma * np.eye(dim).ravel()
 
     def coeffs(ts):
         return np.stack([np.ones_like(ts), np.sin(ts), np.cos(ts)]).T
@@ -323,7 +286,9 @@ def _random_smooth(p: list, a: float, b: float) -> GeneratorFamily:
     # -i A(t) is skew-Hermitian, so H(t) + H(t)^* = -2 gamma I.
     return GeneratorFamily(a=a, b=b, dim=dim, commutativity_class="general",
                            dissipative=gamma >= 0, name="random_smooth",
-                           separable=SeparableForm(coeffs, basis))
+                           separable=SeparableForm(
+                               coeffs, 3, np.arange(3)[:, None].repeat(dim * dim, 1),
+                               value))
 
 
 def family_from_csv(path, name: str = "tabulated") -> GeneratorFamily:

@@ -167,10 +167,14 @@ def matrix_exp(M) -> np.ndarray:
 
 def _pade_choice(norm1: float) -> tuple:
     """(Pade degree, squarings) for a stack of largest 1-norm norm1; degree
-    0 for the zero stack, whose exponential is the identity.  Finite entries
-    can still sum to an infinite norm, which raises RangeError."""
+    0 for the zero stack, whose exponential is the identity.  A NaN norm
+    (a NaN entry) raises RangeError before any Pade work, and so does an
+    infinite one, which finite entries can still sum to."""
     if norm1 == 0.0:
         return 0, 0
+    if norm1 != norm1:
+        raise RangeError("matrix exponential of a stack with a non-finite "
+                         "(NaN) entry")
     degree = next((m for m in (3, 5, 7, 9) if norm1 <= _PADE_THETA[m]), 13)
     if not norm1 > _PADE_THETA[13]:
         return degree, 0
@@ -201,7 +205,8 @@ def _pade_classes(norms: np.ndarray):
     """([(degree, squarings), ...], label): the distinct _pade_choice of the
     norms, and the index of each norm's choice in that list.  The degree is
     the first whose threshold the norm does not exceed; only norms above the
-    last threshold (or NaN) take the scalar rule for their squarings."""
+    last threshold take the scalar rule for their squarings, and a NaN
+    takes it to raise RangeError."""
     above = np.searchsorted(_THETAS, norms)
     degree, squarings = _DEGREES[above], np.zeros(len(norms), dtype=int)
     degree[norms == 0.0] = 0

@@ -14,7 +14,8 @@ from typing import List, Optional, Sequence
 import numpy as np
 from numpy.polynomial.chebyshev import chebint, chebvander
 
-from .errors import ConsistencyError, ConvergenceError, DomainError, RangeError
+from .errors import (ConsistencyError, ConvergenceError, DimensionError,
+                     DomainError, RangeError)
 from .families import (GeneratorFamily, _check_interval, integrate_family,
                        yosida_family)
 from .linalg import _matmul, as_matrix, expm_stack, matrix_exp, operator_norm
@@ -71,8 +72,15 @@ def ordered_product(mats: np.ndarray) -> np.ndarray:
     """mats[m-1] @ ... @ mats[0] by log-depth pairwise multiplication.
 
     The product runs along axis -3; leading axes are a batch of products.
+    Anything but a numeric array (..., m, d, d) is a DimensionError.
     """
-    P = np.asarray(mats)
+    try:
+        P = np.asarray(mats)
+    except ValueError as exc:
+        raise DimensionError(f"matrices are not an array: {exc}") from None
+    if P.ndim < 3 or P.shape[-1] != P.shape[-2] or P.dtype.kind not in "biufc":
+        raise DimensionError(f"need a numeric stack (..., m, d, d), got "
+                             f"{P.dtype} {P.shape}")
     if P.shape[-3] == 0:
         return np.zeros(P.shape[:-3] + P.shape[-2:], complex) + np.eye(P.shape[-1])
     while P.shape[-3] > 1:
@@ -141,10 +149,11 @@ def _magnus_steps(f: GeneratorFamily, left: np.ndarray, h: float,
                              <= 4 * (len(form.layers[0]) + f.dim)):
         C1, C2 = form.coeffs(t1), form.coeffs(t2)
         k, l = form.pairs
-        return expm_stack(form.combine(np.concatenate([
-            (0.5 * h * w) * (C1 + C2),
-            (w * w * h * h * np.sqrt(3.0) / 12.0)
-            * (C2[:, k] * C1[:, l] - C2[:, l] * C1[:, k])], axis=1)))
+        C = np.concatenate([(0.5 * h * w) * (C1 + C2),
+                            (w * w * h * h * np.sqrt(3.0) / 12.0)
+                            * (C2[:, k] * C1[:, l] - C2[:, l] * C1[:, k])], axis=1)
+        d = f.dim
+        return expm_stack((C @ form.table.reshape(-1, d * d)).reshape(-1, d, d))
     A1 = w * f.evaluate_batch(t1)
     A2 = w * f.evaluate_batch(t2)
     # omega = h/2 (A1 + A2) + h^2 sqrt(3)/12 [A2, A1], built in A1's buffer;

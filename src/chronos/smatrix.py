@@ -103,7 +103,7 @@ def _eigen_frame(cfg: SMatrixConfig) -> tuple[GeneratorFamily, Callable]:
     fam = GeneratorFamily(
         a=-cfg.T, b=cfg.T, dim=d,
         dissipative=bool(np.linalg.norm(cfg.V - cfg.V.conj().T, 2) <= 1e-12),
-        name="interaction_eigen", separable=SeparableForm.from_layers(
+        name="interaction_eigen", separable=SeparableForm(
             coeffs, len(gaps), which.reshape(d, d).T.reshape(1, -1),
             Vr.reshape(1, -1)))
     return fam, lambda M: W @ M @ W.conj().T
@@ -167,7 +167,7 @@ def energy_shift_identity(cfg: SMatrixConfig, n: int) -> float:
     # Its form plus -lambda I with a unit coefficient, as one more layer:
     # both terms then take the same coefficient sweep.
     index, value = form.layers
-    shifted = replace(fam, evaluate_batch=None, separable=SeparableForm.from_layers(
+    shifted = replace(fam, evaluate_batch=None, separable=SeparableForm(
         coeffs, form.terms + 1,
         np.vstack([index, np.full(index.shape[1], form.terms)]),
         np.vstack([value, -cfg.lam * np.eye(cfg.dim).reshape(1, -1)])))

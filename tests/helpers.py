@@ -1,7 +1,10 @@
 """Helpers shared by the test modules."""
 
+import platform
+
 import numpy as np
 
+from chronos.families import SeparableForm
 from chronos.path_sum import _cell_stack
 
 
@@ -11,6 +14,13 @@ def cell_generators(f, edges) -> np.ndarray:
     edges = np.atleast_1d(edges)
     A = _cell_stack(f, [edges.reshape(-1, edges.shape[-1])])
     return A.reshape(edges.shape[:-1] + (edges.shape[-1] - 1, f.dim, f.dim))
+
+
+def dense_form(coeffs, matrices) -> SeparableForm:
+    """The separable form of coeffs and the matrices (K, d, d), one dense layer each."""
+    B = np.asarray(matrices, dtype=complex)
+    return SeparableForm(coeffs, len(B), np.arange(len(B))[:, None].repeat(B[0].size, 1),
+                         B.reshape(len(B), -1))
 
 
 def random_smooth_formula(seed: int, dim: int, gamma: float):
@@ -43,3 +53,13 @@ def running_products(E) -> np.ndarray:
     for j in range(len(E)):
         np.matmul(E[j], out[j], out=out[j + 1])
     return out
+
+
+def numerical_stack() -> dict:
+    """The numpy version, BLAS and machine that bit-exact digests depend on."""
+    # numpy < 1.26 has no CONFIG; its BLAS then reads as unknown.
+    config = getattr(np.__config__, "CONFIG", {})
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    return {"numpy": np.__version__,
+            "blas": f"{blas.get('name')} {blas.get('version')}",
+            "machine": platform.machine()}

@@ -1,13 +1,11 @@
 import hashlib
 import json
 import os
-import platform
 import re
 import subprocess
 import sys
 import warnings
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +15,7 @@ from chronos.cli import (_COMMON, _FAMILY, _RUNNERS, emit_plot_script, main,
                          parse_config, run, selftest)
 from chronos.errors import ConfigError
 from chronos.path_sum import PathSumConfig, bubble_counts
+from helpers import numerical_stack
 
 
 def write(path, text):
@@ -696,20 +695,11 @@ def test_selftest_byte_identical(tmp_path):
 PINNED = os.path.join(os.path.dirname(__file__), "data", "selftest_sha256.json")
 
 
-def _numerical_stack():
-    # numpy < 1.26 has no CONFIG; its BLAS then reads as unknown.
-    config = getattr(np.__config__, "CONFIG", {})
-    blas = config.get("Build Dependencies", {}).get("blas", {})
-    return {"numpy": np.__version__,
-            "blas": f"{blas.get('name')} {blas.get('version')}",
-            "machine": platform.machine()}
-
-
 @pytest.mark.parametrize("seed", [12345, 777])
 def test_selftest_bytes_match_the_pinned_digests(tmp_path, seed):
     with open(PINNED) as fh:
         pinned = json.load(fh)
-    stack = _numerical_stack()
+    stack = numerical_stack()
     made_on = {k: pinned[k] for k in stack}
     if stack != made_on:
         pytest.skip(f"digests were made on {made_on}, this is {stack}")

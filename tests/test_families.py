@@ -14,7 +14,7 @@ from chronos.families import (SIGMA_X, SIGMA_Z, GeneratorFamily,
                               integrate_family_with_estimate,
                               variance_integral, yosida_family, yosida_stack)
 from chronos.linalg import dissipativity, yosida
-from helpers import random_smooth_formula
+from helpers import dense_form, random_smooth_formula
 
 
 def test_constant_builtin_classification():
@@ -141,18 +141,20 @@ def test_random_smooth_evaluates_the_closed_formula(seed, dim, gamma):
 
 def test_separable_form_holds_read_only_copies_and_its_commutators():
     B = np.array([np.diag([1.0, -1.0]), SIGMA_X, -1j * SIGMA_Z], dtype=complex)
-    form = SeparableForm(lambda ts: np.stack([ts, ts ** 2, np.ones_like(ts)], 1), B)
+    form = dense_form(lambda ts: np.stack([ts, ts ** 2, np.ones_like(ts)], 1), B)
+    index, value = form.layers
     B[0, 0, 0] = 9.0
-    assert form.basis[0, 0, 0] == 1.0
-    assert not form.basis.flags.writeable and not form.table.flags.writeable
+    assert value[0, 0] == 1.0 and form.table[0, 0, 0] == 1.0
+    assert not (index.flags.writeable or value.flags.writeable
+                or form.table.flags.writeable)
+    B[0, 0, 0] = 1.0
+    assert np.array_equal(form.table[:3], B)
     k, l = np.triu_indices(3, 1)
     for r, (i, j) in enumerate(zip(k, l)):
-        Bi, Bj = form.basis[i], form.basis[j]
-        assert np.max(np.abs(form.table[3 + r] - (Bi @ Bj - Bj @ Bi))) <= 1e-15
+        assert np.max(np.abs(form.table[3 + r] - (B[i] @ B[j] - B[j] @ B[i]))) <= 1e-15
     fam = GeneratorFamily(a=0.0, b=1.0, dim=2, separable=form)
     assert fam.evaluate_batch == form.evaluate
-    assert np.allclose(fam(0.5), 0.5 * form.basis[0] + 0.25 * form.basis[1]
-                       + form.basis[2], rtol=0, atol=1e-15)
+    assert np.allclose(fam(0.5), 0.5 * B[0] + 0.25 * B[1] + B[2], rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 8])
@@ -164,29 +166,17 @@ def test_random_smooth_values_do_not_depend_on_the_batch(dim):
         assert fam(t).tobytes() == H[j].tobytes()
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 17, 600])
-def test_combine_of_several_rows_is_the_plain_product(m):
-    # combine is one product with the table's first R rows, the basis for
-    # R = K, at every m: only the oracle's Magnus steps call it, and
-    # evaluate assembles by layers.
-    form = builtin_family("random_smooth", (1, 5, 0.2)).separable
-    C = form.coeffs(np.linspace(0.0, 1.0, m))
-    want = np.ascontiguousarray(C) @ form.basis.reshape(3, 25)
-    assert form.combine(C).tobytes() == want.reshape(m, 5, 5).tobytes()
-    R = np.random.default_rng(m).standard_normal((m, 6)) + 0j
-    want = R @ form.table.reshape(6, 25)
-    assert form.combine(R).tobytes() == want.reshape(m, 5, 5).tobytes()
-
-
 def test_form_layers_and_assembly():
+    # Entry (0, 1) lies in two matrices, (1, 1) in none: two layers, the
+    # second padded with zero values.
+    index = [[0, 0, 2, 0], [1, 1, 0, 1]]
+    value = [[2.0, 3.0, -1.0, 0.0], [0.0, 1j, 0.0, 0.0]]
+    form = SeparableForm(lambda ts: np.stack([ts, ts ** 2, np.ones_like(ts)]).T,
+                         3, index, value)
     B = np.zeros((3, 2, 2), dtype=complex)
     B[0, 0, 0], B[1, 0, 1], B[2, 1, 0] = 2.0, 1j, -1.0
-    B[0, 0, 1] = 3.0  # entry (0, 1) lies in two matrices, (1, 1) in none
-    form = SeparableForm(lambda ts: np.stack([ts, ts ** 2, np.ones_like(ts)]).T, B)
-    index, value = form.layers
-    assert index.shape == value.shape == (2, 4)
-    assert index[:, 1].tolist() == [0, 1] and value[:, 1].tolist() == [3.0, 1j]
-    assert value[1, [0, 2, 3]].tolist() == [0, 0, 0] and value[0, 3] == 0
+    B[0, 0, 1] = 3.0
+    assert form.dim == 2 and form.table[:3].tobytes() == B.tobytes()
     ts = np.linspace(0.0, 1.0, 7)
     want = np.einsum("mk,kij->mij", form.coeffs(ts), B)
     got = form.assemble(form.coeffs(ts).T, np.empty((7, 2, 2), dtype=complex))
@@ -195,23 +185,17 @@ def test_form_layers_and_assembly():
     assert form.evaluate(ts).tobytes() == got.tobytes()
     dense = builtin_family("random_smooth", (1, 3, 0.2)).separable
     assert dense.layers[0].tolist() == [[0] * 9, [1] * 9, [2] * 9]
-    # The same form from its layers: the basis is derived, read-only.
-    again = SeparableForm.from_layers(form.coeffs, 3, index, value)
-    assert again.basis.tobytes() == form.basis.tobytes()
-    assert not again.basis.flags.writeable and not again.layers[1].flags.writeable
-    assert again.evaluate(ts).tobytes() == got.tobytes()
+    index, value = np.array(index), np.array(value)
     for bad in ((3, index[:, :3], value[:, :3]), (3, index, value[:1]),
-                (2, index, value), (3, index - 1, value)):
+                (2, index, value), (3, index - 1, value), (3, index[0], value[0])):
         with pytest.raises(DimensionError):
-            SeparableForm.from_layers(form.coeffs, *bad)
+            SeparableForm(form.coeffs, *bad)
 
 
 def test_family_rejects_a_form_of_another_dimension_and_no_evaluator():
-    form = SeparableForm(lambda ts: np.ones((len(ts), 1)), [np.eye(2)])
+    form = dense_form(lambda ts: np.ones((len(ts), 1)), [np.eye(2)])
     with pytest.raises(DimensionError):
         GeneratorFamily(a=0.0, b=1.0, dim=3, separable=form)
-    with pytest.raises(DimensionError):
-        SeparableForm(lambda ts: ts, np.eye(2))
     with pytest.raises(ConfigError):
         GeneratorFamily(a=0.0, b=1.0, dim=2)
 
@@ -300,6 +284,12 @@ def test_evaluator_family_of_a_nan_batch_is_a_chronos_error():
 
     with pytest.raises(DimensionError, match="non-finite"):
         family_from_evaluator(None, batch=batch)
+
+
+@pytest.mark.parametrize("value", [[[1, 2], [3]], [["a", "b"], ["c", "d"]]])
+def test_scalar_evaluator_of_a_ragged_or_non_numeric_value_is_a_dimension_error(value):
+    with pytest.raises(DimensionError, match="evaluator value"):
+        family_from_evaluator(lambda t: value)
 
 
 def test_evaluator_families_keep_the_general_label():

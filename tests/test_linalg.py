@@ -66,13 +66,22 @@ def test_as_matrix_rejects_nan():
         operator_norm(np.array([[np.nan, 0], [0, 1]]))
 
 
+def nan_in_a_later_slice(d):
+    """A stack of d x d matrices with one NaN entry, in expm_stack's second slice."""
+    per_slice = _SLICE_ENTRIES // (d * d)
+    A = np.full((per_slice + 8, d, d), 0.1j)
+    A[per_slice + 7, -1, 0] = np.nan
+    return A
+
+
 # Inputs outside every linalg callable's domain: ragged, empty, wrongly
 # shaped or non-finite matrices, non-finite or non-positive z, and bad sizes.
 _HOSTILE_MATRICES = {
     "ragged": [[1, 2], [3]], "0x0": np.zeros((0, 0)), "3-D": np.ones((2, 2, 2)),
     "2x3": np.ones((2, 3)), "scalar": 1.0, "nan": [[np.nan, 0], [0, 1]],
     "nan 3x3": np.full((3, 3), np.nan), "+inf": [[np.inf, 0], [0, 1]],
-    "-inf 3x3": np.diag([1.0, -np.inf, 0.0])}
+    "-inf 3x3": np.diag([1.0, -np.inf, 0.0]),
+    **{f"nan in slice 2, {d}x{d}": nan_in_a_later_slice(d) for d in (2, 3)}}
 _HOSTILE_Z = [np.nan, np.inf, -np.inf, 0.0, -1.0]
 _HOSTILE_CALLS = {
     **{name: [(M,) for M in _HOSTILE_MATRICES.values()]
@@ -397,6 +406,13 @@ def test_expm_stack_overflow_in_any_slice_raises(d):
                 expm_stack(A)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_expm_stack_names_a_nan_entry_before_any_pade_work(monkeypatch, d):
+    monkeypatch.setattr(linalg, "_pade_exp", None)
+    with pytest.raises(RangeError, match="non-finite"):
+        expm_stack(nan_in_a_later_slice(d))
+
+
 def test_expm_stack_runs_in_slices(monkeypatch):
     seen = []
     body = linalg._pade_exp
@@ -417,14 +433,15 @@ def test_expm_stack_runs_in_slices(monkeypatch):
 def test_pade_classes_match_the_scalar_rule():
     thetas = np.array(list(_PADE_THETA.values()))
     norms = np.concatenate([
-        [0.0, -0.0, 5e-324, 1e-300, 1.0, 7.5, 1e3, 1e300, np.nan],
+        [0.0, -0.0, 5e-324, 1e-300, 1.0, 7.5, 1e3, 1e300],
         thetas, np.nextafter(thetas, 0.0), np.nextafter(thetas, np.inf),
         thetas[-1] * 2.0 ** np.arange(1, 8), np.geomspace(1e-6, 1e6, 301)])
     kinds, label = _pade_classes(norms)
     assert len(set(kinds)) == len(kinds) and label.shape == norms.shape
     assert [kinds[k] for k in label.tolist()] == [_pade_choice(x) for x in norms.tolist()]
-    with pytest.raises(RangeError):
-        _pade_classes(np.array([1.0, np.inf]))
+    for bad in (np.inf, np.nan):
+        with pytest.raises(RangeError):
+            _pade_classes(np.array([1.0, bad]))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 8, 64])

@@ -164,8 +164,8 @@ def test_U_n_second_order_convergence():
 def reference_cells(f, edges):
     """Cell integrals of edges (..., n + 1) by one plain formula: composite
     Gauss-5 per cell on max(1, ceil(80 / 5n)) panels, of H, or for a family
-    with a separable form of its coefficients, then summed with the basis
-    term by term."""
+    with a separable form of its coefficients, then summed with its
+    matrices (the first rows of its table) term by term."""
     edges = np.asarray(edges)
     widths = np.diff(edges)[..., None]
     panels = max(1, -(-80 // (5 * (edges.shape[-1] - 1))))
@@ -183,7 +183,7 @@ def reference_cells(f, edges):
     I = functools.reduce(np.add, [w[..., 0, q, None] * C[..., p, q, :]
                                   for p in range(panels) for q in range(5)], 0.0)
     return functools.reduce(np.add, [I[..., k, None, None] * B
-                                     for k, B in enumerate(form.basis)])
+                                     for k, B in enumerate(form.table[:form.terms])])
 
 
 def signed_zero_family(d):
@@ -880,7 +880,7 @@ def counted_form(fam, calls):
         return C
 
     return replace(fam, evaluate_batch=None,
-                   separable=SeparableForm(coeffs, form.basis))
+                   separable=SeparableForm(coeffs, form.terms, *form.layers))
 
 
 def test_U_n_at_d16_sweeps_many_cells_a_coefficient_call():

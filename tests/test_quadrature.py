@@ -1,7 +1,13 @@
+import inspect
+import warnings
+
 import numpy as np
 import pytest
 
-from chronos.errors import QuadratureError
+import chronos
+from chronos import quadrature
+from chronos.errors import ChronosError, QuadratureError
+from chronos.propagators import ordered_product
 from chronos.quadrature import (adaptive_quadrature, cumulative_simpson_uniform,
                                 fixed_quadrature, loglog_slope, panel_nodes)
 
@@ -108,3 +114,64 @@ def test_loglog_slope_power_law():
 def test_loglog_slope_degenerate_input():
     assert loglog_slope([1.0], [1.0]) == float("inf")
     assert loglog_slope([1.0, 0.5], [0.0, 0.0]) == float("inf")
+
+
+def _matrices(ts):
+    return np.ones((len(ts), 2, 2))
+
+
+def _nan_matrices(ts):
+    return np.full((len(ts), 2, 2), np.nan)
+
+
+# Inputs outside each callable's domain: bounds, panels and steps that are
+# not finite or not positive integers, ragged, empty, mismatched or
+# non-numeric arrays, non-finite samples and integrands.
+_HOSTILE_CALLS = {
+    "fixed_quadrature": [(_matrices, 0.0, 1.0, panels)
+                         for panels in (0, -1, 2.5, np.nan, "4")]
+    + [(_matrices, a, b, 4) for a, b in ((0.0, np.inf), (-np.inf, 0.0),
+                                         (np.nan, 1.0), (np.inf, np.inf))]
+    + [(_nan_matrices, 0.0, 1.0, 4)],
+    "adaptive_quadrature": [(_matrices, a, b) for a, b in (
+        (0.0, np.inf), (-np.inf, 1.0), (0.0, np.nan), (np.inf, np.inf))]
+    + [(_nan_matrices, 0.0, 1.0), (lambda ts: np.full(len(ts), 1e308), 0.0, 10.0)],
+    "cumulative_simpson_uniform": [
+        ([[1.0, 2.0], [3.0]], 0.1), (np.zeros(0), 0.1), (np.float64(1.0), 0.1),
+        (["a", "b", "c"], 0.1), ([1.0, np.nan, 2.0], 0.1),
+        ([1.0, 2.0, np.inf], 0.1), (np.ones(5), np.nan), (np.ones(5), np.inf)],
+    "loglog_slope": [
+        ([1, 2], [1]), ([1, 2, 3], [1, 2]), ([[1, 2], [3]], [1, 2]),
+        (["a", "b"], [1, 2]), (np.ones((2, 2)), np.ones((2, 2))), (1.0, 1.0),
+        ([1, 2, np.inf], [1, 2, 3]), ([1, 2, 3], [1, np.inf, 3])],
+    "ordered_product": [
+        ([[[1, 0], [0, 1]], [[1, 0]]],), (np.ones(3),), (np.ones((2, 2)),),
+        (np.ones((3, 2, 3)),), (np.array([[["a"]]]),), (1.0,),
+        (np.full((2, 2, 2), None),)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HOSTILE_CALLS))
+def test_quadrature_gives_a_finite_result_or_a_chronos_error(name):
+    call = ordered_product if name == "ordered_product" else getattr(quadrature, name)
+    leaks = []
+    for args in _HOSTILE_CALLS[name]:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = call(*args)
+        except ChronosError:
+            continue
+        except Exception as exc:
+            leaks.append(f"{args!r}: {type(exc).__name__}: {exc}")
+            continue
+        values = out[0] if name == "adaptive_quadrature" else out
+        if not np.all(np.isfinite(values)):
+            leaks.append(f"{args!r}: non-finite result")
+    assert not leaks, "\n".join(leaks)
+
+
+def test_hostile_table_covers_every_exported_quadrature_function():
+    exported = {name for name, obj in vars(chronos).items()
+                if inspect.isfunction(obj) and obj.__module__ == "chronos.quadrature"}
+    assert exported | {"ordered_product"} == set(_HOSTILE_CALLS)

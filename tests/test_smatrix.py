@@ -82,10 +82,11 @@ def test_eigen_frame_form_is_the_product_formula(d):
     left = cfg.envelope_values(ts)[:, None] * phase
     expected = left[:, :, None] * Vr * phase.conj()[:, None, :]
     form = _eigen_frame(cfg)[0].separable
-    assert len(form.basis) == len(np.unique(evals[:, None] - evals)) == d * d - d + 1
-    assert np.count_nonzero(form.basis, axis=0).max() == 1
-    assert np.array_equal(form.basis.sum(axis=0), Vr)
-    assert len(form.layers[0]) == 1
+    index, value = form.layers
+    assert index.shape == value.shape == (1, d * d)
+    assert form.terms == len(np.unique(index)) == d * d - d + 1
+    assert form.terms == len(np.unique(evals[:, None] - evals))
+    assert np.array_equal(value.sum(axis=0).reshape(d, d), Vr)
     got = _eigen_frame(cfg)[0].evaluate_batch(ts)
     assert got.shape == expected.shape
     radians = np.max(np.abs(evals)) * cfg.T / cfg.hbar
