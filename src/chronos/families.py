@@ -45,7 +45,8 @@ class SeparableForm:
                  index, value):
         index, value = np.array(index, dtype=np.intp), np.array(value, dtype=complex)
         dim = math.isqrt(index.shape[1]) if index.ndim == 2 else 0
-        if (not dim or dim * dim != index.shape[1] or value.shape != index.shape
+        if (not isinstance(terms, numbers.Integral) or not dim
+                or dim * dim != index.shape[1] or value.shape != index.shape
                 or not len(index) or not 0 <= index.min() <= index.max() < terms):
             raise DimensionError(f"layers {index.shape} and {value.shape} are not "
                                  f"(L, d^2) with indices below {terms}")

@@ -187,7 +187,8 @@ def test_form_layers_and_assembly():
     assert dense.layers[0].tolist() == [[0] * 9, [1] * 9, [2] * 9]
     index, value = np.array(index), np.array(value)
     for bad in ((3, index[:, :3], value[:, :3]), (3, index, value[:1]),
-                (2, index, value), (3, index - 1, value), (3, index[0], value[0])):
+                (2, index, value), (3, index - 1, value), (3, index[0], value[0]),
+                (2.5, index, value)):
         with pytest.raises(DimensionError):
             SeparableForm(form.coeffs, *bad)
 
