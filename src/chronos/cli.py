@@ -86,7 +86,7 @@ def _get_family(p: dict):
     if p["family.csv"] is not None:
         try:
             return family_from_csv(p["family.csv"])
-        except OSError as exc:
+        except ConfigError as exc:
             raise ConfigError(f"family.csv: {exc}") from None
     return builtin_family(p["family.name"], p["family.params"], interval=p["interval"])
 

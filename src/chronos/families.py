@@ -24,6 +24,24 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _CLASSIFY_GRID = 10
 
 
+def _reals(*xs) -> bool:
+    """Whether every x is a real number (a Python or numpy int, float or bool)."""
+    return all(isinstance(x, numbers.Real) for x in xs)
+
+
+def _interval(interval) -> Tuple[float, float]:
+    """interval as two floats (a, b); anything but two finite real numbers
+    a < b is a ConfigError, raised before a constructor evaluates H."""
+    try:
+        a, b = interval
+    except (TypeError, ValueError):
+        a = b = None
+    if not (_reals(a, b) and -math.inf < a < b < math.inf):
+        raise ConfigError(f"an interval must be two finite real numbers a < b, "
+                          f"got {interval!r}")
+    return float(a), float(b)
+
+
 class SeparableForm:
     """H(t) = sum_k coeffs(t)[:, k] B_k: `terms` = K scalar coefficient
     functions times K fixed matrices, held entry by entry as layers.
@@ -122,7 +140,7 @@ class GeneratorFamily:
     breaks: Tuple[float, ...] = ()
 
     def __post_init__(self):
-        if not -math.inf < self.a < self.b < math.inf:
+        if not (_reals(self.a, self.b) and -math.inf < self.a < self.b < math.inf):
             raise ConfigError(f"need finite a < b, got [{self.a}, {self.b}]")
         try:
             breaks = tuple(map(float, self.breaks))
@@ -139,6 +157,8 @@ class GeneratorFamily:
                 f"unknown commutativity class {self.commutativity_class!r}")
         form = self.separable
         if form is not None:
+            if not isinstance(form, SeparableForm):
+                raise ConfigError(f"separable must be a SeparableForm, got {form!r}")
             if form.dim != self.dim:
                 raise DimensionError(f"form of dim {form.dim} does not match "
                                      f"dim {self.dim}")
@@ -146,8 +166,9 @@ class GeneratorFamily:
                 object.__setattr__(self, "evaluate_batch", form.evaluate)
             elif self.evaluate_batch != form.evaluate:
                 object.__setattr__(self, "separable", None)
-        if self.evaluate_batch is None:
-            raise ConfigError("a family needs evaluate_batch or a separable form")
+        if not callable(self.evaluate_batch):
+            raise ConfigError("a family needs a callable evaluate_batch or a "
+                              "separable form")
 
     def __call__(self, t: float) -> np.ndarray:
         return self.evaluate_batch(np.array([float(t)]))[0]
@@ -173,7 +194,7 @@ def family_from_evaluator(evaluate, interval=(0.0, 1.0), name: str = "custom",
                           batch=None) -> GeneratorFamily:
     """Wrap a scalar evaluator (or a batch one), labelled dissipative from
     10 samples; its commutativity label is the default, "general"."""
-    a, b = float(interval[0]), float(interval[1])
+    a, b = _interval(interval)
     if batch is None:
         batch = _batch_from_scalar(evaluate)
     dim = batch(np.array([a])).shape[-1]
@@ -189,7 +210,7 @@ def family_from_matrix(H, interval=(0.0, 1.0), name: str = "constant") -> Genera
     def batch(ts):
         return np.broadcast_to(A, (len(np.atleast_1d(ts)),) + A.shape).copy()
 
-    a, b = float(interval[0]), float(interval[1])
+    a, b = _interval(interval)
     return GeneratorFamily(
         a=a, b=b, dim=A.shape[0], evaluate_batch=batch,
         commutativity_class="constant",
@@ -206,9 +227,20 @@ def builtin_family(name: str, params: Sequence[float] = (),
     damped_two_level: two_level_driven - p3 * I                (default gamma 0.5)
     random_smooth:    -i A(t) - p2 I, A(t) a trig polynomial with Hermitian
                       random coefficients; p0 seed, p1 dim     (default 0, 3, 0.2)
+
+    Every parameter must be a real number, and every parameter of the d = 2
+    built-ins finite; random_smooth names its own bad parameters.  Either
+    failure, and an interval that is not two real numbers, is a ConfigError.
     """
-    p = list(params)
-    a, b = float(interval[0]), float(interval[1])
+    try:
+        p = list(params)
+    except TypeError:
+        raise ConfigError(f"family parameters must be a sequence, got {params!r}") from None
+    if not _reals(*p):
+        raise ConfigError(f"family parameters must be real numbers, got {params!r}")
+    if name != "random_smooth" and not all(map(math.isfinite, p)):
+        raise ConfigError(f"{name} parameters must be finite, got {params!r}")
+    a, b = _interval(interval)
     if name == "constant":
         delta = p[0] if p else 1.0
         return family_from_matrix(-1j * delta * SIGMA_Z, (a, b), name=name)
@@ -306,6 +338,8 @@ def family_from_csv(path, name: str = "tabulated") -> GeneratorFamily:
                     if r and not r[0].startswith("#")]
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ConfigError(f"{path}: not a CSV table: {exc}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
     if len(rows) < 3:
         raise ConfigError(f"{path}: need a header and at least two data rows")
     width = len(rows[1][1])
@@ -345,8 +379,7 @@ def family_from_csv(path, name: str = "tabulated") -> GeneratorFamily:
 
 def yosida_stack(H: np.ndarray, z: float) -> np.ndarray:
     """Yosida approximants z H (zI-H)^{-1} over a stack (m, d, d)."""
-    if not 0 < z < math.inf:
-        raise DomainError(f"yosida requires a finite z > 0, got z={z}")
+    _check_z(z)
     d = H.shape[-1]
     try:
         R = np.linalg.solve(z * np.eye(d)[None] - H, np.broadcast_to(
@@ -356,8 +389,15 @@ def yosida_stack(H: np.ndarray, z: float) -> np.ndarray:
     return z * (H @ R)
 
 
+def _check_z(z):
+    if not (_reals(z) and 0 < z < math.inf):
+        raise DomainError(f"yosida requires a finite z > 0, got z={z!r}")
+
+
 def yosida_family(f: GeneratorFamily, z: float) -> GeneratorFamily:
     """The family t -> H_z(t); same labels (rational functions of H(t))."""
+    _check_z(z)
+
     def batch(ts):
         return yosida_stack(f.evaluate_batch(np.atleast_1d(ts)), z)
 
@@ -368,7 +408,7 @@ def yosida_family(f: GeneratorFamily, z: float) -> GeneratorFamily:
 
 
 def _check_interval(f: GeneratorFamily, s: float, t: float):
-    if not s <= t:
+    if not (_reals(s, t) and s <= t):
         raise DomainError(f"need s <= t, got s={s}, t={t}")
     if not (f.a - 1e-12 <= s and t <= f.b + 1e-12):
         raise DomainError(
@@ -398,11 +438,13 @@ def variance_integral(f: GeneratorFamily, z: float, e: np.ndarray,
     The integrand is a variance, nonnegative by Cauchy-Schwarz; the
     modulus-squared form keeps it real for non-Hermitian H_z.
     """
-    e = np.asarray(e, dtype=complex)
+    e = _complex_array(e, "e")
     if e.shape != (f.dim,):
         raise DimensionError(f"e must have shape ({f.dim},), got {e.shape}")
-    if abs(np.linalg.norm(e) - 1.0) > 1e-12:
+    if not abs(np.linalg.norm(e) - 1.0) <= 1e-12:
         raise DomainError("e must be a unit vector")
+    _check_z(z)
+    _check_interval(f, f.a, t)
 
     def integrand(ts):
         Hz = yosida_stack(f.evaluate_batch(np.atleast_1d(ts)), z)
@@ -422,9 +464,9 @@ def derivative_probe(f: GeneratorFamily, t: float,
     residual vanishes at every h (constant families).
     """
     h_list = list(h_list)
-    if not all(h > 0 for h in h_list):
-        raise DomainError("h_list entries must be positive")
-    if not (f.a < t < f.b) or t + max(h_list) > f.b:
+    if not (h_list and all(_reals(h) and h > 0 for h in h_list)):
+        raise DomainError(f"h_list needs one or more positive steps, got {h_list}")
+    if not (_reals(t) and f.a < t < f.b) or t + max(h_list) > f.b:
         raise DomainError(f"t={t} with max h={max(h_list)} leaves [{f.a}, {f.b}]")
     Qt = integrate_family(f, f.a, t)
     Ht = f(t)

@@ -19,11 +19,12 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.polynomial.chebyshev import chebvander
 
-from .errors import ConfigError, ConsistencyError, DomainError, ResourceError
-from .families import GeneratorFamily, _check_interval, integrate_family
+from .errors import (ConfigError, ConsistencyError, DimensionError, DomainError,
+                     RangeError, ResourceError)
+from .families import GeneratorFamily, _check_interval, _reals, integrate_family
 from .film import midpoint_edges
-from .linalg import (_SLICE_ENTRIES, _norms1, _pade_classes, expm_stack,
-                     matrix_exp)
+from .linalg import (_SLICE_ENTRIES, _norms1, _pade_classes, as_matrix,
+                     expm_stack, matrix_exp)
 from .propagators import PropagatorResult, _as_int, ordered_product
 from .quadrature import _GAUSS5_NODES, _GAUSS5_WEIGHTS
 
@@ -42,6 +43,9 @@ class PathSumConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not _reals(self.lam, self.t, self.tail_tol):
+            raise ConfigError(f"lambda, horizon and tail_tol must be real numbers, "
+                              f"got {self.lam!r}, {self.t!r}, {self.tail_tol!r}")
         if not 0 < self.lam < math.inf:
             raise ConfigError(f"lambda must be finite and > 0, got {self.lam}")
         if not 0 < self.t < math.inf:
@@ -62,7 +66,7 @@ def make_partition(a: float, t: float, n: int) -> np.ndarray:
     n = _as_int(n, "n")
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    if not (math.isfinite(a) and 0 < t < math.inf):
+    if not (_reals(a, t) and math.isfinite(a) and 0 < t < math.inf):
         raise DomainError(f"need a finite start and t > 0, got a={a}, t={t}")
     return midpoint_edges(a, a + t, a + t * np.arange(1, n + 1) / n)
 
@@ -127,42 +131,40 @@ def _node_sums(values: np.ndarray, w: np.ndarray, acc: np.ndarray) -> np.ndarray
     return acc
 
 
-def _cat(arrays: list) -> np.ndarray:
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-
 def _cell_stack(f: GeneratorFamily, rows: list) -> np.ndarray:
     """A_j = integral of H over cell j, concentrated at its bubble time, for
     every cell of the edge rows (B_i, n_i + 1), in order, as (C, d, d).
 
     Every edge must lie in the family, in non-decreasing order and not NaN;
-    a zero-width cell is legal.  Rows come grouped by panel count, and each
-    group takes one _gauss5_cells sweep.
+    a zero-width cell is legal.  Each run of consecutive rows with one panel
+    count takes one _gauss5_cells sweep.
     """
-    cells = [r.shape[1] - 1 for r in rows]
-    flat = _cat([r.reshape(-1) for r in rows])
-    _check_interval(f, np.min(flat), np.max(flat))
-    # Cell j of the flat edges is [flat[j], flat[j + 1]] unless a row ends at j.
-    left, widths = flat[:-1], np.diff(flat)
-    if len(rows) > 1 or len(rows[0]) > 1:
-        row_cells = np.repeat(cells, [len(r) for r in rows])
-        keep = np.ones(flat.size - 1, dtype=bool)
-        keep[np.cumsum(row_cells + 1)[:-1] - 1] = False
-        left, widths = left[keep], widths[keep]
+    left = np.concatenate([r[:, :-1] for r in rows], axis=None)
+    right = np.concatenate([r[:, 1:] for r in rows], axis=None)
+    widths = right - left
     if not np.all(widths >= 0):
         raise DomainError("cell edges must be non-decreasing and not NaN")
+    _check_interval(f, np.min(left), np.max(right))
     A = np.empty((left.size, f.dim, f.dim), dtype=complex)
     start = 0
-    for p, group in itertools.groupby(zip(cells, rows), key=lambda c: _panels(c[0])):
-        stop = start + sum(n * len(r) for n, r in group)
+    for p, group in itertools.groupby(rows, key=lambda r: _panels(r.shape[1] - 1)):
+        stop = start + sum(r.size - len(r) for r in group)
         _gauss5_cells(f, left[start:stop], widths[start:stop], p, A[start:stop])
         start = stop
     return A
 
 
 def _edges(edges) -> np.ndarray:
-    """Edges (..., n + 1) as an array, n >= 1."""
-    edges = np.atleast_1d(edges)
+    """Edges (..., n + 1) as a float array, n >= 1; ragged, non-numeric or
+    complex edges are a DimensionError."""
+    try:
+        edges = np.atleast_1d(np.asarray(edges))
+    except ValueError:
+        raise DimensionError("edges are ragged: every partition of a batch "
+                             "needs the same number of edges") from None
+    if edges.dtype.kind not in "biuf":
+        raise DimensionError(f"edges must be real numbers, got dtype {edges.dtype}")
+    edges = edges.astype(float, copy=False)
     if edges.shape[-1] < 2:
         raise DomainError(f"a partition needs at least two edges, got {edges.shape}")
     return edges
@@ -185,15 +187,17 @@ def _U_batch(f: GeneratorFamily, partitions: list) -> list:
     Rows are taken in order, in chunks of at most _BATCH_ENTRIES generator
     entries; a batch that does not fit is split between chunks, and a row
     larger than a chunk goes through on its own.  A chunk makes one Gauss-5
-    sweep per panel count, one expm_stack per Pade class (each row in the
-    class expm_stack would choose from the row's own largest 1-norm) and
-    one ordered_product per batch piece.
+    sweep per run of consecutive batches with one panel count, one
+    expm_stack per Pade class (each row in the class expm_stack would
+    choose from the row's own largest 1-norm) and one ordered_product per
+    batch piece, written into its slice of the partition's output.
     """
     parts = [_edges(e) for e in partitions]
+    outs = [np.empty(e.shape[:-1] + (f.dim, f.dim), dtype=complex) for e in parts]
     chunks, entries = [[]], 0
-    for i, edges in enumerate(parts):
+    for edges, out in zip(parts, outs):
         n = edges.shape[-1] - 1
-        rows = edges.reshape(-1, n + 1)
+        rows, dest = edges.reshape(-1, n + 1), out.reshape(-1, f.dim, f.dim)
         per_row = n * 5 * _panels(n) * f.dim ** 2
         start = 0
         while start < len(rows):
@@ -202,26 +206,21 @@ def _U_batch(f: GeneratorFamily, partitions: list) -> list:
                 chunks.append([])
                 entries = 0
                 continue
-            piece = rows[start:start + max(take, 1)]
-            chunks[-1].append((i, piece))
-            entries += len(piece) * per_row
-            start += len(piece)
-    pieces = [[] for _ in parts]
+            stop = min(len(rows), start + max(take, 1))
+            chunks[-1].append((rows[start:stop], dest[start:stop]))
+            entries += (stop - start) * per_row
+            start = stop
     for chunk in filter(None, chunks):
-        for (i, _), U in zip(chunk, _U_chunk(f, [rows for _, rows in chunk])):
-            pieces[i].append(U)
-    empty = np.empty((0, f.dim, f.dim), dtype=complex)
-    return [_cat(p or [empty]).reshape(e.shape[:-1] + (f.dim, f.dim))
-            for e, p in zip(parts, pieces)]
+        for (_, dest), U in zip(chunk, _U_chunk(f, [rows for rows, _ in chunk])):
+            dest[...] = U
+    return outs
 
 
 def _U_chunk(f: GeneratorFamily, chunk: list) -> list:
     """U (B_i, d, d) of each edge batch (B_i, n_i + 1) of one chunk."""
-    order = sorted(range(len(chunk)), key=lambda i: _panels(chunk[i].shape[1] - 1))
-    rows = [chunk[i] for i in order]
-    cells = [r.shape[1] - 1 for r in rows]
-    A = _cell_stack(f, rows)
-    row_cells = np.repeat(cells, [len(r) for r in rows])
+    cells = [r.shape[1] - 1 for r in chunk]
+    A = _cell_stack(f, chunk)
+    row_cells = np.repeat(cells, [len(r) for r in chunk])
     kinds, label = _pade_classes(np.maximum.reduceat(
         _norms1(A), np.cumsum(row_cells) - row_cells))
     if len(kinds) == 1:
@@ -233,10 +232,10 @@ def _U_chunk(f: GeneratorFamily, chunk: list) -> list:
             same = np.flatnonzero(label == k)
             E[same] = expm_stack(A[same], pade)
         A = E
-    U, start = [None] * len(chunk), 0
-    for i, r, n in zip(order, rows, cells):
+    U, start = [], 0
+    for r, n in zip(chunk, cells):
         stop = start + len(r) * n
-        U[i] = ordered_product(A[start:stop].reshape(len(r), n, f.dim, f.dim))
+        U.append(ordered_product(A[start:stop].reshape(len(r), n, f.dim, f.dim)))
         start = stop
     return U
 
@@ -275,6 +274,8 @@ def poisson_weight(t: float, s: float, lam: float) -> float:
     Zero for s <= 0; a right-continuous nondecreasing step function of s
     with jumps exactly at s = k / lambda, and 1 where lambda s is infinite.
     """
+    if not _reals(t, s, lam):
+        raise DomainError(f"t, s and lambda must be real numbers, got {t!r}, {s!r}, {lam!r}")
     if not lam > 0:
         raise DomainError(f"lambda must be > 0, got {lam}")
     if not t > 0:
@@ -291,7 +292,7 @@ def poisson_weight(t: float, s: float, lam: float) -> float:
 
 def poisson_truncation(lam_t: float, tail_tol: float) -> int:
     """Smallest N with Poisson(lam_t) tail mass beyond N below tail_tol."""
-    if not (lam_t > 0 and 0 < tail_tol < 1):
+    if not (_reals(lam_t, tail_tol) and lam_t > 0 and 0 < tail_tol < 1):
         raise ConfigError(f"need mean > 0, 0 < tail_tol < 1; got {lam_t}, {tail_tol}")
     from scipy import special
     # The quantile inverts the cdf at 1 - tail_tol; once that rounds to 1 it
@@ -378,7 +379,7 @@ def poisson_mixture(terms: Callable[[list], np.ndarray], mean: float,
     def exact(ms):
         new = [m for m in ms if m not in done]
         if new:
-            done.update(zip(new, terms(new)))
+            done.update(zip(new, _checked_terms(terms(new), len(new), done)))
         return np.array([done[m] for m in ms])
 
     fit = ns >= 1
@@ -394,6 +395,22 @@ def poisson_mixture(terms: Callable[[list], np.ndarray], mean: float,
         extras={"raw": raw, "captured_mass": captured, "n_max": int(n_max),
                 "exact_terms": len(done),
                 "fit_residual": None if fitted is None else fitted[1]})
+
+
+def _checked_terms(T, count: int, done: dict) -> np.ndarray:
+    """T as a stack of count finite numeric terms, each shaped as the terms
+    in done; anything else is a DimensionError, a non-finite term a RangeError."""
+    try:
+        T = np.asarray(T)
+    except ValueError:
+        T = None
+    shape = np.shape(next(iter(done.values()))) if done else None
+    if (T is None or T.dtype.kind not in "biufc" or T.ndim < 1 or len(T) != count
+            or shape not in (None, T.shape[1:])):
+        raise DimensionError(f"terms must return {count} numeric terms of one shape")
+    if not np.all(np.isfinite(T)):
+        raise RangeError("a Poisson term is not finite")
+    return T
 
 
 def U_lambda(f: GeneratorFamily, cfg: PathSumConfig) -> PropagatorResult:
@@ -413,6 +430,9 @@ def stieltjes_form(f: GeneratorFamily, cfg: PathSumConfig,
     when given.  The jumps reach past t, to n_max / lambda, and the family
     must cover them.  step_count is n_max.
     """
+    if oracle_U is not None and as_matrix(oracle_U, "oracle_U").shape != (f.dim, f.dim):
+        raise DimensionError(f"oracle_U must be {f.dim} x {f.dim}, "
+                             f"got {np.shape(oracle_U)}")
     lam_t = cfg.lam * cfg.t
     _check_interval(f, f.a, f.a + poisson_truncation(lam_t, cfg.tail_tol) / cfg.lam)
     res = poisson_mixture(
@@ -424,7 +444,11 @@ def stieltjes_form(f: GeneratorFamily, cfg: PathSumConfig,
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Counter-based splittable per-trial stream (Philox keyed by trial)."""
+    """Counter-based splittable per-trial stream (Philox keyed by trial);
+    seed and trial are integers >= 0, or a DomainError."""
+    seed, trial = _as_int(seed, "seed"), _as_int(trial, "trial")
+    if seed < 0 or trial < 0:
+        raise DomainError(f"need seed and trial >= 0, got {seed} and {trial}")
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(trial,))))
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -11,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chronos
-from chronos.cli import (_COMMON, _FAMILY, _RUNNERS, emit_plot_script, main,
-                         parse_config, run, selftest)
+from chronos.cli import (_COMMON, _FAMILY, _RUNNERS, Report, emit_plot_script,
+                         main, parse_config, run, selftest)
 from chronos.errors import ConfigError
 from chronos.path_sum import PathSumConfig, bubble_counts
 from helpers import numerical_stack
@@ -726,3 +727,22 @@ def test_main_dispatch(tmp_path, capsys):
     assert main(["plot", str(out)]) == 0
     captured = capsys.readouterr()
     assert "asymptotic" in captured.out
+
+
+def test_report_rejects_a_row_of_the_wrong_width():
+    report = Report(["a", "b"], 0, "digest")
+    with pytest.raises(ConfigError, match="row width"):
+        report.add(1.0)
+
+
+def test_run_timing_on_times_every_lambda(tmp_path):
+    out = tmp_path / "t.csv"
+    cfg = write(tmp_path / "t.cfg",
+                "experiment = lambda-sweep\nfamily.name = two_level_driven\n"
+                f"sweep.lambdas = 10, 40\ntiming = on\noutput = {out}\n")
+    assert run(cfg) == 0
+    lines = out.read_text().splitlines()
+    assert lines[1].split(",")[-1] == "seconds"
+    seconds = [float(line.split(",")[-1]) for line in lines[2:]]
+    assert len(seconds) == 2
+    assert all(math.isfinite(s) and s > 0 for s in seconds)

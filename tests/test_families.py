@@ -1,12 +1,18 @@
 import dataclasses
 import math
+import os
+import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from chronos.errors import (ConfigError, DimensionError, DomainError,
-                            ResourceError, SingularityError)
+import chronos
+from chronos import families
+from chronos.errors import (ChronosError, ConfigError, ConsistencyError,
+                            DimensionError, DomainError, ResourceError,
+                            SingularityError)
 from chronos.families import (SIGMA_X, SIGMA_Z, GeneratorFamily,
                               SeparableForm, builtin_family, derivative_probe,
                               family_from_csv, family_from_evaluator,
@@ -429,3 +435,124 @@ def test_family_csv_rejects_a_file_that_is_no_csv_table(tmp_path, content):
     path.write_bytes(content)
     with pytest.raises(ConfigError, match="not a CSV table"):
         family_from_csv(path)
+
+
+def test_family_rejects_an_unknown_commutativity_class():
+    with pytest.raises(ConfigError, match="unknown commutativity class"):
+        GeneratorFamily(a=0.0, b=1.0, dim=2, commutativity_class="nilpotent",
+                        evaluate_batch=lambda ts: np.zeros((len(ts), 2, 2)))
+
+
+def test_family_csv_needs_two_data_rows(tmp_path):
+    path = tmp_path / "one.csv"
+    path.write_text("t,re,im\n0,1,0\n")
+    with pytest.raises(ConfigError, match="at least two data rows"):
+        family_from_csv(path)
+
+
+def test_integral_of_a_family_mislabelled_dissipative_is_a_consistency_error():
+    # H = +I is declared dissipative; its integral has margin 1.
+    fam = GeneratorFamily(a=0.0, b=1.0, dim=2, dissipative=True,
+                          evaluate_batch=lambda ts: np.ones(len(ts))[:, None, None]
+                          * np.eye(2))
+    with pytest.raises(ConsistencyError, match="margin"):
+        integrate_family_with_estimate(fam, 0.0, 1.0)
+
+
+def test_derivative_probe_needs_positive_steps_inside_the_family():
+    fam = builtin_family("two_level_driven")
+    for h_list in ([0.1, 0.0], [-0.01], [], ["a"], [np.nan]):
+        with pytest.raises(DomainError, match="positive"):
+            derivative_probe(fam, 0.5, h_list)
+    for t, h_list in ((0.0, [0.1]), (1.5, [0.1]), (0.95, [0.1]), ("a", [0.1])):
+        with pytest.raises(DomainError, match="leaves"):
+            derivative_probe(fam, t, h_list)
+
+
+def _zeros(ts):
+    return np.zeros((len(ts), 2, 2), dtype=complex)
+
+
+def _csv_family(text):
+    """family_from_csv of a file holding text; None reads a missing file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "family.csv")
+        if text is not None:
+            with open(path, "w") as fh:
+                fh.write(text)
+        return family_from_csv(path)
+
+
+# Inputs outside each families callable's domain: parameters that are not
+# finite real numbers, intervals that are not two finite increasing numbers,
+# matrices and evaluator values that are ragged, non-numeric or not finite,
+# CSV tables that are missing or malformed, fields of the wrong kind, states
+# that are not unit vectors and z or bounds that are not real, finite and in
+# range.
+_ON_01 = builtin_family("two_level_driven")
+_NOT_REAL = ["a", None, [1.0], 1j]
+_HOSTILE_INTERVALS = [(0.0,), ("a", 1.0), (None, None), 1.0, (0.0, 1.0, 2.0),
+                      (1.0, 0.0), (0.0, np.nan), (-np.inf, 0.0)]
+_HOSTILE_FAMILY_CALLS = {
+    "builtin_family": [(name, params) for name in (
+        "constant", "scalar_commuting", "two_level_driven", "damped_two_level",
+        "random_smooth") for params in (
+            ("a",), (None,), "ab", 5, ([1.0],), (np.nan,), (np.inf,),
+            (1.0, -np.inf), (1.0, 1.0, np.nan), (0, 3, np.inf))]
+    + [("constant", (), interval) for interval in _HOSTILE_INTERVALS]
+    + [("nonexistent",), (None,)],
+    "family_from_evaluator": [(lambda t: -1j * SIGMA_Z, interval)
+                              for interval in _HOSTILE_INTERVALS]
+    + [(lambda t, v=v: v,) for v in ([[1, 2], [3]], "ab", None,
+                                     np.full((2, 2), np.nan))],
+    "family_from_matrix": [(H,) for H in ([[1, 2], [3]], np.full((2, 2), np.nan),
+                                          np.zeros((0, 0)), "a", np.ones((2, 3)))]
+    + [(np.eye(2), interval) for interval in _HOSTILE_INTERVALS],
+    "family_from_csv": [(text,) for text in (
+        None, "", "t,re,im\n", "t,re,im\n0,1,0\n", "t,re,im\n0,1,0\n1,x,0\n",
+        "t,re,im\n0,1,0\n1,nan,0\n", "t,re,im\n1,1,0\n0,1,0\n",
+        "t,re,im\n0,1,0\n1,1\n", "t,a,b,c\n0,1,0,0\n1,1,0,0\n")],
+    "GeneratorFamily": [
+        ("a", 1.0, 2, _zeros), (0.0, None, 2, _zeros), (1.0, 1.0, 2, _zeros),
+        (0.0, 1.0, "2", _zeros), (0.0, 1.0, 0, _zeros), (0.0, 1.0, 2, 5),
+        (0.0, 1.0, 2, None), (0.0, 1.0, 2, _zeros, "nilpotent"),
+        (0.0, 1.0, 2, _zeros, "general", False, "x", "not a form"),
+        (0.0, 1.0, 2, _zeros, "general", False, "x", None, ("a",)),
+        (0.0, 1.0, 2, _zeros, "general", False, "x", None, (2.0,))],
+    "integrate_family": [(_ON_01, s, t) for s, t in (
+        ("a", 1.0), (0.0, None), (np.nan, 1.0), (0.0, 2.0), (1.0, 0.0),
+        (-1.0, 0.5), (0.0, np.inf), (1j, 1.0))],
+    "variance_integral": [(_ON_01, 10.0, e, 0.5) for e in (
+        "ab", [[1, 0], [1]], None, [np.nan, 0], [1, 0, 0], [2, 0], [0, 0])]
+    + [(_ON_01, z, [1, 0], 0.5) for z in _NOT_REAL + [np.nan, np.inf, 0.0, -1.0]]
+    + [(_ON_01, 10.0, [1, 0], t) for t in _NOT_REAL + [np.nan, 2.0, -1.0]],
+    "yosida_family": [(_ON_01, z) for z in _NOT_REAL + [np.nan, np.inf, 0.0, -1.0]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HOSTILE_FAMILY_CALLS))
+def test_families_give_a_finite_result_or_a_chronos_error(name):
+    call = _csv_family if name == "family_from_csv" else getattr(families, name)
+    leaks = []
+    for args in _HOSTILE_FAMILY_CALLS[name]:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = call(*args)
+                if isinstance(out, GeneratorFamily):
+                    out = out.evaluate_batch(np.array([out.a, out.b]))
+        except ChronosError:
+            continue
+        except Exception as exc:
+            leaks.append(f"{args!r}: {type(exc).__name__}: {exc}")
+            continue
+        if not np.all(np.isfinite(out)):
+            leaks.append(f"{args!r}: non-finite result")
+    assert not leaks, "\n".join(leaks)
+
+
+def test_hostile_table_covers_every_exported_families_callable():
+    exported = {name for name, obj in vars(chronos).items()
+                if callable(obj) and getattr(obj, "__module__", None) == "chronos.families"}
+    assert exported == set(_HOSTILE_FAMILY_CALLS)
+

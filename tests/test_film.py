@@ -6,9 +6,10 @@ import pytest
 from chronos.errors import DimensionError, DomainError, ResourceError
 from chronos.families import (SIGMA_X, SIGMA_Z, builtin_family,
                               family_from_matrix, integrate_family)
-from chronos.film import (ExchangeOperator, FilmSpace, commutation_check,
-                          embed, exchange, film_Q, midpoint_edges, residual_norm,
-                          slot_operator_norm, verify_eq35, verify_eq38)
+from chronos.film import (ExchangeOperator, FilmSpace, SlotOperator,
+                          commutation_check, embed, exchange, film_Q,
+                          midpoint_edges, residual_norm, slot_operator_norm,
+                          verify_eq35, verify_eq38)
 from chronos.linalg import matrix_exp, operator_norm
 
 
@@ -311,3 +312,32 @@ def test_partition_difference_scalar_reading():
     fine = np.array([0.25, 0.5, 0.75, 1.0])
     assert verify_eq35(fam, 1e5, 0, coarse, fine) <= 1e-12
 
+
+def test_film_space_needs_a_base_a_slot_and_increasing_times():
+    for d, times in ((0, (0.5,)), (2, ())):
+        with pytest.raises(DimensionError, match="base_dim >= 1"):
+            FilmSpace(d, times)
+    for times in ((0.5, 0.2), (0.5, 0.5)):
+        with pytest.raises(DomainError, match="strictly increasing"):
+            FilmSpace(2, times)
+
+
+def test_generating_vector_needs_a_basis_index_in_range():
+    for i in (-1, 2):
+        with pytest.raises(DomainError, match=r"outside 0\.\.1"):
+            film(3).generating_vector(i)
+
+
+def test_slot_and_exchange_operators_check_their_matrix_and_slots():
+    f = film(3)
+    with pytest.raises(DimensionError, match="base_dim is 2"):
+        SlotOperator(f, np.eye(3), 1)
+    for slot in (0, 4):
+        with pytest.raises(DomainError, match=r"outside 1\.\.3"):
+            SlotOperator(f, np.eye(2), slot)
+        with pytest.raises(DomainError, match=r"outside 1\.\.3"):
+            exchange(1, slot, f)
+
+
+def test_slot_operator_norm_of_a_zero_operator_is_zero():
+    assert slot_operator_norm(embed(np.zeros((2, 2)), 2, film(3))) == 0.0

@@ -7,7 +7,8 @@ import scipy.linalg
 
 import chronos
 from chronos import linalg
-from chronos.errors import ChronosError, DimensionError, DomainError, RangeError
+from chronos.errors import (ChronosError, DimensionError, DomainError, RangeError,
+                            SingularityError)
 from chronos.linalg import (_PADE_COEFFS, _PADE_THETA, _SLICE_ENTRIES,
                             DissipativityReport, _accumulate, _matmul,
                             _norms1, _pade_choice, _pade_classes, _plane_solve,
@@ -450,3 +451,9 @@ def test_norms1_is_bitwise_the_column_sum_formula(d):
     A = signed_zero_stack(rng, 300, d, 1.0) * 10.0 ** rng.integers(-8, 8, (300, d, d))
     assert (_norms1(A).tobytes()
             == np.abs(A).sum(axis=-2).max(axis=-1).tobytes())
+
+
+def test_resolvent_at_an_exactly_singular_point_is_a_singularity_error():
+    # zI - H is the zero matrix for H = I at z = 1.
+    with pytest.raises(SingularityError, match="is singular at z=1"):
+        resolvent(np.eye(2), 1.0)

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import os
 import subprocess
@@ -11,9 +12,10 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import chronos
 from chronos import path_sum
-from chronos.errors import (ConfigError, ConsistencyError, DomainError,
-                            ResourceError)
+from chronos.errors import (ChronosError, ConfigError, ConsistencyError,
+                            DomainError, ResourceError)
 from chronos.families import (SIGMA_X, SIGMA_Z, GeneratorFamily, SeparableForm,
                               builtin_family, family_from_evaluator,
                               family_from_matrix, integrate_family)
@@ -24,7 +26,7 @@ from chronos.path_sum import (PathSumConfig, U_lambda, U_n, bubble_counts,
                               monte_carlo_U, poisson_mixture, poisson_truncation,
                               poisson_weight, sample_bubbles, stieltjes_form,
                               trial_rng)
-from chronos.propagators import ordered_product, product_integral
+from chronos.propagators import PropagatorResult, ordered_product, product_integral
 from chronos.quadrature import _GAUSS5_NODES, _GAUSS5_WEIGHTS, loglog_slope
 from helpers import cell_generators
 
@@ -288,9 +290,20 @@ def test_U_batch_sweeps_once_per_panel_count():
         return fam.evaluate_batch(ts)
 
     # n = 1 .. 12 take 16, 8, 6, 4, 3 and 2 panels a cell; one chunk holds all.
-    path_sum._U_batch(replace(fam, evaluate_batch=counted),
-                      [make_partition(0.0, 1.0, n) for n in range(1, 13)])
+    counting = replace(fam, evaluate_batch=counted)
+    ns = list(range(1, 13))
+    ascending = path_sum._U_batch(counting, [make_partition(0.0, 1.0, n) for n in ns])
     assert len(sweeps) == 6
+    # The kernel keeps its caller's order and sweeps each run of consecutive
+    # partitions with one panel count: reversed, the same six runs; odd then
+    # even n, the panel counts 16, 6, 4, 3, (2, 2), 8, 4, 3, (2, 2, 2).
+    for order, runs in ((ns[::-1], 6), (ns[::2] + ns[1::2], 9)):
+        assert runs == len(list(itertools.groupby(map(path_sum._panels, order))))
+        sweeps.clear()
+        got = path_sum._U_batch(counting, [make_partition(0.0, 1.0, n) for n in order])
+        assert len(sweeps) == runs
+        for n, U in zip(order, got):
+            assert U.tobytes() == ascending[n - 1].tobytes()
 
 
 def test_U_batch_rejects_a_bad_partition_anywhere():
@@ -1140,3 +1153,106 @@ def test_partition_from_centers_handles_arbitrary_times():
     assert edges[0] == 0.0
     assert edges[-1] == 2.0
     assert np.allclose(edges[1:-1], [0.7, 1.5])
+
+
+def test_conditional_single_bubble_needs_a_trial_with_one_bubble():
+    # At lambda t = 50 a trial has one bubble with probability 50 e^-50.
+    with pytest.raises(ConfigError, match="exactly one bubble"):
+        conditional_single_bubble_check(builtin_family("two_level_driven"),
+                                        PathSumConfig(lam=50.0, t=1.0, trials=100))
+
+
+def _identity_terms(ns):
+    return np.array([np.eye(2)] * len(ns))
+
+
+# Inputs outside each path-sum callable's domain: edges that are ragged,
+# non-numeric, complex, out of order, outside the family or too few; scalars
+# that are not real, not finite or out of range; integers that are not
+# integers >= 0; horizons past the family; windows and trial counts past
+# their caps; Poisson terms that are ragged, too few, non-numeric or not
+# finite; oracles of the wrong shape.
+_ON_01 = builtin_family("two_level_driven")
+_ON_0_10 = builtin_family("two_level_driven", interval=(0.0, 10.0))
+_NOT_REAL = ["a", None, [1.0], 1j]
+_HOSTILE_PATH_SUM_CALLS = {
+    "U_n": [(_ON_01, e) for e in (
+        [[0, 0.5], [1]], ["a", "b"], [0, "x", 1], [None, 1], [0j, 1],
+        np.array([[[0.0, 1.0]], [[0.0, 2.0]]]), [0.0, np.nan], [np.nan, 1.0],
+        [1.0, 0.0], [0.0, 5.0], [-np.inf, 0.0], [0.0, np.inf], [], [0.5],
+        np.zeros((2, 0)), 0.5)],
+    "make_partition": [(a, 1.0, 2) for a in _NOT_REAL + [np.nan, np.inf]]
+    + [(0.0, t, 2) for t in _NOT_REAL + [np.nan, np.inf, 0.0, -1.0]]
+    + [(0.0, 1.0, n) for n in ("2", 2.5, np.nan, 0, -1)],
+    "poisson_weight": [(x, 1.0, 1.0) for x in _NOT_REAL + [np.nan, 0.0, -1.0]]
+    + [(1.0, x, 1.0) for x in _NOT_REAL + [np.nan]]
+    + [(1.0, 1.0, x) for x in _NOT_REAL + [np.nan, 0.0, -np.inf]],
+    "poisson_truncation": [(x, 1e-10) for x in _NOT_REAL + [np.nan, 0.0, -1.0, 2e6]]
+    + [(1.0, x) for x in _NOT_REAL + [np.nan, 0.0, 1.0]],
+    "poisson_mixture": [
+        (lambda ns: [np.eye(2 + n % 2) for n in ns], 5.0, 1e-10),
+        (lambda ns: _identity_terms(ns)[1:], 5.0, 1e-10),
+        (lambda ns: [["a", "b"]] * len(ns), 5.0, 1e-10),
+        (lambda ns: [None] * len(ns), 5.0, 1e-10),
+        (lambda ns: np.full((len(ns), 2, 2), np.nan), 5.0, 1e-10),
+        (lambda ns: 1.0, 5.0, 1e-10),
+        (_identity_terms, "a", 1e-10), (_identity_terms, np.nan, 1e-10),
+        (_identity_terms, 5.0, None), (_identity_terms, 5.0, 1.5)],
+    "PathSumConfig": [(x, 1.0) for x in _NOT_REAL + [np.nan, np.inf, 0.0]]
+    + [(1.0, x) for x in _NOT_REAL + [np.nan, -1.0]]
+    + [(1.0, 1.0, x) for x in _NOT_REAL + [0.0, 1.0]]
+    + [(1.0, 1.0, 1e-10, x) for x in ("100", 100.5, None)]
+    + [(1.0, 1.0, 1e-10, 100, x) for x in (-1, 1.5, np.nan, "0")],
+    "trial_rng": [(-1, 1), (1, -1), (1.5, 1), (np.nan, 1), (1, np.inf),
+                  ("1", 1), (None, 0)],
+    "sample_bubbles": [(PathSumConfig(lam=2e6, t=1.0), np.random.default_rng(0))],
+    "U_lambda": [(_ON_01, PathSumConfig(lam=5.0, t=2.0)),
+                 (_ON_0_10, PathSumConfig(lam=2e6, t=1.0))],
+    "stieltjes_form": [(_ON_01, PathSumConfig(lam=5.0, t=1.0)),
+                       (_ON_0_10, PathSumConfig(lam=2e6, t=1.0))]
+    + [(_ON_0_10, PathSumConfig(lam=5.0, t=1.0), oracle) for oracle in (
+        [[1, 2], [3]], np.eye(3), "a", np.full((2, 2), np.nan), np.eye(2)[None])],
+    "monte_carlo_U": [(_ON_01, PathSumConfig(lam=5.0, t=1.0, trials=10)),
+                      (_ON_01, PathSumConfig(lam=5.0, t=3.0, trials=100)),
+                      (_ON_0_10, PathSumConfig(lam=2e6, t=1.0, trials=100))],
+    "conditional_single_bubble_check": [
+        (_ON_01, PathSumConfig(lam=50.0, t=1.0, trials=100)),
+        (_ON_01, PathSumConfig(lam=1.0, t=3.0, trials=100)),
+        (_ON_01, PathSumConfig(lam=1.0, t=1.0, trials=10))],
+}
+
+
+def _numbers(out):
+    """The numbers a path-sum call returned, for the finiteness check."""
+    if isinstance(out, PropagatorResult):
+        return out.U
+    if isinstance(out, tuple):
+        return out[0]
+    if isinstance(out, (PathSumConfig, np.random.Generator)):
+        return 0.0
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_HOSTILE_PATH_SUM_CALLS))
+def test_path_sum_gives_a_finite_result_or_a_chronos_error(name):
+    leaks = []
+    for args in _HOSTILE_PATH_SUM_CALLS[name]:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = getattr(path_sum, name)(*args)
+        except ChronosError:
+            continue
+        except Exception as exc:
+            leaks.append(f"{args!r}: {type(exc).__name__}: {exc}")
+            continue
+        if not np.all(np.isfinite(_numbers(out))):
+            leaks.append(f"{args!r}: non-finite result")
+    assert not leaks, "\n".join(leaks)
+
+
+def test_hostile_table_covers_every_exported_path_sum_callable():
+    exported = {name for name, obj in vars(chronos).items()
+                if callable(obj) and getattr(obj, "__module__", None) == "chronos.path_sum"}
+    assert exported == set(_HOSTILE_PATH_SUM_CALLS)
+

@@ -982,3 +982,9 @@ def test_yosida_gap_scales_with_squared_norm():
     gap = np.linalg.norm(Qz - Q, 2)
     expected = np.linalg.norm(H @ H, 2) / z
     assert gap == pytest.approx(expected, rel=1e-3)
+
+
+def test_derivative_check_of_a_zero_family_is_infinite():
+    # U = I exactly, so every central difference meets H(t) U = 0.
+    fam = family_from_matrix(np.zeros((2, 2)), interval=(0.0, 2.0))
+    assert propagator_derivative_check(fam, 0.0, 1.0, [0.1, 0.05]) == math.inf

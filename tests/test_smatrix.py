@@ -476,3 +476,8 @@ def test_first_order_term_insensitive_to_regularization():
     assert np.linalg.norm(ideal_T1 - Q, 2) <= 1e-10
     # The lam-regularized propagator likewise matches exp(Q) at first order.
     assert np.linalg.norm(S_lambda(cfg).U - matrix_exp(Q), 2) <= 1e-10
+
+
+def test_energy_shift_identity_needs_a_count_of_at_least_zero():
+    with pytest.raises(DomainError, match="n >= 0"):
+        energy_shift_identity(toy(), -1)
